@@ -20,8 +20,8 @@ from .adversary import (
 )
 from .engine import EDF, LLF
 from .harness import (
+    POLICIES,
     CampaignConfig,
-    POLICY_NAMES,
     bench,
     report_constants,
     rows_to_csv,
@@ -90,9 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--out")
 
     run = sub.add_parser("run", help="simulate a policy on an instance")
-    run.add_argument("--policy", required=True, choices=list(POLICY_NAMES))
-    run.add_argument("--machines", type=int, help="budget for edf/llf/edf-np")
-    run.add_argument("--m", type=int, help="optimum for the composite policies")
+    run.add_argument("--policy", required=True, choices=list(POLICIES))
+    run.add_argument("--machines", type=int, help="machine budget, where needed")
+    run.add_argument("--m", type=int, help="the optimum, where needed")
     run.add_argument("--alpha", type=_fraction)
     run.add_argument("--online", action="store_true")
     run.add_argument("instance")

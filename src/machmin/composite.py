@@ -21,6 +21,7 @@ from .engine import (
     OnlinePolicy,
     SimulationRun,
     edf_select,
+    merge_starts,
     simulate,
 )
 from .model import (
@@ -35,7 +36,7 @@ from .model import (
 from .optimum import (
     ceil_frac,
     density_equal_p,
-    is_feasible_preemptive,
+    min_machines,
     optimum_nonpreemptive_exact,
     optimum_preemptive,
 )
@@ -45,7 +46,6 @@ __all__ = [
     "Double",
     "DoubleEpoch",
     "double_wrap",
-    "preemptive_prefix_oracle",
     "nonpreemptive_prefix_oracle",
     "agreeable_preemptive",
     "agreeable_preemptive_online",
@@ -89,7 +89,6 @@ class SplitScheduler(OnlinePolicy):
             self.name = name
         self.routing: dict[int, str] = {}
         self._peaks = {key: 0 for key in self.pools}
-        self.extras: dict[str, object] = {}
 
     @classmethod
     def by_tightness(
@@ -126,7 +125,6 @@ class SplitScheduler(OnlinePolicy):
             sel = self.pools[key].select(t, view)
             self._peaks[key] = max(self._peaks[key], len(sel))
             chosen |= sel
-        self.extras["pool_peaks"] = dict(self._peaks)
         return chosen
 
     def pool_usage(self, key: str) -> int:
@@ -142,12 +140,11 @@ class SplitScheduler(OnlinePolicy):
             return None
         return sum(budgets)
 
-    @property
-    def starts(self) -> dict[int, int]:
-        merged: dict[int, int] = {}
-        for pool in self.pools.values():
-            merged.update(getattr(pool, "starts", {}) or {})
-        return merged
+    def starts(self) -> dict[int, int] | None:
+        return merge_starts(self.pools.values())
+
+    def extras(self) -> dict:
+        return {"pool_peaks": dict(self._peaks)}
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +160,9 @@ class DoubleEpoch:
     block: int  # machines opened with this epoch: ceil(2 * factor * m_at_start)
 
 
+# (released prefix, previous value) -> running optimum.  The optimum of a
+# growing prefix is monotone, so the previous value is a valid lower bound.
 PrefixOracle = Callable[[tuple[Job, ...], int], int]
-
-
-def preemptive_prefix_oracle(jobs: tuple[Job, ...], lower: int) -> int:
-    """Running optimum of the released prefix; monotone, so search upward
-    from the previous value."""
-    instance = Instance(jobs)
-    m = max(lower, 1)
-    while not is_feasible_preemptive(instance, m):
-        m += 1
-    return m
 
 
 def nonpreemptive_prefix_oracle(cap: int | None = None) -> PrefixOracle:
@@ -199,7 +188,7 @@ class Double(OnlinePolicy):
         self,
         factory: Callable[[int], OnlinePolicy],
         factor: Fraction | int,
-        oracle: PrefixOracle = preemptive_prefix_oracle,
+        oracle: PrefixOracle = min_machines,
         name: str | None = None,
     ):
         self._factory = factory
@@ -212,7 +201,6 @@ class Double(OnlinePolicy):
         self.epochs: list[DoubleEpoch] = []
         self._policies: list[OnlinePolicy] = []
         self.routing: dict[int, int] = {}
-        self.extras: dict[str, object] = {}
 
     def on_release(self, jobs: Sequence[Job], t: int) -> None:
         self._released.extend(jobs)
@@ -231,10 +219,6 @@ class Double(OnlinePolicy):
         for job in jobs:
             self.routing[job.id] = idx
         self._policies[idx].on_release(jobs, t)
-        self.extras["epochs"] = [
-            (e.start, e.m_at_start, e.block) for e in self.epochs
-        ]
-        self.extras["m_final"] = self._last_m
 
     def select(self, t: int, active: Mapping[int, JobState]) -> set[int]:
         chosen: set[int] = set()
@@ -251,12 +235,14 @@ class Double(OnlinePolicy):
     def current_budget(self) -> int:
         return sum(e.block for e in self.epochs)
 
-    @property
-    def starts(self) -> dict[int, int]:
-        merged: dict[int, int] = {}
-        for policy in self._policies:
-            merged.update(getattr(policy, "starts", {}) or {})
-        return merged
+    def starts(self) -> dict[int, int] | None:
+        return merge_starts(self._policies)
+
+    def extras(self) -> dict:
+        return {
+            "epochs": [(e.start, e.m_at_start, e.block) for e in self.epochs],
+            "m_final": self._last_m,
+        }
 
     def params(self) -> dict:
         return {"factor": str(self.factor)}
@@ -266,7 +252,7 @@ def double_wrap(
     instance: Instance,
     factory: Callable[[int], OnlinePolicy],
     factor: Fraction | int,
-    oracle: PrefixOracle = preemptive_prefix_oracle,
+    oracle: PrefixOracle = min_machines,
     name: str = "double",
 ) -> SimulationRun:
     """Run a semi-online subroutine factory through the doubling reduction."""
@@ -281,6 +267,18 @@ def double_wrap(
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def _online_np_edf(alpha: Fraction, oracle_cap: int | None) -> Double:
+    """The loose pool of the non-preemptive online schedulers: non-preemptive
+    EDF on ceil(m/(1-alpha)^2) machines, through Double with the exact
+    non-preemptive prefix oracle."""
+    factor = 1 / (1 - alpha) ** 2
+    return Double(
+        lambda semi_m: NonpreemptiveEDF(_budget(factor, semi_m)),
+        factor,
+        nonpreemptive_prefix_oracle(oracle_cap),
+    )
 
 
 def agreeable_preemptive(
@@ -339,22 +337,13 @@ def agreeable_nonpreemptive_online(
     """MediumFit is already online; the loose pool goes through Double with
     the non-preemptive prefix oracle.  16m in total at alpha = 1/3."""
     _require(instance.is_agreeable, "instance is not agreeable")
-    scaled = scale_instance(instance, 2)
-
-    def factory(semi_m: int) -> OnlinePolicy:
-        return NonpreemptiveEDF(_budget(1 / (1 - alpha) ** 2, semi_m))
-
     policy = SplitScheduler.by_tightness(
         alpha,
-        Double(
-            factory,
-            1 / (1 - alpha) ** 2,
-            nonpreemptive_prefix_oracle(oracle_cap),
-        ),
+        _online_np_edf(alpha, oracle_cap),
         MediumFit(),
         name="agreeable-np-online",
     )
-    return simulate(scaled, policy)
+    return simulate(scale_instance(instance, 2), policy)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +380,7 @@ class _NonCriticalBatch(OnlinePolicy):
         self.p = p
         self.capacity = capacity
         self.rounded: dict[int, tuple[int, int]] = {}
-        self.starts: dict[int, int] = {}
+        self._starts: dict[int, int] = {}
 
     def current_budget(self) -> int:
         return self.capacity
@@ -405,28 +394,27 @@ class _NonCriticalBatch(OnlinePolicy):
             pending = [
                 (self.rounded[j][1], active[j].job.release, j)
                 for j in active
-                if j not in self.starts
+                if j not in self._starts
                 and self.rounded[j][0] <= t
                 and self.rounded[j][1] >= t + self.p
             ]
             pending.sort()
             for _, _, j in pending[: self.capacity]:
-                self.starts[j] = t
+                self._starts[j] = t
         return {
             j
             for j in active
-            if j in self.starts and self.starts[j] <= t
+            if j in self._starts and self._starts[j] <= t
         }
 
 
-def _equal_p_semi_policy(m: int, p: int) -> SplitScheduler:
+def _equal_p_split(p: int, noncritical: OnlinePolicy, name: str) -> SplitScheduler:
+    """Critical jobs via EarlyFit on a dedicated pool, the others to
+    ``noncritical``."""
     return SplitScheduler(
         lambda job: "critical" if is_critical(job, p) else "noncritical",
-        {
-            "critical": EarlyFit(),
-            "noncritical": _NonCriticalBatch(p, 2 * m),
-        },
-        name="equalp-semi",
+        {"critical": EarlyFit(), "noncritical": noncritical},
+        name=name,
     )
 
 
@@ -434,7 +422,8 @@ def equal_p_nonpreemptive_semi_run(instance: Instance, m: int) -> SimulationRun:
     """Critical jobs via EarlyFit on a dedicated pool, non-critical jobs
     rounded to the p-grid and batch-scheduled 2m at a time; 4m in total."""
     p = _equal_p(instance)
-    return simulate(instance, _equal_p_semi_policy(m, p))
+    policy = _equal_p_split(p, _NonCriticalBatch(p, 2 * m), "equalp-semi")
+    return simulate(instance, policy)
 
 
 def equal_p_nonpreemptive_semi(instance: Instance, m: int) -> NonpreemptiveSchedule:
@@ -448,21 +437,12 @@ def equal_p_nonpreemptive_online(
     """Online variant: EarlyFit needs no optimum; the batch pool (factor 2)
     goes through Double, giving 4*2 + 2 = 10 in total."""
     p = _equal_p(instance)
-
-    def factory(semi_m: int) -> OnlinePolicy:
-        return _NonCriticalBatch(p, 2 * semi_m)
-
-    policy = SplitScheduler(
-        lambda job: "critical" if is_critical(job, p) else "noncritical",
-        {
-            "critical": EarlyFit(),
-            "noncritical": Double(
-                factory, 2, nonpreemptive_prefix_oracle(oracle_cap)
-            ),
-        },
-        name="equalp-np-online",
+    batches = Double(
+        lambda semi_m: _NonCriticalBatch(p, 2 * semi_m),
+        2,
+        nonpreemptive_prefix_oracle(oracle_cap),
     )
-    return simulate(instance, policy)
+    return simulate(instance, _equal_p_split(p, batches, "equalp-np-online"))
 
 
 def equal_p_offline_approx(instance: Instance) -> NonpreemptiveSchedule:
@@ -517,16 +497,13 @@ class _EqualPOnline(OnlinePolicy):
         self.p = p
         self.alpha = alpha
         self.c = c
-        self.starts: dict[int, int] = {}  # tight pool commitments
         self._loose: set[int] = set()
         self._loose_jobs: list[Job] = []
         self._all_jobs: list[Job] = []
         self.budget = 0
         self._tight_peak = 0
-        self.extras: dict[str, object] = {
-            "budget_trace": [],
-            "density_trace": [],
-        }
+        self._budget_trace: list[tuple[int, int]] = []
+        self._density_trace: list[tuple[int, Fraction, Fraction]] = []
 
     def on_release(self, jobs: Sequence[Job], t: int) -> None:
         for job in jobs:
@@ -534,30 +511,32 @@ class _EqualPOnline(OnlinePolicy):
             if classify_job(job, self.alpha) is Tightness.LOOSE:
                 self._loose.add(job.id)
                 self._loose_jobs.append(job)
-            else:
-                self.starts[job.id] = job.release
         rho_loose = density_equal_p(self._loose_jobs, self.p)
         rho_all = density_equal_p(self._all_jobs, self.p)
         self.budget = max(self.budget, ceil_frac(self.c * rho_loose))
-        self.extras["budget_trace"].append((t, self.budget))
-        self.extras["density_trace"].append((t, rho_all, rho_loose))
+        self._budget_trace.append((t, self.budget))
+        self._density_trace.append((t, rho_all, rho_loose))
 
     def select(self, t: int, active: Mapping[int, JobState]) -> set[int]:
-        tight_running = {
-            j for j in active if j not in self._loose and self.starts[j] <= t
-        }
+        # tight jobs start at release (EarlyFit) and run to completion
+        tight_running = {j for j in active if j not in self._loose}
         self._tight_peak = max(self._tight_peak, len(tight_running))
         loose_view = [s for j, s in active.items() if j in self._loose]
-        chosen = tight_running | edf_select(loose_view, t, self.budget)
-        self.extras["tight_peak"] = self._tight_peak
-        self.extras["final_budget"] = self.budget
-        return chosen
+        return tight_running | edf_select(loose_view, t, self.budget)
 
     def machines_used(self) -> int:
         return self._tight_peak + self.budget
 
     def params(self) -> dict:
         return {"alpha": str(self.alpha), "c": str(self.c)}
+
+    def extras(self) -> dict:
+        return {
+            "budget_trace": self._budget_trace,
+            "density_trace": self._density_trace,
+            "tight_peak": self._tight_peak,
+            "final_budget": self.budget,
+        }
 
 
 def equal_p_online(
@@ -614,17 +593,9 @@ def uniform_deadline_nonpreemptive_online(
     factor 4/(1-alpha)^2 + ceil(1/alpha) is optimized at alpha = 1/4 (11 1/9).
     """
     _require(instance.is_uniform_deadline, "deadlines are not uniform")
-
-    def factory(semi_m: int) -> OnlinePolicy:
-        return NonpreemptiveEDF(_budget(1 / (1 - alpha) ** 2, semi_m))
-
     policy = SplitScheduler.by_tightness(
         alpha,
-        Double(
-            factory,
-            1 / (1 - alpha) ** 2,
-            nonpreemptive_prefix_oracle(oracle_cap),
-        ),
+        _online_np_edf(alpha, oracle_cap),
         EarlyFit(),
         name="uniform-np-online",
     )

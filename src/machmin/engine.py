@@ -26,6 +26,7 @@ from .model import (
 __all__ = [
     "ProtocolViolation",
     "OnlinePolicy",
+    "merge_starts",
     "SimulationRun",
     "Simulation",
     "simulate",
@@ -119,9 +120,17 @@ class OnlinePolicy:
     ``active`` view passed to ``select`` holds exactly what the policy could
     reconstruct from its own processing history, so it leaks no information
     a genuine online algorithm would lack.
+
+    A run reports two things once, when ``Simulation.finish`` closes it:
+    ``starts()`` is the committed start of every job the policy ran, or None
+    when it runs some job without committing one (a preemptive policy, or a
+    composite with a preemptive part); ``extras()`` holds the policy's
+    diagnostics in their final state.  A policy that commits a start for
+    every job it runs records them in ``_starts``.
     """
 
     name = "policy"
+    _starts: dict[int, int] | None = None
 
     def on_release(self, jobs: Sequence[Job], t: int) -> None:
         pass
@@ -141,6 +150,21 @@ class OnlinePolicy:
 
     def params(self) -> dict:
         return {}
+
+    def starts(self) -> Mapping[int, int] | None:
+        return self._starts
+
+    def extras(self) -> dict:
+        return {}
+
+
+def merge_starts(policies: Iterable[OnlinePolicy]) -> dict[int, int] | None:
+    """Starts of sub-policies that run disjoint job sets; None unless every
+    one of them commits starts."""
+    parts = [policy.starts() for policy in policies]
+    if any(part is None for part in parts):
+        return None
+    return {j: start for part in parts for j, start in part.items()}
 
 
 class EDF(OnlinePolicy):
@@ -182,14 +206,14 @@ class EarlyFit(OnlinePolicy):
     name = "earlyfit"
 
     def __init__(self):
-        self.starts: dict[int, int] = {}
+        self._starts: dict[int, int] = {}
 
     def on_release(self, jobs: Sequence[Job], t: int) -> None:
         for job in jobs:
-            self.starts[job.id] = early_fit(job)
+            self._starts[job.id] = early_fit(job)
 
     def select(self, t: int, active: Mapping[int, JobState]) -> set[int]:
-        return {j for j, s in active.items() if self.starts[j] <= t}
+        return {j for j, s in active.items() if self._starts[j] <= t}
 
 
 class MediumFit(OnlinePolicy):
@@ -199,14 +223,14 @@ class MediumFit(OnlinePolicy):
     name = "mediumfit"
 
     def __init__(self):
-        self.starts: dict[int, int] = {}
+        self._starts: dict[int, int] = {}
 
     def on_release(self, jobs: Sequence[Job], t: int) -> None:
         for job in jobs:
-            self.starts[job.id] = medium_fit(job)
+            self._starts[job.id] = medium_fit(job)
 
     def select(self, t: int, active: Mapping[int, JobState]) -> set[int]:
-        return {j for j, s in active.items() if self.starts[j] <= t}
+        return {j for j, s in active.items() if self._starts[j] <= t}
 
 
 class NonpreemptiveEDF(OnlinePolicy):
@@ -214,7 +238,7 @@ class NonpreemptiveEDF(OnlinePolicy):
 
     def __init__(self, machines: int):
         self.machines = machines
-        self.starts: dict[int, int] = {}
+        self._starts: dict[int, int] = {}
         self._running: set[int] = set()
 
     def current_budget(self) -> int:
@@ -227,7 +251,7 @@ class NonpreemptiveEDF(OnlinePolicy):
             [active[j] for j in self._running], waiting, t, self.machines
         )
         for j in chosen - self._running:
-            self.starts[j] = t
+            self._starts[j] = t
         self._running = chosen
         return set(chosen)
 
@@ -247,7 +271,7 @@ class SimulationRun:
     machines_used: int
     peak_concurrency: int
     peak_budget: int
-    starts: Mapping[int, int] | None = None
+    starts: Mapping[int, int] | None = None  # see OnlinePolicy
     extras: Mapping[str, object] = field(default_factory=dict)
 
     @property
@@ -360,6 +384,7 @@ class Simulation:
 
     def finish(self, instance: Instance) -> SimulationRun:
         machines = self.policy.machines_used()
+        starts = self.policy.starts()
         return SimulationRun(
             instance=instance,
             policy_name=self.policy.name,
@@ -369,8 +394,8 @@ class Simulation:
             machines_used=machines if machines is not None else self.peak_concurrency,
             peak_concurrency=self.peak_concurrency,
             peak_budget=self.peak_budget,
-            starts=dict(getattr(self.policy, "starts", None) or {}) or None,
-            extras=dict(getattr(self.policy, "extras", None) or {}),
+            starts=dict(starts) if starts else None,
+            extras=self.policy.extras(),
         )
 
 

@@ -12,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .adversary import gen_random
 from .composite import (
@@ -50,39 +50,78 @@ from .optimum import (
 __all__ = [
     "BenchRow",
     "CampaignConfig",
+    "POLICIES",
+    "PolicySpec",
     "bench",
     "rows_to_csv",
     "rows_to_jsonl",
     "run_policy",
-    "policy_needs_budget",
     "verify",
     "report_constants",
     "ConstantsReport",
-    "POLICY_NAMES",
 ]
 
 
-POLICY_NAMES = (
-    "edf",
-    "llf",
-    "earlyfit",
-    "mediumfit",
-    "edf-np",
-    "agreeable-p",
-    "agreeable-np",
-    "equalp-semi",
-    "equalp-online",
-    "uniform-p",
-    "uniform-np",
-    "logn",
-)
+@dataclass(frozen=True)
+class PolicySpec:
+    """What one named policy needs and how to run it.
 
-_BASE = {"edf", "llf", "edf-np"}
-_UNBUDGETED = {"earlyfit", "mediumfit", "equalp-online"}
+    ``needs`` names the number the policy cannot run without: an explicit
+    machine budget (``"machines"``), the optimum (``"m"``), or nothing.
+    ``run(instance, number, alpha_kw)`` runs the policy with that number;
+    ``online(instance, alpha_kw)``, where the policy has an online form, runs
+    it without the optimum.
+    """
+
+    needs: str | None
+    run: Callable[[Instance, int | None, dict], SimulationRun]
+    online: Callable[[Instance, dict], SimulationRun] | None = None
 
 
-def policy_needs_budget(name: str) -> bool:
-    return name in _BASE
+def _mediumfit(instance: Instance) -> SimulationRun:
+    if any(job.laxity % 2 for job in instance.jobs):
+        instance = scale_instance(instance, 2)
+    return simulate(instance, MediumFit())
+
+
+# The callables name their targets at call time, so that a module global
+# rebound after import (a wrapper, a stub) is what runs.
+POLICIES: dict[str, PolicySpec] = {
+    "edf": PolicySpec("machines", lambda inst, k, kw: simulate(inst, EDF(k))),
+    "llf": PolicySpec("machines", lambda inst, k, kw: simulate(inst, LLF(k))),
+    "earlyfit": PolicySpec(None, lambda inst, _, kw: simulate(inst, EarlyFit())),
+    "mediumfit": PolicySpec(None, lambda inst, _, kw: _mediumfit(inst)),
+    "edf-np": PolicySpec(
+        "machines", lambda inst, k, kw: simulate(inst, NonpreemptiveEDF(k))
+    ),
+    "agreeable-p": PolicySpec(
+        "m",
+        lambda inst, m, kw: agreeable_preemptive(inst, m, **kw),
+        lambda inst, kw: agreeable_preemptive_online(inst, **kw),
+    ),
+    "agreeable-np": PolicySpec(
+        "m",
+        lambda inst, m, kw: agreeable_nonpreemptive(inst, m, **kw),
+        lambda inst, kw: agreeable_nonpreemptive_online(inst, **kw),
+    ),
+    "equalp-semi": PolicySpec(
+        "m",
+        lambda inst, m, kw: equal_p_nonpreemptive_semi_run(inst, m),
+        lambda inst, kw: equal_p_nonpreemptive_online(inst),
+    ),
+    "equalp-online": PolicySpec(None, lambda inst, _, kw: equal_p_online(inst, **kw)),
+    "uniform-p": PolicySpec(
+        "m",
+        lambda inst, m, kw: uniform_deadline_preemptive(inst, m),
+        lambda inst, kw: uniform_deadline_preemptive_online(inst),
+    ),
+    "uniform-np": PolicySpec(
+        "m",
+        lambda inst, m, kw: uniform_deadline_nonpreemptive(inst, m, **kw),
+        lambda inst, kw: uniform_deadline_nonpreemptive_online(inst, **kw),
+    ),
+    "logn": PolicySpec("m", lambda inst, m, kw: logn_schedule(inst, m, **kw)),
+}
 
 
 def run_policy(
@@ -96,57 +135,19 @@ def run_policy(
 ) -> SimulationRun:
     """Run one named policy.  Base policies take an explicit machine budget;
     composite ones derive their budgets from the optimum ``m`` (or go online
-    without it)."""
-    if name in _BASE:
-        if machines is None:
-            raise ValueError(f"policy {name!r} needs an explicit --machines")
-        policy = {"edf": EDF, "llf": LLF, "edf-np": NonpreemptiveEDF}[name](machines)
-        return simulate(instance, policy)
-    if name == "earlyfit":
-        return simulate(instance, EarlyFit())
-    if name == "mediumfit":
-        if any(job.laxity % 2 for job in instance.jobs):
-            instance = scale_instance(instance, 2)
-        return simulate(instance, MediumFit())
-    if name == "equalp-online":
-        if alpha is not None:
-            return equal_p_online(instance, alpha)
-        return equal_p_online(instance)
-    if name == "agreeable-p":
-        if online:
-            return agreeable_preemptive_online(instance, **_alpha_kw(alpha))
-        return agreeable_preemptive(instance, _need_m(name, m), **_alpha_kw(alpha))
-    if name == "agreeable-np":
-        if online:
-            return agreeable_nonpreemptive_online(instance, **_alpha_kw(alpha))
-        return agreeable_nonpreemptive(instance, _need_m(name, m), **_alpha_kw(alpha))
-    if name == "equalp-semi":
-        if online:
-            return equal_p_nonpreemptive_online(instance)
-        return equal_p_nonpreemptive_semi_run(instance, _need_m(name, m))
-    if name == "uniform-p":
-        if online:
-            return uniform_deadline_preemptive_online(instance)
-        return uniform_deadline_preemptive(instance, _need_m(name, m))
-    if name == "uniform-np":
-        if online:
-            return uniform_deadline_nonpreemptive_online(instance, **_alpha_kw(alpha))
-        return uniform_deadline_nonpreemptive(
-            instance, _need_m(name, m), **_alpha_kw(alpha)
-        )
-    if name == "logn":
-        return logn_schedule(instance, _need_m(name, m), **_alpha_kw(alpha))
-    raise ValueError(f"unknown policy {name!r}; known: {', '.join(POLICY_NAMES)}")
-
-
-def _need_m(name: str, m: int | None) -> int:
-    if m is None:
-        raise ValueError(f"policy {name!r} needs the optimum via --m (or --online)")
-    return m
-
-
-def _alpha_kw(alpha: Fraction | None) -> dict:
-    return {} if alpha is None else {"alpha": alpha}
+    without it, where they have an online form)."""
+    spec = POLICIES.get(name)
+    if spec is None:
+        raise ValueError(f"unknown policy {name!r}; known: {', '.join(POLICIES)}")
+    alpha_kw = {} if alpha is None else {"alpha": alpha}
+    if online and spec.online is not None:
+        return spec.online(instance, alpha_kw)
+    if spec.needs == "machines" and machines is None:
+        raise ValueError(f"policy {name!r} needs an explicit --machines")
+    if spec.needs == "m" and m is None:
+        hint = " (or --online)" if spec.online is not None else ""
+        raise ValueError(f"policy {name!r} needs the optimum via --m{hint}")
+    return spec.run(instance, machines if spec.needs == "machines" else m, alpha_kw)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .engine import OnlinePolicy, SimulationRun, edf_key, edf_select, simulate
 from .model import Instance, Job, JobState
-from .optimum import ceil_frac, is_feasible_preemptive
+from .optimum import ceil_frac, min_machines
 
 __all__ = [
     "LAXITY_FLOOR",
@@ -128,14 +128,6 @@ def split_group(
     return [s for s in subgroups if s]
 
 
-def _prefix_optimum(jobs: Sequence[Job], lower: int) -> int:
-    instance = Instance(jobs)
-    m = max(lower, 1)
-    while not is_feasible_preemptive(instance, m):
-        m += 1
-    return m
-
-
 class LogNPolicy(OnlinePolicy):
     name = "logn"
 
@@ -154,11 +146,9 @@ class LogNPolicy(OnlinePolicy):
         self._h = 0
         self._mu = 1
         self._alloc_critical = 0
-        self.extras: dict[str, object] = {
-            "rebuilds": [],
-            "min_critical_laxity_ratio": None,
-            "min_safe_entry_ratio": None,
-        }
+        self._rebuilds: list[tuple[int, int, int, int]] = []
+        self._min_critical_ratio: Fraction | None = None
+        self._min_entry_ratio: Fraction | None = None
 
     def on_release(self, jobs: Sequence[Job], t: int) -> None:
         self._arrivals.extend(jobs)
@@ -169,15 +159,15 @@ class LogNPolicy(OnlinePolicy):
     def _note_entry_ratio(self, job: Job, remaining: int, t: int) -> None:
         if job.laxity > 0:
             ratio = Fraction(job.deadline - t - remaining, job.laxity)
-            best = self.extras["min_safe_entry_ratio"]
+            best = self._min_entry_ratio
             if best is None or ratio < best:
-                self.extras["min_safe_entry_ratio"] = ratio
+                self._min_entry_ratio = ratio
 
     def _admit_safe(self, residues: Sequence[Job], t: int) -> None:
         for residue in residues:
             self._safe.add(residue.id)
             self._residues.append(residue)
-        self._m_L = _prefix_optimum(self._residues, self._m_L)
+        self._m_L = min_machines(self._residues, self._m_L)
         self._safe_budget = max(
             self._safe_budget,
             ceil_frac(Fraction(self._m_L) / (1 - self.alpha) ** 2),
@@ -228,10 +218,10 @@ class LogNPolicy(OnlinePolicy):
                 Job(j, t, active[j].job.deadline, active[j].remaining)
                 for j in sorted(self._critical)
             ]
-            m_t_hat = _prefix_optimum(residues, 1)
+            m_t_hat = min_machines(residues, 1)
         else:
             m_t_hat = 0
-        self.extras["rebuilds"].append((t, self._h, self._mu, m_t_hat))
+        self._rebuilds.append((t, self._h, self._mu, m_t_hat))
 
     def _monitor_laxity_floor(
         self, t: int, active: Mapping[int, JobState]
@@ -244,9 +234,9 @@ class LogNPolicy(OnlinePolicy):
             ratio = Fraction(
                 state.job.deadline - t - state.remaining, original
             )
-            best = self.extras["min_critical_laxity_ratio"]
+            best = self._min_critical_ratio
             if best is None or ratio < best:
-                self.extras["min_critical_laxity_ratio"] = ratio
+                self._min_critical_ratio = ratio
 
     # -- scheduling -------------------------------------------------------
 
@@ -260,9 +250,6 @@ class LogNPolicy(OnlinePolicy):
             live = [active[j] for j in sub if j in active]
             if live:
                 chosen.add(min(live, key=edf_key).job.id)
-        self.extras["safe_budget"] = self._safe_budget
-        self.extras["m_L"] = self._m_L
-        self.extras["critical_alloc"] = self._alloc_critical
         return chosen
 
     def machines_used(self) -> int:
@@ -273,6 +260,16 @@ class LogNPolicy(OnlinePolicy):
 
     def params(self) -> dict:
         return {"m": self.m, "alpha": str(self.alpha)}
+
+    def extras(self) -> dict:
+        return {
+            "rebuilds": self._rebuilds,
+            "min_critical_laxity_ratio": self._min_critical_ratio,
+            "min_safe_entry_ratio": self._min_entry_ratio,
+            "safe_budget": self._safe_budget,
+            "m_L": self._m_L,
+            "critical_alloc": self._alloc_critical,
+        }
 
 
 def logn_schedule(

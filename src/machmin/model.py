@@ -73,11 +73,6 @@ class Job:
         return self.deadline - self.release - self.processing
 
     @property
-    def window(self) -> tuple[int, int]:
-        """The feasible time window ``[release, deadline]``."""
-        return (self.release, self.deadline)
-
-    @property
     def window_length(self) -> int:
         return self.deadline - self.release
 
@@ -132,9 +127,6 @@ class Instance:
     def is_uniform_deadline(self) -> bool:
         return len({job.deadline for job in self.jobs}) <= 1
 
-    def released_by(self, t: int) -> tuple[Job, ...]:
-        return tuple(job for job in self.jobs if job.release <= t)
-
 
 @dataclass(frozen=True)
 class JobState:
@@ -142,7 +134,6 @@ class JobState:
 
     job: Job
     remaining: int
-    ever_loose: bool = False
 
     def __post_init__(self) -> None:
         if not 0 <= self.remaining <= self.job.processing:
@@ -199,9 +190,6 @@ class PreemptiveSchedule:
     @property
     def machines_used(self) -> int:
         return max((len(s) for s in self.assignments.values()), default=0)
-
-    def slots_of(self, job_id: int) -> list[int]:
-        return sorted(t for t, s in self.assignments.items() if job_id in s)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ __all__ = [
     "feasible_preemptive",
     "is_feasible_preemptive",
     "optimum_preemptive",
+    "min_machines",
     "optimal_witness",
     "contribution",
     "strong_density_exact",
@@ -257,6 +258,16 @@ def optimum_preemptive(instance: Instance) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+def min_machines(jobs: Sequence[Job], lower: int) -> int:
+    """Smallest m >= max(lower, 1) on which ``jobs`` are preemptively
+    feasible, found by scanning upward one machine count at a time."""
+    instance = Instance(jobs)
+    m = max(lower, 1)
+    while not is_feasible_preemptive(instance, m):
+        m += 1
+    return m
 
 
 def optimal_witness(instance: Instance) -> tuple[int, PreemptiveSchedule]:

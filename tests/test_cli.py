@@ -146,3 +146,27 @@ def test_gen_usage_errors(capsys):
     assert main(["gen", "--family", "random"]) == 2
     assert main(["gen", "--family", "llf-lb", "--m", "3", "--c", "2",
                  "--k", "1"]) == 2  # odd m rejected by the generator
+
+
+def test_equalp_online_run_then_verify(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    assert main(["gen", "--family", "random", "--profile", "equal-p",
+                 "--n", "10", "--seed", "0", "-o", str(inst)]) == 0
+    assert main(["run", "--policy", "equalp-online", str(inst)]) == 0
+    trace = tmp_path / "trace.txt"
+    trace.write_text(capsys.readouterr().out)
+    assert main(["verify", str(inst), str(trace)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--policy", "logn", "--online"], "policy 'logn' needs the optimum via --m\n"),
+        (["--policy", "uniform-np"],
+         "policy 'uniform-np' needs the optimum via --m (or --online)\n"),
+        (["--policy", "llf"], "policy 'llf' needs an explicit --machines\n"),
+    ],
+)
+def test_run_missing_number_message(argv, message, feasible_file, capsys):
+    assert main(["run", *argv, feasible_file]) == 2
+    assert capsys.readouterr().err == f"error: {message}"

@@ -3,9 +3,13 @@ from pathlib import Path
 
 import pytest
 
+from machmin.adversary import gen_random
+from machmin.cli import main
 from machmin.harness import (
+    POLICIES,
     CampaignConfig,
     ConstantsReport,
+    _revalidate,
     bench,
     report_constants,
     rows_to_csv,
@@ -148,3 +152,55 @@ def test_bench_table_examples():
     assert all(
         r.first_miss == "none" for r in rows if r.instance_id != "summary"
     )
+
+
+# ---------------------------------------------------------------------------
+# Every policy table entry, semi-online and online, replays and verifies.
+# ---------------------------------------------------------------------------
+
+PROFILE_FOR = {
+    "agreeable-p": "agreeable",
+    "agreeable-np": "agreeable",
+    "equalp-semi": "equal-p",
+    "equalp-online": "equal-p",
+    "uniform-p": "uniform-d",
+    "uniform-np": "uniform-d",
+}
+ENTRIES = [(name, False) for name in POLICIES] + [
+    (name, True) for name, spec in POLICIES.items() if spec.online is not None
+]
+
+
+@pytest.mark.parametrize(
+    "name,online", ENTRIES, ids=[f"{n}-{'online' if o else 'semi'}" for n, o in ENTRIES]
+)
+def test_policy_table_entry(name, online, tmp_path, capsys):
+    generated = gen_random(PROFILE_FOR.get(name, "general"), 10, 0)
+    m = generated.m_opt
+    # each policy takes the number it needs and ignores the other
+    run = run_policy(name, generated.instance, machines=3 * m, m=m, online=online)
+    if run.first_miss is None:
+        _revalidate(run)  # the replay that bench applies to miss-free runs
+    inst = tmp_path / "inst.txt"
+    inst.write_text(serialize_instance(generated.instance))
+    numbers = ["--machines", str(3 * m), "--m", str(m)]
+    code = main(["run", "--policy", name, *numbers, *["--online"] * online, str(inst)])
+    trace = tmp_path / "trace.txt"
+    trace.write_text(capsys.readouterr().out)
+    assert code == (0 if run.first_miss is None else 1)
+    # agreeable-np and mediumfit run on the 2-scaled instance; their traces
+    # live on the instance the run used
+    inst.write_text(serialize_instance(run.instance))
+    assert main(["verify", str(inst), str(trace)]) == code
+
+
+def test_bench_equalp_online_replays():
+    # tight jobs committed starts while loose jobs ran preemptively; the run
+    # used to be replayed as non-preemptive and fail with "harness bug"
+    rows = bench(
+        CampaignConfig(
+            profile="equal-p", n=10, count=60, seed0=0,
+            policies=("equalp-online",),
+        )
+    )
+    assert len(rows) == 61
