@@ -8,6 +8,7 @@ certification failure is a generator bug and raises immediately.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Callable
 
 from .engine import OnlinePolicy, Simulation
 from .model import Instance, Job
-from .optimum import is_feasible_preemptive, optimum_preemptive
+from .optimum import FLOW_WORK_LIMIT, is_feasible_preemptive, optimum_preemptive
 
 __all__ = [
     "GeneratorError",
@@ -29,8 +30,6 @@ __all__ = [
     "gen_random",
     "PROFILES",
 ]
-
-_INT64_MAX = 2**62
 
 
 class GeneratorError(ValueError):
@@ -131,13 +130,13 @@ def gen_deadline_ordered_family(m: int, n: int) -> tuple[Instance, ...]:
         return m**e * (m - 1) ** (n - m + 1 - e)
 
     tail_deadline = q_pow(n - m + 1)
-    if tail_deadline > _INT64_MAX:
-        bits = tail_deadline.bit_length()
-        raise GeneratorError(
-            f"scaled values need {bits} bits and exceed the 64-bit cap; "
-            "shrink n or m"
-        )
     processing = [scale] * m + [q_pow(j) for j in range(1, n - m + 1)]
+    work = sum(processing)
+    if work >= FLOW_WORK_LIMIT:
+        raise GeneratorError(
+            f"scaled total work needs {work.bit_length()} bits, beyond the "
+            f"flow oracle's {FLOW_WORK_LIMIT.bit_length() - 1}; shrink n or m"
+        )
     family = []
     for k in range(1, n - m + 1):
         due_k = q_pow(k)
@@ -275,7 +274,11 @@ class GeneratedInstance:
     instance: Instance
     profile: str
     seed: int
-    m_opt: int  # flow-oracle preemptive optimum
+
+    @functools.cached_property
+    def m_opt(self) -> int:
+        """The flow-oracle preemptive optimum, solved on first read."""
+        return optimum_preemptive(self.instance)
 
 
 def _frac_floor(x: Fraction) -> int:
@@ -409,7 +412,7 @@ def gen_random(
     alpha: Fraction = Fraction(1, 2),
 ) -> GeneratedInstance:
     """Deterministic seeded instance with the profile's predicate holding
-    exactly; annotated with the flow-oracle preemptive optimum."""
+    exactly; its ``m_opt`` is the flow-oracle preemptive optimum."""
     if n < 1:
         raise GeneratorError("n must be >= 1")
     rng = random.Random(seed)
@@ -443,10 +446,4 @@ def gen_random(
         raise GeneratorError(
             f"unknown profile {profile!r}; known: {', '.join(PROFILES)}"
         )
-    instance = Instance(jobs)
-    return GeneratedInstance(
-        instance=instance,
-        profile=profile,
-        seed=seed,
-        m_opt=optimum_preemptive(instance),
-    )
+    return GeneratedInstance(instance=Instance(jobs), profile=profile, seed=seed)

@@ -1,7 +1,7 @@
 """The machmin command line.
 
 Subcommands: gen, run, opt, verify, bench, adversary, transform.
-Exit codes: 0 ok, 1 miss/infeasible, 2 usage error, 3 oracle cap exceeded.
+Exit codes: 0 ok, 1 miss/infeasible, 2 usage/input error, 3 oracle cap exceeded.
 """
 
 from __future__ import annotations
@@ -189,6 +189,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    spec, name = POLICIES[args.policy], args.policy
+    # without --m, run_policy reports the missing optimum instead
+    if args.online and args.m is not None and spec.needs == "m" and spec.online is None:
+        raise ValueError(f"policy {name!r} has no online form; drop --online")
+    if args.alpha is not None and not spec.alpha:
+        raise ValueError(f"policy {name!r} takes no --alpha")
+    if args.machines is not None and spec.needs != "machines":
+        raise ValueError(f"policy {name!r} takes no --machines")
     instance = _read_instance(args.instance)
     run = run_policy(
         args.policy,
@@ -308,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapExceeded as exc:
         print(f"oracle cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ParseError, GeneratorError, ValueError) as exc:
+    except (ParseError, GeneratorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

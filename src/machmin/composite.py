@@ -7,7 +7,6 @@ rationals and ceiled once; ceilings are never compounded through floats.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -359,12 +358,12 @@ def _equal_p(instance: Instance) -> int:
 
 def is_critical(job: Job, p: int) -> bool:
     """Critical iff the window contains exactly one multiple of p."""
-    return job.deadline // p - math.ceil(job.release / p) + 1 == 1
+    return job.deadline // p + (-job.release // p) + 1 == 1
 
 
 def round_noncritical(job: Job, p: int) -> tuple[int, int]:
     """Release rounded up and deadline rounded down to the p-grid."""
-    lo = math.ceil(job.release / p) * p
+    lo = -(-job.release // p) * p
     hi = job.deadline // p * p
     return lo, hi
 

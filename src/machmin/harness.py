@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .adversary import gen_random
+from .adversary import GeneratedInstance, gen_random
 from .composite import (
     agreeable_nonpreemptive,
     agreeable_nonpreemptive_online,
@@ -44,7 +44,6 @@ from .optimum import (
     EnumerationCapExceeded,
     ceil_frac,
     optimum_nonpreemptive_exact,
-    optimum_preemptive,
 )
 
 __all__ = [
@@ -70,12 +69,13 @@ class PolicySpec:
     machine budget (``"machines"``), the optimum (``"m"``), or nothing.
     ``run(instance, number, alpha_kw)`` runs the policy with that number;
     ``online(instance, alpha_kw)``, where the policy has an online form, runs
-    it without the optimum.
+    it without the optimum.  ``alpha`` says whether it reads ``alpha_kw``.
     """
 
     needs: str | None
     run: Callable[[Instance, int | None, dict], SimulationRun]
     online: Callable[[Instance, dict], SimulationRun] | None = None
+    alpha: bool = False
 
 
 def _mediumfit(instance: Instance) -> SimulationRun:
@@ -98,18 +98,22 @@ POLICIES: dict[str, PolicySpec] = {
         "m",
         lambda inst, m, kw: agreeable_preemptive(inst, m, **kw),
         lambda inst, kw: agreeable_preemptive_online(inst, **kw),
+        alpha=True,
     ),
     "agreeable-np": PolicySpec(
         "m",
         lambda inst, m, kw: agreeable_nonpreemptive(inst, m, **kw),
         lambda inst, kw: agreeable_nonpreemptive_online(inst, **kw),
+        alpha=True,
     ),
     "equalp-semi": PolicySpec(
         "m",
         lambda inst, m, kw: equal_p_nonpreemptive_semi_run(inst, m),
         lambda inst, kw: equal_p_nonpreemptive_online(inst),
     ),
-    "equalp-online": PolicySpec(None, lambda inst, _, kw: equal_p_online(inst, **kw)),
+    "equalp-online": PolicySpec(
+        None, lambda inst, _, kw: equal_p_online(inst, **kw), alpha=True
+    ),
     "uniform-p": PolicySpec(
         "m",
         lambda inst, m, kw: uniform_deadline_preemptive(inst, m),
@@ -119,8 +123,11 @@ POLICIES: dict[str, PolicySpec] = {
         "m",
         lambda inst, m, kw: uniform_deadline_nonpreemptive(inst, m, **kw),
         lambda inst, kw: uniform_deadline_nonpreemptive_online(inst, **kw),
+        alpha=True,
     ),
-    "logn": PolicySpec("m", lambda inst, m, kw: logn_schedule(inst, m, **kw)),
+    "logn": PolicySpec(
+        "m", lambda inst, m, kw: logn_schedule(inst, m, **kw), alpha=True
+    ),
 }
 
 
@@ -196,12 +203,12 @@ def _parse_policy_spec(spec: str) -> tuple[str, Fraction | None]:
     return spec, None
 
 
-def _instance_m(config: CampaignConfig, instance: Instance) -> int | None:
+def _instance_m(config: CampaignConfig, generated: GeneratedInstance) -> int | None:
     if config.oracle == "preemptive":
-        return optimum_preemptive(instance)
+        return generated.m_opt
     if config.oracle == "nonpreemptive":
         try:
-            return optimum_nonpreemptive_exact(instance)
+            return optimum_nonpreemptive_exact(generated.instance)
         except EnumerationCapExceeded:
             return None
     raise ValueError(f"unknown oracle {config.oracle!r}")
@@ -226,7 +233,7 @@ def bench(config: CampaignConfig) -> list[BenchRow]:
         )
         instance = generated.instance
         instance_id = f"{config.profile}-{seed}"
-        m = _instance_m(config, instance)
+        m = _instance_m(config, generated)
         for spec in config.policies:
             name, factor = _parse_policy_spec(spec)
             if m is None:
@@ -337,48 +344,31 @@ _COLUMNS = (
 )
 
 
+def _cells(row: BenchRow, timing: bool) -> dict:
+    values = (row.instance_id, row.profile, row.n, row.m_opt, row.policy, row.params,
+              row.machines_used, row.first_miss, row.ratio, row.ratio_dec, row.status)
+    cells = dict(zip(_COLUMNS, values))
+    if timing:
+        cells["wall_ms"] = row.wall_ms
+    return cells
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.3f}" if isinstance(value, float) else str(value)
+
+
 def rows_to_csv(rows: Sequence[BenchRow], timing: bool = False) -> str:
     columns = _COLUMNS + (("wall_ms",) if timing else ())
     out = [",".join(columns)]
     for row in rows:
-        values = [
-            row.instance_id,
-            row.profile,
-            str(row.n),
-            "" if row.m_opt is None else str(row.m_opt),
-            row.policy,
-            row.params,
-            "" if row.machines_used is None else str(row.machines_used),
-            row.first_miss,
-            row.ratio,
-            row.ratio_dec,
-            row.status,
-        ]
-        if timing:
-            values.append("" if row.wall_ms is None else f"{row.wall_ms:.3f}")
-        out.append(",".join(values))
+        out.append(",".join(map(_csv_cell, _cells(row, timing).values())))
     return "\n".join(out) + "\n"
 
 
 def rows_to_jsonl(rows: Sequence[BenchRow], timing: bool = False) -> str:
-    out = []
-    for row in rows:
-        record = {
-            "instance": row.instance_id,
-            "profile": row.profile,
-            "n": row.n,
-            "m_opt": row.m_opt,
-            "policy": row.policy,
-            "params": row.params,
-            "machines_used": row.machines_used,
-            "first_miss": row.first_miss,
-            "ratio": row.ratio,
-            "ratio_dec": row.ratio_dec,
-            "status": row.status,
-        }
-        if timing:
-            record["wall_ms"] = row.wall_ms
-        out.append(json.dumps(record, sort_keys=True))
+    out = [json.dumps(_cells(row, timing), sort_keys=True) for row in rows]
     return "\n".join(out) + "\n"
 
 

@@ -1,14 +1,16 @@
 """Exact offline optima and the strong-density characterization.
 
 The preemptive optimum is computed by max-flow feasibility (jobs feed work
-into time segments, segments drain into the sink at the machine count) with
-binary search over the machine count.  The strong density is an independent
-enumeration oracle over unit-slot subsets; the two must agree via
+into time segments, segments drain into the sink at the machine count), one
+network per job set, and a galloping search over the machine count from the
+load bound.  The strong density is an independent enumeration oracle over
+unit-slot subsets; the two must agree via
 ``ceil(strong density) == preemptive optimum``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,8 +43,6 @@ __all__ = [
 
 DEFAULT_SLOT_CAP = 20
 DEFAULT_BNB_CAP = 12
-
-_INT64_MAX = 2**62  # headroom below the true int64 limit
 
 
 class EnumerationCapExceeded(ValueError):
@@ -111,70 +111,63 @@ def contribution(job: Job, iset: IntervalSet) -> int:
 # Max-flow feasibility.
 # ---------------------------------------------------------------------------
 
+# The total work W below which the flow oracle is exact: scipy's maximum_flow
+# computes in int32, and no arc carries more than W, so capacities are clamped to W.
+FLOW_WORK_LIMIT = 2**31
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class FlowNetwork:
-    """Job → time-segment network for feasibility at machine count ``m``.
+    """Job → time-segment network of one job set, solvable at any machine count.
 
     Node layout: 0 is the source, ``1..n`` the jobs (in instance order),
     then one node per segment, then the sink.  Segments are the maximal
     runs between window breakpoints, so only slots intersecting some job
     window get a node (coordinate compression).  A segment of length L
     stands for L unit slots: a job feeds it up to L units, it drains
-    ``m * L`` to the sink.
+    ``m * L`` to the sink.  Only those sink arcs depend on ``m``.
     """
 
-    m: int
     segments: tuple[tuple[int, int], ...]
     job_arcs: tuple[tuple[int, int, int], ...]  # (job index, segment index, cap)
+    work: int
+    graph: csr_matrix  # capacities at m = 1; the sink arcs are the last entries
 
     @classmethod
-    def build(cls, instance: Instance, m: int) -> "FlowNetwork":
-        points = sorted({p for j in instance.jobs for p in (j.release, j.deadline)})
-        segments = tuple(
-            (a, b) for a, b in zip(points, points[1:])
-        )
-        arcs = []
-        for ji, job in enumerate(instance.jobs):
-            for si, (a, b) in enumerate(segments):
-                if job.release <= a and b <= job.deadline:
-                    arcs.append((ji, si, b - a))
-        return cls(m=m, segments=segments, job_arcs=tuple(arcs))
-
-    def solve(self, instance: Instance) -> tuple[int, dict[tuple[int, int], int]]:
-        """Max flow value and the per-(job, segment) unit amounts."""
-        n = instance.n
-        k = len(self.segments)
-        source, sink = 0, 1 + n + k
-        rows, cols, caps = [], [], []
-        for ji, job in enumerate(instance.jobs):
-            rows.append(source)
-            cols.append(1 + ji)
-            caps.append(job.processing)
-        for ji, si, cap in self.job_arcs:
-            rows.append(1 + ji)
-            cols.append(1 + n + si)
-            caps.append(cap)
-        for si, (a, b) in enumerate(self.segments):
-            rows.append(1 + n + si)
-            cols.append(sink)
-            caps.append(self.m * (b - a))
-        if caps and max(caps) > _INT64_MAX:
-            raise OverflowError(
-                "flow capacities exceed 64-bit range; rescale the instance"
+    def build(cls, instance: Instance) -> "FlowNetwork":
+        work = instance.total_work
+        if work >= FLOW_WORK_LIMIT:
+            raise EnumerationCapExceeded(
+                f"total work {work} needs {work.bit_length()} bits; the flow "
+                f"oracle is exact below 2^{FLOW_WORK_LIMIT.bit_length() - 1}"
             )
-        graph = csr_matrix(
-            (np.asarray(caps, dtype=np.int64), (rows, cols)),
-            shape=(sink + 1, sink + 1),
+        points = sorted({p for j in instance.jobs for p in (j.release, j.deadline)})
+        index = {p: i for i, p in enumerate(points)}
+        segments = tuple(zip(points, points[1:]))
+        arcs = tuple(
+            (ji, si, segments[si][1] - segments[si][0])
+            for ji, job in enumerate(instance.jobs)
+            for si in range(index[job.release], index[job.deadline])
         )
-        result = maximum_flow(graph, source, sink)
-        flow = result.flow
-        amounts = {}
-        for ji, si, _cap in self.job_arcs:
-            f = int(flow[1 + ji, 1 + n + si])
-            if f > 0:
-                amounts[(ji, si)] = f
-        return int(result.flow_value), amounts
+        n, k = instance.n, len(segments)
+        sink = 1 + n + k
+        rows = [0] * n + [1 + ji for ji, _, _ in arcs] + list(range(1 + n, sink))
+        cols = [*range(1, 1 + n), *(1 + n + si for _, si, _ in arcs), *[sink] * k]
+        caps = [j.processing for j in instance.jobs] + [c for _, _, c in arcs]
+        caps += [b - a for a, b in segments]
+        data = np.array([min(c, work) for c in caps], dtype=np.int32)
+        graph = csr_matrix((data, (rows, cols)), shape=(sink + 1, sink + 1))
+        return cls(segments, arcs, work, graph)
+
+    def solve(self, m: int) -> tuple[int, csr_matrix]:
+        """Max flow value on ``m`` machines and the flow matrix."""
+        k = len(self.segments)
+        graph = self.graph.copy()
+        # both factors are below 2^31, so the int64 product is exact
+        drain = min(m, self.work) * graph.data[-k:].astype(np.int64)
+        graph.data[-k:] = np.minimum(drain, self.work)
+        result = maximum_flow(graph, 0, graph.shape[0] - 1)
+        return int(result.flow_value), result.flow
 
 
 @dataclass(frozen=True)
@@ -203,21 +196,14 @@ def _spread_segment(
     return slots
 
 
-def _flow_feasible(
-    instance: Instance, m: int
-) -> tuple[bool, FlowNetwork, dict[tuple[int, int], int]]:
-    network = FlowNetwork.build(instance, m)
-    value, amounts = network.solve(instance)
-    return value == instance.total_work, network, amounts
-
-
 def is_feasible_preemptive(instance: Instance, m: int) -> bool:
     """Feasibility without the witness decomposition (cheaper)."""
     if m < 1:
         raise ValueError("machine count must be positive")
     if instance.n == 0:
         return True
-    return _flow_feasible(instance, m)[0]
+    network = FlowNetwork.build(instance)
+    return network.solve(m)[0] == network.work
 
 
 def feasible_preemptive(instance: Instance, m: int) -> FeasibilityResult:
@@ -231,43 +217,61 @@ def feasible_preemptive(instance: Instance, m: int) -> FeasibilityResult:
         raise ValueError("machine count must be positive")
     if instance.n == 0:
         return FeasibilityResult(True, PreemptiveSchedule({}))
-    ok, network, amounts = _flow_feasible(instance, m)
-    if not ok:
+    network = FlowNetwork.build(instance)
+    value, flow = network.solve(m)
+    if value < network.work:
         return FeasibilityResult(False, None)
-    by_segment: dict[int, list[tuple[int, int]]] = {}
-    for (ji, si), f in amounts.items():
-        by_segment.setdefault(si, []).append((instance.jobs[ji].id, f))
+    n, arcs = instance.n, network.job_arcs
+    pairs = np.array([(1 + ji, 1 + n + si) for ji, si, _ in arcs])
+    amounts = np.asarray(flow[pairs[:, 0], pairs[:, 1]]).ravel().tolist()
+    # (segment, job id, amount), so each segment packs its jobs in id order
+    entries = sorted(
+        (si, instance.jobs[ji].id, f) for (ji, si, _), f in zip(arcs, amounts) if f
+    )
     assignments: dict[int, set[int]] = {}
-    for si, entries in sorted(by_segment.items()):
+    for si, group in itertools.groupby(entries, key=lambda e: e[0]):
         a, b = network.segments[si]
-        entries.sort()
-        assignments.update(_spread_segment(a, b, entries))
+        assignments.update(_spread_segment(a, b, [(j, f) for _, j, f in group]))
     return FeasibilityResult(True, PreemptiveSchedule(assignments))
+
+
+def min_machines(jobs: Sequence[Job], lower: int) -> int:
+    """Smallest m >= max(lower, 1) on which ``jobs`` are preemptively feasible.
+
+    The search starts at the larger of ``lower`` and the load bound
+    ``ceil(W / (d_max - r_min))``, gallops upward (lo, lo+1, lo+3, lo+7, ...)
+    until a count fits, then bisects the last gap.  Any m >= n fits, one job
+    per machine, without a solve; every solve reuses one network.
+    """
+    instance = Instance(jobs)
+    n, lo = instance.n, max(lower, 1)
+    if lo < n:
+        span = instance.d_max - min(j.release for j in instance.jobs)
+        lo = max(lo, -(-instance.total_work // span))
+    if lo >= n:
+        return lo
+    network = FlowNetwork.build(instance)
+
+    def fits(m: int) -> bool:
+        return m >= n or network.solve(m)[0] == network.work
+
+    bad, good = lo - 1, lo
+    while not fits(good):
+        bad, good = good, min(2 * good - lo + 1, n)
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        if fits(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def optimum_preemptive(instance: Instance) -> int:
     """Minimum machine count for a feasible preemptive schedule."""
     if instance.n == 0:
         raise ValueError("instance is empty")
-    lo = max(1, ceil_frac(Fraction(instance.total_work, instance.d_max)))
-    hi = instance.n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _flow_feasible(instance, mid)[0]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def min_machines(jobs: Sequence[Job], lower: int) -> int:
-    """Smallest m >= max(lower, 1) on which ``jobs`` are preemptively
-    feasible, found by scanning upward one machine count at a time."""
-    instance = Instance(jobs)
-    m = max(lower, 1)
-    while not is_feasible_preemptive(instance, m):
-        m += 1
-    return m
+    return min_machines(instance.jobs, 1)
 
 
 def optimal_witness(instance: Instance) -> tuple[int, PreemptiveSchedule]:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from machmin import optimum
 from machmin.adversary import (
     GeneratorError,
     gen_deadline_ordered_family,
@@ -130,6 +131,16 @@ def test_deadline_ordered_rejects_bad_params():
         gen_deadline_ordered_family(3, 200)
 
 
+def test_deadline_ordered_at_the_flow_limit():
+    # (2, 31) has total work 2^30 and certifies; (2, 32) has 2^31, one bit
+    # beyond what the flow oracle computes exactly
+    family = gen_deadline_ordered_family(2, 31)
+    assert len(family) == 29
+    assert family[-1].total_work == 2**30
+    with pytest.raises(GeneratorError, match="32 bits"):
+        gen_deadline_ordered_family(2, 32)
+
+
 # ---------------------------------------------------------------------------
 # The 8/7 adversary game.
 # ---------------------------------------------------------------------------
@@ -171,6 +182,21 @@ def test_gen_random_deterministic():
     b = gen_random("equal-p", 5, 7, p=3)
     assert a.instance.jobs == b.instance.jobs
     assert a.m_opt == b.m_opt
+
+
+def test_gen_random_solves_no_flow_until_m_opt_is_read(monkeypatch):
+    solves = []
+    real = optimum.maximum_flow
+
+    def counted(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optimum, "maximum_flow", counted)
+    generated = gen_random("general", 12, 3)
+    assert solves == []
+    assert generated.m_opt == optimum_preemptive(generated.instance)
+    assert solves
 
 
 def test_gen_random_profiles_hold():

@@ -170,3 +170,36 @@ def test_equalp_online_run_then_verify(tmp_path, capsys):
 def test_run_missing_number_message(argv, message, feasible_file, capsys):
     assert main(["run", *argv, feasible_file]) == 2
     assert capsys.readouterr().err == f"error: {message}"
+
+
+def test_missing_file_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "nope.txt")
+    assert main(["opt", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nope.txt" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--policy", "logn", "--m", "2", "--online"],
+         "policy 'logn' has no online form; drop --online\n"),
+        (["--policy", "edf", "--machines", "2", "--alpha", "1/3"],
+         "policy 'edf' takes no --alpha\n"),
+        (["--policy", "agreeable-p", "--m", "2", "--machines", "4"],
+         "policy 'agreeable-p' takes no --machines\n"),
+    ],
+)
+def test_run_refuses_options_the_policy_does_not_take(
+    argv, message, feasible_file, capsys
+):
+    assert main(["run", *argv, feasible_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}" and captured.out == ""
+
+
+def test_work_beyond_the_flow_limit_exits_3(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text(f"machmin v1 2\n0 0 {2**31} {2**31 - 1}\n1 0 {2**31} 1\n")
+    assert main(["opt", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("oracle cap: total work 2147483648")

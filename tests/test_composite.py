@@ -193,6 +193,15 @@ def test_criticality_examples():
     assert round_noncritical(Job(1, 2, 7, 3), 3) == (3, 6)
 
 
+def test_rounding_is_exact_at_large_releases():
+    # float division would round 3 * 2^55 + 1 to 3 * 2^55, before the release
+    r = 3 * 2**55 + 1
+    job = Job(0, r, r + 9, 3)
+    assert round_noncritical(job, 3) == (108086391056891907, r + 8)
+    assert not is_critical(job, 3)  # grid points r + 2, r + 5, r + 8
+    assert is_critical(Job(1, r, r + 4, 3), 3)  # grid point r + 2 only
+
+
 def test_rounding_safety():
     rng = random.Random(1)
     for _ in range(50):

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from machmin.model import Instance, Job, validate_preemptive
 from machmin.optimum import (
+    FLOW_WORK_LIMIT,
     EnumerationCapExceeded,
     IntervalSet,
     ceil_frac,
@@ -13,6 +15,8 @@ from machmin.optimum import (
     contribution,
     density_equal_p,
     feasible_preemptive,
+    is_feasible_preemptive,
+    min_machines,
     optimal_witness,
     optimum_nonpreemptive_exact,
     optimum_preemptive,
@@ -154,6 +158,45 @@ def test_witness_is_deterministic():
     assert a.assignments == b.assignments
 
 
+@st.composite
+def job_lists(draw):
+    jobs = []
+    for i in range(draw(st.integers(0, 9))):
+        r = draw(st.integers(0, 12))
+        w = draw(st.integers(1, 8))
+        jobs.append(Job(i, r, r + w, draw(st.integers(1, w))))
+    return jobs
+
+
+@settings(max_examples=150, deadline=None)
+@given(jobs=job_lists(), lower=st.integers(-2, 12))
+def test_min_machines_is_first_feasible_count(jobs, lower):
+    # the reference: scan upward one machine count at a time
+    instance = Instance(jobs)
+    m = max(lower, 1)
+    while not is_feasible_preemptive(instance, m):
+        m += 1
+    assert min_machines(jobs, lower) == m
+
+
+@pytest.mark.parametrize("bits", [30, 31, 40])
+def test_optimum_exact_at_large_windows(bits):
+    # an unclamped capacity of 2^bits does not fit scipy's int32 arithmetic
+    inst = Instance([Job(i, 0, 2**bits, 5) for i in range(3)])
+    assert is_feasible_preemptive(inst, 1)
+    assert optimum_preemptive(inst) == 1
+
+
+def test_total_work_at_the_flow_limit_raises():
+    fits = Instance([Job(0, 0, 2**31, FLOW_WORK_LIMIT - 2), Job(1, 0, 2**31, 1)])
+    assert optimum_preemptive(fits) == 1
+    over = Instance([Job(0, 0, 2**31, FLOW_WORK_LIMIT - 1), Job(1, 0, 2**31, 1)])
+    with pytest.raises(EnumerationCapExceeded, match="32 bits"):
+        optimum_preemptive(over)
+    with pytest.raises(EnumerationCapExceeded):
+        is_feasible_preemptive(over, 1)
+
+
 # ---------------------------------------------------------------------------
 # Contribution and strong density.
 # ---------------------------------------------------------------------------
@@ -290,12 +333,12 @@ def test_flow_network_structure():
     from machmin.optimum import FlowNetwork
 
     inst = Instance([Job(0, 0, 3, 2), Job(1, 1, 5, 1)])
-    net = FlowNetwork.build(inst, 2)
+    net = FlowNetwork.build(inst)
     # segments are the maximal runs between window breakpoints
     assert net.segments == ((0, 1), (1, 3), (3, 5))
     # a job feeds exactly the segments inside its window, one unit of
     # capacity per covered slot
     arcs = {(ji, si): cap for ji, si, cap in net.job_arcs}
     assert arcs == {(0, 0): 1, (0, 1): 2, (1, 1): 2, (1, 2): 2}
-    value, amounts = net.solve(inst)
+    value, _flow = net.solve(2)
     assert value == inst.total_work
