@@ -308,6 +308,8 @@ def _draw_agreeable(rng, n, horizon, max_len):
 
 
 def _draw_equal_p(rng, n, horizon, max_len, p):
+    if p < 1:
+        raise GeneratorError("equal-p profile needs p >= 1")
     jobs = []
     for i in range(n):
         r = rng.randrange(0, horizon)
@@ -386,19 +388,32 @@ def _draw_uniform_alpha(rng, n, horizon, max_len, alpha, tight: bool):
     return jobs
 
 
-PROFILES = (
-    "general",
-    "agreeable",
-    "equal-p",
-    "uniform-d",
-    "alpha-loose",
-    "alpha-tight",
-    "agreeable-loose",
-    "agreeable-tight",
-    "uniform-loose",
-    "uniform-tight",
-    "half-tight",
-)
+# profile -> draw(rng, n, horizon, max_len, p=..., alpha=...) -> jobs
+_DRAWS: dict[str, Callable[..., list[Job]]] = {
+    "general": lambda *base, p, alpha: _draw_general(*base),
+    "agreeable": lambda *base, p, alpha: _draw_agreeable(*base),
+    "equal-p": lambda *base, p, alpha: _draw_equal_p(*base, p),
+    "uniform-d": lambda *base, p, alpha: _draw_uniform_d(*base),
+    "alpha-loose": lambda *base, p, alpha: _draw_alpha(*base, alpha, tight=False),
+    "alpha-tight": lambda *base, p, alpha: _draw_alpha(*base, alpha, tight=True),
+    "agreeable-loose": lambda *base, p, alpha: _draw_agreeable_alpha(
+        *base, alpha, tight=False
+    ),
+    "agreeable-tight": lambda *base, p, alpha: _draw_agreeable_alpha(
+        *base, alpha, tight=True
+    ),
+    "uniform-loose": lambda *base, p, alpha: _draw_uniform_alpha(
+        *base, alpha, tight=False
+    ),
+    "uniform-tight": lambda *base, p, alpha: _draw_uniform_alpha(
+        *base, alpha, tight=True
+    ),
+    "half-tight": lambda *base, p, alpha: _draw_alpha(
+        *base, Fraction(1, 2), tight=True
+    ),
+}
+
+PROFILES = tuple(_DRAWS)
 
 
 def gen_random(
@@ -418,32 +433,10 @@ def gen_random(
     rng = random.Random(seed)
     horizon = horizon if horizon is not None else max(2, 2 * n)
     max_len = max_len if max_len is not None else max(3, n)
-    if profile == "general":
-        jobs = _draw_general(rng, n, horizon, max_len)
-    elif profile == "agreeable":
-        jobs = _draw_agreeable(rng, n, horizon, max_len)
-    elif profile == "equal-p":
-        if p < 1:
-            raise GeneratorError("equal-p profile needs p >= 1")
-        jobs = _draw_equal_p(rng, n, horizon, max_len, p)
-    elif profile == "uniform-d":
-        jobs = _draw_uniform_d(rng, n, horizon, max_len)
-    elif profile == "alpha-loose":
-        jobs = _draw_alpha(rng, n, horizon, max_len, alpha, tight=False)
-    elif profile == "alpha-tight":
-        jobs = _draw_alpha(rng, n, horizon, max_len, alpha, tight=True)
-    elif profile == "agreeable-loose":
-        jobs = _draw_agreeable_alpha(rng, n, horizon, max_len, alpha, tight=False)
-    elif profile == "agreeable-tight":
-        jobs = _draw_agreeable_alpha(rng, n, horizon, max_len, alpha, tight=True)
-    elif profile == "uniform-loose":
-        jobs = _draw_uniform_alpha(rng, n, horizon, max_len, alpha, tight=False)
-    elif profile == "uniform-tight":
-        jobs = _draw_uniform_alpha(rng, n, horizon, max_len, alpha, tight=True)
-    elif profile == "half-tight":
-        jobs = _draw_alpha(rng, n, horizon, max_len, Fraction(1, 2), tight=True)
-    else:
+    draw = _DRAWS.get(profile)
+    if draw is None:
         raise GeneratorError(
             f"unknown profile {profile!r}; known: {', '.join(PROFILES)}"
         )
+    jobs = draw(rng, n, horizon, max_len, p=p, alpha=alpha)
     return GeneratedInstance(instance=Instance(jobs), profile=profile, seed=seed)

@@ -190,9 +190,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     spec, name = POLICIES[args.policy], args.policy
-    # without --m, run_policy reports the missing optimum instead
-    if args.online and args.m is not None and spec.needs == "m" and spec.online is None:
-        raise ValueError(f"policy {name!r} has no online form; drop --online")
     if args.alpha is not None and not spec.alpha:
         raise ValueError(f"policy {name!r} takes no --alpha")
     if args.machines is not None and spec.needs != "machines":

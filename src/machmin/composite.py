@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .engine import (
     EDF,
@@ -71,22 +71,22 @@ def _budget(factor: Fraction | int, m: int) -> int:
 
 
 class SplitScheduler(OnlinePolicy):
-    """Two sub-policies on disjoint machine pools; each job is routed to
-    exactly one pool when it is released, and stays there."""
+    """Sub-policies on disjoint machine pools; each job is routed to exactly
+    one pool when it is released, and stays there."""
 
     name = "split"
 
     def __init__(
         self,
-        route: Callable[[Job], str],
-        pools: Mapping[str, OnlinePolicy],
+        route: Callable[[Job], Hashable],
+        pools: Mapping[Hashable, OnlinePolicy],
         name: str | None = None,
     ):
         self._route = route
         self.pools = dict(pools)
         if name:
             self.name = name
-        self.routing: dict[int, str] = {}
+        self.routing: dict[int, Hashable] = {}
         self._peaks = {key: 0 for key in self.pools}
 
     @classmethod
@@ -105,7 +105,7 @@ class SplitScheduler(OnlinePolicy):
         return cls(route, {"loose": loose, "tight": tight}, name=name)
 
     def on_release(self, jobs: Sequence[Job], t: int) -> None:
-        batches: dict[str, list[Job]] = {}
+        batches: dict[Hashable, list[Job]] = {}
         for job in jobs:
             pool = self._route(job)
             if pool not in self.pools:
@@ -116,17 +116,17 @@ class SplitScheduler(OnlinePolicy):
             self.pools[pool].on_release(batch, t)
 
     def select(self, t: int, active: Mapping[int, JobState]) -> set[int]:
+        views: dict[Hashable, dict[int, JobState]] = {key: {} for key in self.pools}
+        for j, state in active.items():
+            views[self.routing[j]][j] = state
         chosen: set[int] = set()
-        for key in self.pools:
-            view = {
-                j: s for j, s in active.items() if self.routing[j] == key
-            }
+        for key, view in views.items():
             sel = self.pools[key].select(t, view)
-            self._peaks[key] = max(self._peaks[key], len(sel))
+            self._peaks[key] = max(self._peaks.get(key, 0), len(sel))
             chosen |= sel
         return chosen
 
-    def pool_usage(self, key: str) -> int:
+    def pool_usage(self, key: Hashable) -> int:
         override = self.pools[key].machines_used()
         return override if override is not None else self._peaks[key]
 
@@ -164,21 +164,17 @@ class DoubleEpoch:
 PrefixOracle = Callable[[tuple[Job, ...], int], int]
 
 
-def nonpreemptive_prefix_oracle(cap: int | None = None) -> PrefixOracle:
+def nonpreemptive_prefix_oracle(jobs: tuple[Job, ...], lower: int) -> int:
     """Exact non-preemptive running optimum; desk scale only."""
-
-    def oracle(jobs: tuple[Job, ...], lower: int) -> int:
-        kwargs = {} if cap is None else {"cap": cap}
-        return optimum_nonpreemptive_exact(Instance(jobs), **kwargs)
-
-    return oracle
+    return optimum_nonpreemptive_exact(Instance(jobs))
 
 
-class Double(OnlinePolicy):
+class Double(SplitScheduler):
     """Epoch-doubling wrapper: whenever the running optimum more than
     doubles, open a fresh block of ``ceil(2 * factor * m(t_i))`` machines and
     hand all jobs released from then on to a fresh semi-online sub-policy
-    configured with optimum ``2 * m(t_i)``.
+    configured with optimum ``2 * m(t_i)``.  Each epoch is one pool, and the
+    router sends every release to the newest.
     """
 
     name = "double"
@@ -190,16 +186,13 @@ class Double(OnlinePolicy):
         oracle: PrefixOracle = min_machines,
         name: str | None = None,
     ):
+        super().__init__(lambda job: len(self.epochs) - 1, {}, name=name)
         self._factory = factory
         self.factor = Fraction(factor)
         self._oracle = oracle
-        if name:
-            self.name = name
         self._released: list[Job] = []
         self._last_m = 0
         self.epochs: list[DoubleEpoch] = []
-        self._policies: list[OnlinePolicy] = []
-        self.routing: dict[int, int] = {}
 
     def on_release(self, jobs: Sequence[Job], t: int) -> None:
         self._released.extend(jobs)
@@ -213,19 +206,12 @@ class Double(OnlinePolicy):
                 block=ceil_frac(2 * self.factor * m_t),
             )
             self.epochs.append(epoch)
-            self._policies.append(self._factory(2 * m_t))
-        idx = len(self.epochs) - 1
-        for job in jobs:
-            self.routing[job.id] = idx
-        self._policies[idx].on_release(jobs, t)
+            self.pools[epoch.index] = self._factory(2 * m_t)
+        super().on_release(jobs, t)
 
-    def select(self, t: int, active: Mapping[int, JobState]) -> set[int]:
-        chosen: set[int] = set()
-        for idx, policy in enumerate(self._policies):
-            view = {j: s for j, s in active.items() if self.routing[j] == idx}
-            if view:
-                chosen |= policy.select(t, view)
-        return chosen
+    # Double's own attribute, so that its selects can be instrumented apart
+    # from other splits' (perfbench/tracer.py wraps each class's own entry).
+    select = SplitScheduler.select
 
     def machines_used(self) -> int:
         # blocks are opened per epoch and never closed: usage is their sum
@@ -233,9 +219,6 @@ class Double(OnlinePolicy):
 
     def current_budget(self) -> int:
         return sum(e.block for e in self.epochs)
-
-    def starts(self) -> dict[int, int] | None:
-        return merge_starts(self._policies)
 
     def extras(self) -> dict:
         return {
@@ -268,7 +251,7 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _online_np_edf(alpha: Fraction, oracle_cap: int | None) -> Double:
+def _online_np_edf(alpha: Fraction) -> Double:
     """The loose pool of the non-preemptive online schedulers: non-preemptive
     EDF on ceil(m/(1-alpha)^2) machines, through Double with the exact
     non-preemptive prefix oracle."""
@@ -276,7 +259,7 @@ def _online_np_edf(alpha: Fraction, oracle_cap: int | None) -> Double:
     return Double(
         lambda semi_m: NonpreemptiveEDF(_budget(factor, semi_m)),
         factor,
-        nonpreemptive_prefix_oracle(oracle_cap),
+        nonpreemptive_prefix_oracle,
     )
 
 
@@ -329,16 +312,14 @@ def agreeable_nonpreemptive(
 
 
 def agreeable_nonpreemptive_online(
-    instance: Instance,
-    alpha: Fraction = Fraction(1, 3),
-    oracle_cap: int | None = None,
+    instance: Instance, alpha: Fraction = Fraction(1, 3)
 ) -> SimulationRun:
     """MediumFit is already online; the loose pool goes through Double with
     the non-preemptive prefix oracle.  16m in total at alpha = 1/3."""
     _require(instance.is_agreeable, "instance is not agreeable")
     policy = SplitScheduler.by_tightness(
         alpha,
-        _online_np_edf(alpha, oracle_cap),
+        _online_np_edf(alpha),
         MediumFit(),
         name="agreeable-np-online",
     )
@@ -430,16 +411,14 @@ def equal_p_nonpreemptive_semi(instance: Instance, m: int) -> NonpreemptiveSched
     return run.to_nonpreemptive_schedule()
 
 
-def equal_p_nonpreemptive_online(
-    instance: Instance, oracle_cap: int | None = None
-) -> SimulationRun:
+def equal_p_nonpreemptive_online(instance: Instance) -> SimulationRun:
     """Online variant: EarlyFit needs no optimum; the batch pool (factor 2)
     goes through Double, giving 4*2 + 2 = 10 in total."""
     p = _equal_p(instance)
     batches = Double(
         lambda semi_m: _NonCriticalBatch(p, 2 * semi_m),
         2,
-        nonpreemptive_prefix_oracle(oracle_cap),
+        nonpreemptive_prefix_oracle,
     )
     return simulate(instance, _equal_p_split(p, batches, "equalp-np-online"))
 
@@ -584,9 +563,7 @@ def uniform_deadline_nonpreemptive(
 
 
 def uniform_deadline_nonpreemptive_online(
-    instance: Instance,
-    alpha: Fraction = Fraction(1, 4),
-    oracle_cap: int | None = None,
+    instance: Instance, alpha: Fraction = Fraction(1, 4)
 ) -> SimulationRun:
     """EarlyFit is already online; Double wraps the loose EDF pool.  The
     factor 4/(1-alpha)^2 + ceil(1/alpha) is optimized at alpha = 1/4 (11 1/9).
@@ -594,7 +571,7 @@ def uniform_deadline_nonpreemptive_online(
     _require(instance.is_uniform_deadline, "deadlines are not uniform")
     policy = SplitScheduler.by_tightness(
         alpha,
-        _online_np_edf(alpha, oracle_cap),
+        _online_np_edf(alpha),
         EarlyFit(),
         name="uniform-np-online",
     )

@@ -292,14 +292,17 @@ class SimulationRun:
 class Simulation:
     """Stepping simulator.  ``simulate`` drives it over a whole instance; the
     adversary game drives it interactively, injecting releases as it goes.
+
+    ``jobs`` holds every job ever added, released or not; ``active`` holds
+    the state of every released job that is neither finished nor dropped.
     """
 
     def __init__(self, policy: OnlinePolicy):
         self.policy = policy
         self.t = 0
-        self.remaining: dict[int, int] = {}
         self.jobs: dict[int, Job] = {}
-        self._pending: list[Job] = []  # sorted by (release, id), consumed from front
+        self.active: dict[int, JobState] = {}
+        self._pending: list[Job] = []  # sorted by (release, id), consumed from the back
         self.slots: list[frozenset[int]] = []
         self.misses: list[tuple[int, int]] = []
         self._missed: set[int] = set()
@@ -307,55 +310,53 @@ class Simulation:
         self.peak_budget = 0
 
     def add_jobs(self, jobs: Iterable[Job]) -> None:
+        """Queue jobs for release; a batch with any bad job adds none."""
+        batch: dict[int, Job] = {}
         for job in jobs:
             if job.release < self.t:
                 raise ValueError(
                     f"job {job.id} released at {job.release}, before current "
                     f"time {self.t}"
                 )
-            if job.id in self.jobs or any(p.id == job.id for p in self._pending):
+            if job.id in self.jobs or job.id in batch:
                 raise ValueError(f"duplicate job id {job.id}")
-            self._pending.append(job)
-        self._pending.sort(key=lambda j: (j.release, j.id))
+            batch[job.id] = job
+        self.jobs.update(batch)
+        self._pending.extend(batch.values())
+        self._pending.sort(key=lambda j: (j.release, j.id), reverse=True)
 
     @property
     def idle(self) -> bool:
-        return not self.remaining and not self._pending
-
-    def active_states(self) -> dict[int, JobState]:
-        return {
-            j: JobState(self.jobs[j], rem) for j, rem in self.remaining.items()
-        }
+        return not self.active and not self._pending
 
     def total_remaining(self, due_by: int | None = None) -> int:
         """Remaining work over active jobs, optionally only those due by a
         deadline.  Pending (unreleased) jobs are not counted."""
         return sum(
-            rem
-            for j, rem in self.remaining.items()
-            if due_by is None or self.jobs[j].deadline <= due_by
+            state.remaining
+            for state in self.active.values()
+            if due_by is None or state.job.deadline <= due_by
         )
 
     def step(self) -> frozenset[int]:
         t = self.t
+        active = self.active
         released = []
-        while self._pending and self._pending[0].release == t:
-            job = self._pending.pop(0)
+        while self._pending and self._pending[-1].release == t:
+            job = self._pending.pop()
             released.append(job)
-            self.jobs[job.id] = job
-            self.remaining[job.id] = job.processing
+            active[job.id] = JobState(job, job.processing)
         if released:
             self.policy.on_release(released, t)
-        view = self.active_states()
-        selected = set(self.policy.select(t, view))
+        selected = set(self.policy.select(t, dict(active)))
         for j in selected:
-            if j not in view:
+            if j not in active:
                 raise ProtocolViolation(
                     f"policy {self.policy.name!r} selected job {j} at t={t}, "
                     "which is not active"
                 )
         for j in selected:
-            self.remaining[j] -= 1
+            active[j] = JobState(active[j].job, active[j].remaining - 1)
         self.peak_concurrency = max(self.peak_concurrency, len(selected))
         budget = self.policy.current_budget()
         self.peak_budget = max(
@@ -363,17 +364,16 @@ class Simulation:
         )
         self.slots.append(frozenset(selected))
         self.t = t + 1
-        for j in sorted(self.remaining):
-            rem = self.remaining[j]
-            job = self.jobs[j]
+        for j in sorted(active):
+            job, rem = active[j].job, active[j].remaining
             if rem == 0:
-                del self.remaining[j]
+                del active[j]
                 continue
             if job.deadline - self.t - rem < 0 and j not in self._missed:
                 self._missed.add(j)
                 self.misses.append((j, self.t))
             if job.deadline <= self.t:
-                del self.remaining[j]  # doomed job dropped at its deadline
+                del active[j]  # doomed job dropped at its deadline
         return self.slots[-1]
 
     def run_until(self, horizon: int) -> None:

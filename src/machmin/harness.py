@@ -154,6 +154,8 @@ def run_policy(
     if spec.needs == "m" and m is None:
         hint = " (or --online)" if spec.online is not None else ""
         raise ValueError(f"policy {name!r} needs the optimum via --m{hint}")
+    if online and spec.needs == "m":
+        raise ValueError(f"policy {name!r} has no online form; drop --online")
     return spec.run(instance, machines if spec.needs == "machines" else m, alpha_kw)
 
 

@@ -179,20 +179,22 @@ class FeasibilityResult:
 def _spread_segment(
     a: int, b: int, amounts: Sequence[tuple[int, int]]
 ) -> dict[int, set[int]]:
-    """Pack per-job amounts into the unit slots of segment ``[a, b)``.
+    """Pack per-job amounts into the unit slots of segment ``[a, b)`` by
+    McNaughton's wrap-around rule.
 
-    Each job is assigned to its ``f`` least-loaded distinct slots (earliest
-    slot on ties), which keeps slot loads within one of each other, so the
-    segment peak is exactly ``ceil(total / (b - a))``.
+    Each job takes the ``f`` slots that follow the previous job's, wrapping
+    from ``b`` back to ``a``.  No amount exceeds ``b - a``, so a job's slots
+    are distinct, and slot loads stay within one of each other: the segment
+    peak is exactly ``ceil(total / (b - a))``.  Only occupied slots are
+    returned, in increasing order.
     """
     width = b - a
-    load = [0] * width
-    slots: dict[int, set[int]] = {a + i: set() for i in range(width)}
+    slots: dict[int, set[int]] = {}
+    pos = 0
     for job_id, f in amounts:
-        order = sorted(range(width), key=lambda i: (load[i], i))
-        for i in order[:f]:
-            load[i] += 1
-            slots[a + i].add(job_id)
+        for i in range(pos, pos + f):
+            slots.setdefault(a + i % width, set()).add(job_id)
+        pos = (pos + f) % width
     return slots
 
 

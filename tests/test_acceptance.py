@@ -386,9 +386,9 @@ def test_acceptance_7b_llf_family(k):
         round_end += x0 // c ** (i - 1)
         sim.run_until(round_end)
         laxities = [
-            horizon - round_end - rem
-            for j, rem in sim.remaining.items()
-            if sim.jobs[j].deadline == horizon
+            horizon - round_end - state.remaining
+            for state in sim.active.values()
+            if state.job.deadline == horizon
         ]
         assert len(laxities) == i * m // 2, (k, i, laxities)
         assert sum(laxities) == laxity_sum, (k, i, laxities, laxity_sum)

@@ -203,3 +203,12 @@ def test_work_beyond_the_flow_limit_exits_3(tmp_path, capsys):
     path.write_text(f"machmin v1 2\n0 0 {2**31} {2**31 - 1}\n1 0 {2**31} 1\n")
     assert main(["opt", str(path)]) == 3
     assert capsys.readouterr().err.startswith("oracle cap: total work 2147483648")
+
+
+def test_bench_refuses_online_for_a_policy_without_one(capsys):
+    argv = ["bench", "--profile", "general", "--n", "8", "--count", "2",
+            "--policy", "logn", "--online"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: policy 'logn' has no online form; drop --online\n"
+    assert captured.out == ""

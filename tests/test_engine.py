@@ -255,6 +255,20 @@ def test_interactive_simulation_rejects_past_releases():
         sim.add_jobs([Job(1, 0, 3, 1)])
 
 
+def test_add_jobs_rejects_duplicate_ids():
+    sim = Simulation(EDF(1))
+    with pytest.raises(ValueError, match="duplicate job id 0"):
+        sim.add_jobs([Job(0, 0, 3, 1), Job(0, 1, 4, 1)])  # within one batch
+    assert sim.idle  # a rejected batch adds nothing
+    sim.add_jobs([Job(0, 1, 3, 1)])
+    with pytest.raises(ValueError, match="duplicate job id 0"):
+        sim.add_jobs([Job(0, 2, 4, 1)])  # against a pending job
+    sim.run_until(3)
+    assert sim.slots == [frozenset(), frozenset({0})] and sim.idle
+    with pytest.raises(ValueError, match="duplicate job id 0"):
+        sim.add_jobs([Job(0, 2, 4, 1)])  # against a finished job
+
+
 def test_peak_budget_tracking():
     inst = Instance([Job(0, 0, 4, 2), Job(1, 0, 4, 2)])
     run = simulate(inst, EDF(3))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from machmin.model import Instance, Job, validate_preemptive
 from machmin.optimum import (
     FLOW_WORK_LIMIT,
+    _spread_segment,
     EnumerationCapExceeded,
     IntervalSet,
     ceil_frac,
@@ -185,6 +186,38 @@ def test_optimum_exact_at_large_windows(bits):
     inst = Instance([Job(i, 0, 2**bits, 5) for i in range(3)])
     assert is_feasible_preemptive(inst, 1)
     assert optimum_preemptive(inst) == 1
+
+
+def test_witness_at_a_large_window():
+    # the packing touches only the occupied slots, not the whole window
+    inst = Instance([Job(i, 0, 2**40, 5) for i in range(3)])
+    m, witness = optimal_witness(inst)
+    assert m == 1
+    assert validate_preemptive(inst, witness).feasible
+    assert witness.machines_used == 1
+
+
+def _least_loaded_spread(a, b, amounts):
+    """Reference packing: each job takes its f least-loaded slots of [a, b),
+    earliest slot on ties."""
+    load = [0] * (b - a)
+    slots = {}
+    for job_id, f in amounts:
+        for i in sorted(range(b - a), key=lambda i: (load[i], i))[:f]:
+            load[i] += 1
+            slots.setdefault(a + i, set()).add(job_id)
+    return slots
+
+
+def test_wrap_around_packing_matches_least_loaded():
+    rng = random.Random(5)
+    for _ in range(500):
+        a, width = rng.randrange(0, 20), rng.randint(1, 12)
+        amounts = [(j, rng.randint(1, width)) for j in range(rng.randint(1, 6))]
+        packed = _spread_segment(a, a + width, amounts)
+        assert packed == _least_loaded_spread(a, a + width, amounts)
+        total = sum(f for _, f in amounts)
+        assert max(map(len, packed.values())) == -(-total // width)
 
 
 def test_total_work_at_the_flow_limit_raises():
