@@ -165,8 +165,10 @@ PrefixOracle = Callable[[tuple[Job, ...], int], int]
 
 
 def nonpreemptive_prefix_oracle(jobs: tuple[Job, ...], lower: int) -> int:
-    """Exact non-preemptive running optimum; desk scale only."""
-    return optimum_nonpreemptive_exact(Instance(jobs))
+    """Exact non-preemptive running optimum of a released prefix, searched
+    upward from ``lower``, the previous prefix's optimum; at most
+    ``optimum.DEFAULT_BNB_CAP`` released jobs."""
+    return optimum_nonpreemptive_exact(Instance(jobs), lower=lower)
 
 
 class Double(SplitScheduler):

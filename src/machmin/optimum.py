@@ -5,7 +5,10 @@ into time segments, segments drain into the sink at the machine count), one
 network per job set, and a galloping search over the machine count from the
 load bound.  The strong density is an independent enumeration oracle over
 unit-slot subsets; the two must agree via
-``ceil(strong density) == preemptive optimum``.
+``ceil(strong density) == preemptive optimum``.  The non-preemptive optimum
+is a search over machine assignments from the preemptive optimum upward,
+each machine's job set checked by a single-machine earliest-finish DP over
+subsets, so its cost follows the job count rather than the time magnitudes.
 """
 
 from __future__ import annotations
@@ -361,19 +364,27 @@ def check_strong_density_theorem(
 
 
 # ---------------------------------------------------------------------------
-# Exact non-preemptive optimum (desk scale).
+# Exact non-preemptive optimum: a search over machine assignments.
 # ---------------------------------------------------------------------------
 
 
 def optimum_nonpreemptive_exact(
-    instance: Instance, cap: int = DEFAULT_BNB_CAP
+    instance: Instance, cap: int = DEFAULT_BNB_CAP, *, lower: int = 1
 ) -> int:
-    """Smallest max-overlap over all feasible start vectors.
+    """Smallest machine count on which every job runs without preemption.
 
-    Branch and bound over starts, jobs ordered by (deadline, release, id),
-    pruning branches whose running overlap already meets the incumbent.
-    Identical jobs are forced into non-decreasing starts to kill symmetric
-    branches.
+    Intervals form a perfect graph, so a peak overlap of k is the same as a
+    split of the jobs into k single-machine job sets.  Each k from the
+    larger of ``lower`` and the preemptive optimum up to the EarlyFit
+    incumbent (every job started at its release) is decided by a depth-first
+    search: jobs, in (deadline, release, id) order, go to an open machine
+    or to the next new one, which opens machines in index order and so
+    breaks machine symmetry.  A machine's job set, a bitmask, is feasible
+    when its earliest finish is finite; for a fixed order earliest starts
+    are optimal, so ``finish(S) = min over j in S of max(finish(S - j), r_j)
+    + p_j``, kept only where it meets ``d_j``.  Finishes are memoised per
+    mask for the whole call, so the cost depends on the job count, not on
+    the time magnitudes.  ``lower`` must not exceed the optimum.
     """
     if instance.n == 0:
         raise ValueError("instance is empty")
@@ -383,47 +394,51 @@ def optimum_nonpreemptive_exact(
             f"the cap of {cap}"
         )
     jobs = sorted(instance.jobs, key=lambda j: (j.deadline, j.release, j.id))
-    horizon = instance.d_max
-    lower = optimum_preemptive(instance)
-    # EarlyFit gives a cheap feasible incumbent.
+    # the flow oracle is exact below FLOW_WORK_LIMIT; beyond it the search
+    # alone rules out each k
+    if instance.total_work < FLOW_WORK_LIMIT:
+        lower = min_machines(instance.jobs, lower)
     incumbent = peak_overlap((j.release, j.release + j.processing) for j in jobs)
-    if incumbent == lower:
-        return incumbent
-    counts = [0] * horizon
-    best = incumbent
+    finish: dict[int, int | None] = {0: 0}
 
-    def dfs(idx: int, current_max: int, prev_start: int) -> None:
-        nonlocal best
-        if current_max >= best:
-            return
+    def earliest_finish(mask: int) -> int | None:
+        if mask not in finish:
+            best = None
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                before = earliest_finish(mask ^ bit)
+                if before is None:
+                    continue
+                job = jobs[bit.bit_length() - 1]
+                end = max(before, job.release) + job.processing
+                if end <= job.deadline and (best is None or end < best):
+                    best = end
+            finish[mask] = best
+        return finish[mask]
+
+    def assign(idx: int, machines: list[int], k: int) -> bool:
         if idx == len(jobs):
-            best = current_max
-            return
-        job = jobs[idx]
-        lo = job.release
-        if idx > 0:
-            prev = jobs[idx - 1]
-            if (prev.release, prev.deadline, prev.processing) == (
-                job.release,
-                job.deadline,
-                job.processing,
-            ):
-                lo = max(lo, prev_start)
-        for s in range(lo, job.deadline - job.processing + 1):
-            new_max = current_max
-            for t in range(s, s + job.processing):
-                counts[t] += 1
-                if counts[t] > new_max:
-                    new_max = counts[t]
-            if new_max < best:
-                dfs(idx + 1, new_max, s)
-            for t in range(s, s + job.processing):
-                counts[t] -= 1
-            if best == lower:
-                return
+            return True
+        bit = 1 << idx
+        for i, mask in enumerate(machines):
+            if earliest_finish(mask | bit) is not None:
+                machines[i] = mask | bit
+                if assign(idx + 1, machines, k):
+                    return True
+                machines[i] = mask
+        if len(machines) < k:
+            machines.append(bit)
+            if assign(idx + 1, machines, k):
+                return True
+            machines.pop()
+        return False
 
-    dfs(0, 0, 0)
-    return best
+    for k in range(max(lower, 1), incumbent):
+        if assign(0, [], k):
+            return k
+    return incumbent
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,15 @@ def test_work_beyond_the_flow_limit_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("oracle cap: total work 2147483648")
 
 
+def test_nonpreemptive_optimum_beyond_the_flow_limit(tmp_path, capsys):
+    k = 2**40
+    path = tmp_path / "big.txt"
+    path.write_text(f"machmin v1 2\n0 {k} {k + 1} 1\n1 0 {2 * k + 1} {k + 1}\n")
+    assert main(["opt", "--nonpreemptive", str(path)]) == 0
+    assert capsys.readouterr().out == "2\n"
+    assert main(["opt", str(path)]) == 3
+
+
 def test_bench_refuses_online_for_a_policy_without_one(capsys):
     argv = ["bench", "--profile", "general", "--n", "8", "--count", "2",
             "--policy", "logn", "--online"]

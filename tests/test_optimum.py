@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from machmin.adversary import gen_random
 from machmin.model import Instance, Job, validate_preemptive
 from machmin.optimum import (
     FLOW_WORK_LIMIT,
@@ -326,6 +327,60 @@ def test_nonpreemptive_cap():
     inst = Instance([Job(i, 0, 40, 1) for i in range(13)])
     with pytest.raises(EnumerationCapExceeded):
         optimum_nonpreemptive_exact(inst, cap=12)
+
+
+@st.composite
+def nonpreemptive_sets(draw):
+    """Up to five jobs, each a copy of the previous job, a zero-laxity job or
+    a free one; all of processing time ``p`` when an equal-p set is drawn."""
+    equal_p = draw(st.one_of(st.none(), st.integers(1, 3)))
+    jobs = []
+    for i in range(draw(st.integers(1, 5))):
+        if jobs and draw(st.booleans()):
+            prev = jobs[-1]
+            jobs.append(Job(i, prev.release, prev.deadline, prev.processing))
+            continue
+        r = draw(st.integers(0, 6))
+        p = equal_p or draw(st.integers(1, 4))
+        laxity = draw(st.sampled_from([0, 0, 1, 2, 3, 4]))
+        jobs.append(Job(i, r, r + p + laxity, p))
+    return Instance(jobs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=nonpreemptive_sets(), lower=st.integers(-1, 5))
+def test_nonpreemptive_matches_brute_force_property(inst, lower):
+    expected = brute_force_nonpreemptive(inst)
+    assert optimum_nonpreemptive_exact(inst) == expected
+    # any lower bound at or below the optimum gives the same value
+    lower = min(lower, expected)
+    assert optimum_nonpreemptive_exact(inst, lower=lower) == expected
+
+
+# Uniform-deadline instances whose non-preemptive optimum exceeds the
+# preemptive one, so that every smaller count must be ruled out: acceptance
+# 3's seeds 249, 64 and 54 and perfbench's HARD_UNIFORM_SEEDS.  A search over
+# start times took 0.3-36 s on each; the values are the ones it computed.
+@pytest.mark.parametrize(
+    "seed, expected",
+    [(249, 5), (64, 4), (54, 4), (373, 3), (1138, 4), (1198, 4), (1528, 4),
+     (1774, 5), (1938, 4), (2019, 4), (2558, 3)],
+)
+def test_nonpreemptive_hard_uniform_seeds(seed, expected):
+    g = gen_random("uniform-d", 5 + seed % 5, seed)
+    assert optimum_nonpreemptive_exact(g.instance) == expected
+    assert expected > g.m_opt
+
+
+@pytest.mark.parametrize("bits", [20, 40])
+def test_nonpreemptive_at_large_times(bits):
+    # the long job covers slot k wherever it starts, so preemption around the
+    # short job is what makes one machine enough
+    k = 2**bits
+    inst = Instance([Job(0, k, k + 1, 1), Job(1, 0, 2 * k + 1, k + 1)])
+    if inst.total_work < FLOW_WORK_LIMIT:
+        assert optimum_preemptive(inst) == 1
+    assert optimum_nonpreemptive_exact(inst) == 2
 
 
 def test_preemptive_leq_nonpreemptive():
