@@ -4,9 +4,10 @@ Jobs, schedules, and two routes to the exact optimum
 
 A job is (id, release, deadline, processing) on a discrete timeline; an
 instance is a set of jobs.  The minimum machine count for the preemptive
-problem can be computed by max-flow feasibility, and independently by the
+problem can be computed by max-flow feasibility, and again by the
 strong-density characterization: the optimum equals the ceiling of the
-worst contribution-per-length ratio over slot subsets.
+worst contribution-per-length ratio over slot subsets, which the same
+network's min cuts find at fractional machine counts.
 """
 
 from machmin import (
@@ -33,8 +34,9 @@ for t in sorted(result.witness.assignments):
 report = validate_preemptive(inst, result.witness)
 print("witness validates:", report.feasible, "| machines:", report.machines_used)
 
-# The independent route: enumerate slot subsets.  The single slot [1,2)
-# must carry one unit from each of the three jobs, so the density is 3.
+# The density route: min cuts at fractional machine counts find the slot
+# subset with the worst ratio.  The single slot [1,2) must carry one unit
+# from each of the three jobs, so the density is 3.
 rho, where = strong_density_witness(inst)
 print("strong density:", rho, "attained on intervals", where.intervals)
 assert ceil_frac(rho) == m

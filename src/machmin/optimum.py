@@ -3,9 +3,11 @@
 The preemptive optimum is computed by max-flow feasibility (jobs feed work
 into time segments, segments drain into the sink at the machine count), one
 network per job set, and a galloping search over the machine count from the
-load bound.  The strong density is an independent enumeration oracle over
-unit-slot subsets; the two must agree via
-``ceil(strong density) == preemptive optimum``.  The non-preemptive optimum
+load bound.  The strong density comes from the same network: at a fractional
+machine count its min cut picks the set of time segments that most exceeds
+that count, and Dinkelbach's method raises the count to the best ratio.  The
+two searches must agree via ``ceil(strong density) == preemptive optimum``;
+the tests check both against enumerations.  The non-preemptive optimum
 is a search over machine assignments from the preemptive optimum upward,
 each machine's job set checked by a single-machine earliest-finish DP over
 subsets, so its cost follows the job count rather than the time magnitudes.
@@ -14,14 +16,13 @@ subsets, so its cost follows the job count rather than the time magnitudes.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .model import Instance, Job, PreemptiveSchedule, peak_overlap
 
@@ -44,6 +45,8 @@ __all__ = [
     "ceil_frac",
 ]
 
+# No solver reads this: perfbench/workloads.py uses it to choose which
+# exact_small items check the strong density, so it stays while that does.
 DEFAULT_SLOT_CAP = 20
 DEFAULT_BNB_CAP = 12
 
@@ -60,38 +63,32 @@ def ceil_frac(x: Fraction | int) -> int:
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Pairwise-disjoint integer intervals ``[a, b]``, sorted ascending."""
+    """Pairwise-disjoint integer intervals ``[a, b]``, sorted ascending, with
+    touching intervals merged into maximal runs."""
 
     intervals: tuple[tuple[int, int], ...]
 
     def __init__(self, intervals: Iterable[tuple[int, int]]):
-        ivs = tuple(sorted((int(a), int(b)) for a, b in intervals))
+        ivs = sorted((int(a), int(b)) for a, b in intervals)
         if not ivs:
             raise ValueError("interval set must be non-empty")
         for a, b in ivs:
             if a >= b:
                 raise ValueError(f"degenerate interval [{a}, {b}]")
-        for (_, b1), (a2, _) in zip(ivs, ivs[1:]):
-            if a2 < b1:
+        runs = [ivs[0]]
+        for a, b in ivs[1:]:
+            if a < runs[-1][1]:
                 raise ValueError("intervals overlap")
-        object.__setattr__(self, "intervals", ivs)
+            if a == runs[-1][1]:
+                runs[-1] = (runs[-1][0], b)
+            else:
+                runs.append((a, b))
+        object.__setattr__(self, "intervals", tuple(runs))
 
     @classmethod
     def from_slots(cls, slots: Iterable[int]) -> "IntervalSet":
         """Merge unit slots into maximal runs."""
-        ordered = sorted(set(slots))
-        if not ordered:
-            raise ValueError("interval set must be non-empty")
-        runs = []
-        start = prev = ordered[0]
-        for t in ordered[1:]:
-            if t == prev + 1:
-                prev = t
-                continue
-            runs.append((start, prev + 1))
-            start = prev = t
-        runs.append((start, prev + 1))
-        return cls(runs)
+        return cls((t, t + 1) for t in set(slots))
 
     @property
     def length(self) -> int:
@@ -114,8 +111,9 @@ def contribution(job: Job, iset: IntervalSet) -> int:
 # Max-flow feasibility.
 # ---------------------------------------------------------------------------
 
-# The total work W below which the flow oracle is exact: scipy's maximum_flow
-# computes in int32, and no arc carries more than W, so capacities are clamped to W.
+# The flow value below which the flow oracle is exact: scipy's maximum_flow
+# computes in int32, and no arc carries more than the flow value, so
+# capacities are clamped to it.
 FLOW_WORK_LIMIT = 2**31
 
 
@@ -128,13 +126,18 @@ class FlowNetwork:
     runs between window breakpoints, so only slots intersecting some job
     window get a node (coordinate compression).  A segment of length L
     stands for L unit slots: a job feeds it up to L units, it drains
-    ``m * L`` to the sink.  Only those sink arcs depend on ``m``.
+    ``m * L`` to the sink.  Only those sink arcs depend on ``m``, which may
+    be a fraction: at ``m = num / den`` every capacity is scaled by ``den``,
+    so the flow saturates at ``work * den``.
     """
 
     segments: tuple[tuple[int, int], ...]
     job_arcs: tuple[tuple[int, int, int], ...]  # (job index, segment index, cap)
     work: int
-    graph: csr_matrix  # capacities at m = 1; the sink arcs are the last entries
+    # capacities at m = 1, each clamped to W, except the sink arcs (the last
+    # entries): they hold segment lengths clamped to int32, since at
+    # m = num / den < 1 a segment longer than W drains num * L < W * den
+    graph: csr_matrix
 
     @classmethod
     def build(cls, instance: Instance) -> "FlowNetwork":
@@ -156,20 +159,34 @@ class FlowNetwork:
         sink = 1 + n + k
         rows = [0] * n + [1 + ji for ji, _, _ in arcs] + list(range(1 + n, sink))
         cols = [*range(1, 1 + n), *(1 + n + si for _, si, _ in arcs), *[sink] * k]
-        caps = [j.processing for j in instance.jobs] + [c for _, _, c in arcs]
-        caps += [b - a for a, b in segments]
-        data = np.array([min(c, work) for c in caps], dtype=np.int32)
+        caps = [j.processing for j in instance.jobs] + [min(c, work) for _, _, c in arcs]
+        caps += [min(b - a, FLOW_WORK_LIMIT - 1) for a, b in segments]
+        data = np.array(caps, dtype=np.int32)
         graph = csr_matrix((data, (rows, cols)), shape=(sink + 1, sink + 1))
         return cls(segments, arcs, work, graph)
 
-    def solve(self, m: int) -> tuple[int, csr_matrix]:
-        """Max flow value on ``m`` machines and the flow matrix."""
+    def capacities(self, m: int | Fraction) -> csr_matrix:
+        """The capacities on ``m`` machines, scaled by ``m``'s denominator."""
+        num, den = m.numerator, m.denominator
+        limit = self.work * den
+        if limit >= FLOW_WORK_LIMIT:
+            raise EnumerationCapExceeded(
+                f"total work {self.work} at machine count {m} needs a flow of "
+                f"{limit}; the flow oracle is exact below "
+                f"2^{FLOW_WORK_LIMIT.bit_length() - 1}"
+            )
         k = len(self.segments)
         graph = self.graph.copy()
+        if den > 1:
+            graph.data[:-k] *= den
         # both factors are below 2^31, so the int64 product is exact
-        drain = min(m, self.work) * graph.data[-k:].astype(np.int64)
-        graph.data[-k:] = np.minimum(drain, self.work)
-        result = maximum_flow(graph, 0, graph.shape[0] - 1)
+        drain = min(num, limit) * graph.data[-k:].astype(np.int64)
+        graph.data[-k:] = np.minimum(drain, limit)
+        return graph
+
+    def solve(self, m: int) -> tuple[int, csr_matrix]:
+        """Max flow value on ``m`` machines and the flow matrix."""
+        result = maximum_flow(self.capacities(m), 0, self.graph.shape[0] - 1)
         return int(result.flow_value), result.flow
 
 
@@ -288,79 +305,55 @@ def optimal_witness(instance: Instance) -> tuple[int, PreemptiveSchedule]:
 
 
 # ---------------------------------------------------------------------------
-# Strong density: exhaustive enumeration over subsets of occupied unit slots.
+# Strong density: Dinkelbach's method over the flow network's min cuts.
 # ---------------------------------------------------------------------------
 
 
-def _occupied_slots(instance: Instance) -> list[int]:
-    slots: set[int] = set()
-    for job in instance.jobs:
-        slots.update(range(job.release, job.deadline))
-    return sorted(slots)
+def strong_density_witness(instance: Instance) -> tuple[Fraction, IntervalSet]:
+    """Strong density plus one maximizing interval set.
 
-
-def _density_scan(instance: Instance, slot_cap: int) -> tuple[Fraction, int, list[int]]:
-    """Shared enumeration: best contribution/length ratio over slot subsets.
-
-    Restricting to occupied slots is lossless: an unoccupied slot adds
-    nothing to any contribution but inflates the length.
+    At a fractional machine count ``λ`` the network's min cut is
+    ``W - max over segment sets S of [contribution(S) - λ |S|]`` (scaled by
+    ``λ``'s denominator), and the segments reachable from the source in the
+    residual graph form a maximizing ``S``.  Whole segments suffice: within
+    a segment that bracket is convex in the number of slots taken.
+    Dinkelbach's method starts from every occupied segment, sets ``λ`` to
+    the ratio of ``S`` and takes the min cut's ``S`` until the flow
+    saturates, that is, until no set beats ``λ``.  Each round raises ``λ``,
+    so the loop ends.
     """
     if instance.n == 0:
         raise ValueError("instance is empty")
-    slots = _occupied_slots(instance)
-    k = len(slots)
-    if k > slot_cap:
-        raise EnumerationCapExceeded(
-            f"instance too large for exact enumeration: {k} occupied slots "
-            f"exceed the cap of {slot_cap}"
-        )
-    masks = np.arange(1, 1 << k, dtype=np.uint64)
-    den = np.bitwise_count(masks).astype(np.int64)
-    num = np.zeros(masks.shape, dtype=np.int64)
-    for job in instance.jobs:
-        wmask = np.uint64(0)
-        for i, t in enumerate(slots):
-            if job.release <= t < job.deadline:
-                wmask |= np.uint64(1) << np.uint64(i)
-        covered = np.bitwise_count(masks & wmask).astype(np.int64)
-        num += np.maximum(covered - job.laxity, 0)
-    # Exact argmax of num/den: score by num * (K // den) with K = lcm(1..k),
-    # so ties in score are exact ties in value.
-    K = math.lcm(*range(1, k + 1))
-    score = num * (K // den)
-    best = int(np.argmax(score))
-    mask = best + 1  # masks start at 1
-    return Fraction(int(num[best]), int(den[best])), mask, slots
+    network = FlowNetwork.build(instance)
+    first = 1 + instance.n  # the node of segment 0; segments precede the sink
+    chosen = {si for _, si, _ in network.job_arcs}
+    while True:
+        iset = IntervalSet(network.segments[si] for si in chosen)
+        rho = Fraction(sum(contribution(j, iset) for j in instance.jobs), iset.length)
+        graph = network.capacities(rho)
+        result = maximum_flow(graph, 0, graph.shape[0] - 1)
+        if result.flow_value == network.work * rho.denominator:
+            return rho, iset
+        residual = graph - result.flow
+        residual.eliminate_zeros()
+        # the sink is unreachable at a maximum flow
+        reached = breadth_first_order(residual, 0, return_predecessors=False)
+        chosen = {v - first for v in reached.tolist() if v >= first}
 
 
-def strong_density_exact(
-    instance: Instance, slot_cap: int = DEFAULT_SLOT_CAP
-) -> Fraction:
+def strong_density_exact(instance: Instance) -> Fraction:
     """Maximum over non-empty unit-slot subsets of total contribution per
     unit length, as an exact fraction.
     """
-    value, _, _ = _density_scan(instance, slot_cap)
-    return value
+    return strong_density_witness(instance)[0]
 
 
-def strong_density_witness(
-    instance: Instance, slot_cap: int = DEFAULT_SLOT_CAP
-) -> tuple[Fraction, IntervalSet]:
-    """Strong density plus one maximizing interval set."""
-    value, mask, slots = _density_scan(instance, slot_cap)
-    chosen = [slots[i] for i in range(len(slots)) if mask >> i & 1]
-    return value, IntervalSet.from_slots(chosen)
-
-
-def check_strong_density_theorem(
-    instance: Instance, slot_cap: int = DEFAULT_SLOT_CAP
-) -> bool:
-    """Cross-validate the two optimum routes:
+def check_strong_density_theorem(instance: Instance) -> bool:
+    """Cross-check the min-cut search at fractional machine counts against
+    the optimum's search at integer ones:
     ``ceil(strong density) == flow-based optimum``.
     """
-    return ceil_frac(strong_density_exact(instance, slot_cap)) == optimum_preemptive(
-        instance
-    )
+    return ceil_frac(strong_density_exact(instance)) == optimum_preemptive(instance)
 
 
 # ---------------------------------------------------------------------------

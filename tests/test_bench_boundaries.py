@@ -1,19 +1,23 @@
-"""Every boundary the benchmark tracer instruments exists in machmin.
+"""Every name the benchmark uses exists in machmin.
 
 ``perfbench/tracer.py`` wraps each entry of its ``BOUNDARIES`` table: a
 class attribute must sit in the class's own ``__dict__`` (a subclass that
 inherits it would be wrapped on its base instead), and a module attribute
-must exist.  A refactor that renames or moves one fails here, not first in
-a traced benchmark run.
+must exist.  ``perfbench/workloads.py`` reads ``<module>.<name>`` off the
+machmin modules it imports.  A refactor that renames, moves or deletes one
+fails here, not first in a benchmark run.
 """
 
+import ast
+import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -40,3 +44,37 @@ def test_boundary_resolves(module, path, span):
         assert hasattr(owner, attr), f"{module} has no {attr}"
         target = getattr(owner, attr)
     assert callable(target) or isinstance(target, (classmethod, staticmethod))
+
+
+def _workload_reads():
+    """Every ``<machmin module>.<name>`` that perfbench/workloads.py reads."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {
+        alias.asname or alias.name: f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "machmin"
+        for alias in node.names
+    }
+    return sorted(
+        {
+            (modules[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        }
+    )
+
+
+WORKLOAD_READS = _workload_reads()
+
+
+def test_workloads_read_machmin_modules():
+    assert WORKLOAD_READS, "no machmin module attribute found in workloads.py"
+
+
+@pytest.mark.parametrize(
+    "module,attr", WORKLOAD_READS, ids=[f"{m}:{a}" for m, a in WORKLOAD_READS]
+)
+def test_workload_name_resolves(module, attr):
+    assert hasattr(importlib.import_module(module), attr), f"{module} has no {attr}"

@@ -81,6 +81,23 @@ def test_opt_cap_exit(tmp_path, capsys):
     assert main(["opt", "--nonpreemptive", str(path)]) == 3
 
 
+def test_opt_strong_density_beyond_twenty_slots(tmp_path, capsys):
+    path = tmp_path / "wide.txt"
+    path.write_text("machmin v1 1\n0 0 30 1\n")
+    assert main(["opt", "--strong-density", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "1/30"
+
+
+def test_opt_strong_density_cap_exit(tmp_path, capsys):
+    rows = ["machmin v1 3"] + [f"{i} 0 {2**30} 5" for i in range(3)]
+    path = tmp_path / "huge.txt"
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["opt", "--strong-density", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_bench_csv(capsys):
     code = main(
         [

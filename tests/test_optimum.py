@@ -248,6 +248,7 @@ def test_interval_set_invariants():
     with pytest.raises(ValueError):
         IntervalSet([(2, 2)])
     assert IntervalSet.from_slots([0, 1, 3]).intervals == ((0, 2), (3, 4))
+    assert IntervalSet([(2, 4), (0, 2), (5, 6)]).intervals == ((0, 4), (5, 6))
 
 
 def test_strong_density_examples():
@@ -271,10 +272,43 @@ def test_strong_density_matches_brute_force():
         assert strong_density_exact(inst) == brute_force_strong_density(inst)
 
 
-def test_strong_density_cap():
-    inst = Instance([Job(0, 0, 30, 1)])
+def test_strong_density_beyond_twenty_slots():
+    assert strong_density_exact(Instance([Job(0, 0, 30, 1)])) == Fraction(1, 30)
+
+
+def test_strong_density_across_a_gap():
+    inst = Instance([Job(0, 0, 2, 2), Job(1, 5, 7, 1)])
+    assert strong_density_exact(inst) == brute_force_strong_density(inst)
+
+
+def test_strong_density_at_large_windows():
+    small = Instance([Job(i, 0, 2**20, 5) for i in range(3)])
+    assert strong_density_exact(small) == Fraction(15, 2**20)
+    # the density's denominator 2^30 times W = 15 leaves int32; the
+    # optimum's integer search does not scale
+    large = Instance([Job(i, 0, 2**30, 5) for i in range(3)])
     with pytest.raises(EnumerationCapExceeded):
-        strong_density_exact(inst, slot_cap=20)
+        strong_density_exact(large)
+    assert optimum_preemptive(large) == 1
+
+
+@st.composite
+def small_job_lists(draw):
+    jobs = []
+    for i in range(draw(st.integers(1, 5))):
+        r = draw(st.integers(0, 4))
+        w = draw(st.integers(1, 4))
+        jobs.append(Job(i, r, r + w, draw(st.integers(1, w))))
+    return jobs
+
+
+@settings(max_examples=150, deadline=None)
+@given(jobs=small_job_lists())
+def test_strong_density_witness_property(jobs):
+    inst = Instance(jobs)
+    value, iset = strong_density_witness(inst)
+    assert value == brute_force_strong_density(inst)
+    assert sum(contribution(j, iset) for j in inst.jobs) == value * iset.length
 
 
 def test_strong_density_theorem_examples():
@@ -430,3 +464,18 @@ def test_flow_network_structure():
     assert arcs == {(0, 0): 1, (0, 1): 2, (1, 1): 2, (1, 2): 2}
     value, _flow = net.solve(2)
     assert value == inst.total_work
+
+
+def test_flow_network_fractional_capacities():
+    from scipy.sparse.csgraph import maximum_flow
+
+    from machmin.optimum import FlowNetwork
+
+    # one unit of work over four slots saturates at a quarter machine: the
+    # segment must drain all four scaled units, not its length clamped to W
+    net = FlowNetwork.build(Instance([Job(0, 0, 4, 1)]))
+    graph = net.capacities(Fraction(1, 4))
+    assert maximum_flow(graph, 0, graph.shape[0] - 1).flow_value == 4
+    # at a fifth of a machine the segment drains 4 of the 5 scaled units
+    graph = net.capacities(Fraction(1, 5))
+    assert maximum_flow(graph, 0, graph.shape[0] - 1).flow_value == 4
