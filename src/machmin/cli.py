@@ -189,11 +189,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    spec, name = POLICIES[args.policy], args.policy
-    if args.alpha is not None and not spec.alpha:
-        raise ValueError(f"policy {name!r} takes no --alpha")
-    if args.machines is not None and spec.needs != "machines":
-        raise ValueError(f"policy {name!r} takes no --machines")
+    if args.machines is not None and POLICIES[args.policy].needs != "machines":
+        raise ValueError(f"policy {args.policy!r} takes no --machines")
     instance = _read_instance(args.instance)
     run = run_policy(
         args.policy,

@@ -1,6 +1,12 @@
 """Special-case schedulers built from the base policies, and the Double
 reduction from the online to the semi-online problem.
 
+Every special-case scheduler is a row of ``COMPOSITES``: it splits the jobs
+into pools (loose/tight by alpha, or critical/non-critical on the p-grid),
+and each pool runs on its own ``ceil(factor * m)`` machines.  Its online form
+puts the pools that need m behind Double: one Double around the whole split
+when every pool does, else one around each pool that does.
+
 Every machine budget of the form ``factor * m`` is computed in exact
 rationals and ceiled once; ceilings are never compounded through floats.
 """
@@ -9,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Hashable, Mapping, Sequence
 
 from .engine import (
@@ -30,7 +37,6 @@ from .model import (
     NonpreemptiveSchedule,
     Tightness,
     classify_job,
-    scale_instance,
 )
 from .optimum import (
     ceil_frac,
@@ -45,7 +51,8 @@ __all__ = [
     "Double",
     "DoubleEpoch",
     "double_wrap",
-    "nonpreemptive_prefix_oracle",
+    "Composite",
+    "COMPOSITES",
     "agreeable_preemptive",
     "agreeable_preemptive_online",
     "agreeable_nonpreemptive",
@@ -68,6 +75,18 @@ __all__ = [
 
 def _budget(factor: Fraction | int, m: int) -> int:
     return ceil_frac(Fraction(factor) * m)
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ValueError(message)
+
+
+def _tightness(alpha: Fraction) -> Callable[[Job], str]:
+    """Router to the "loose" or the "tight" pool by tightness at release."""
+    return lambda job: (
+        "loose" if classify_job(job, alpha) is Tightness.LOOSE else "tight"
+    )
 
 
 class SplitScheduler(OnlinePolicy):
@@ -97,12 +116,7 @@ class SplitScheduler(OnlinePolicy):
         tight: OnlinePolicy,
         name: str | None = None,
     ) -> "SplitScheduler":
-        def route(job: Job) -> str:
-            return (
-                "loose" if classify_job(job, alpha) is Tightness.LOOSE else "tight"
-            )
-
-        return cls(route, {"loose": loose, "tight": tight}, name=name)
+        return cls(_tightness(alpha), {"loose": loose, "tight": tight}, name=name)
 
     def on_release(self, jobs: Sequence[Job], t: int) -> None:
         batches: dict[Hashable, list[Job]] = {}
@@ -162,13 +176,6 @@ class DoubleEpoch:
 # (released prefix, previous value) -> running optimum.  The optimum of a
 # growing prefix is monotone, so the previous value is a valid lower bound.
 PrefixOracle = Callable[[tuple[Job, ...], int], int]
-
-
-def nonpreemptive_prefix_oracle(jobs: tuple[Job, ...], lower: int) -> int:
-    """Exact non-preemptive running optimum of a released prefix, searched
-    upward from ``lower``, the previous prefix's optimum; at most
-    ``optimum.DEFAULT_BNB_CAP`` released jobs."""
-    return optimum_nonpreemptive_exact(Instance(jobs), lower=lower)
 
 
 class Double(SplitScheduler):
@@ -244,91 +251,6 @@ def double_wrap(
 
 
 # ---------------------------------------------------------------------------
-# Agreeable deadlines.
-# ---------------------------------------------------------------------------
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def _online_np_edf(alpha: Fraction) -> Double:
-    """The loose pool of the non-preemptive online schedulers: non-preemptive
-    EDF on ceil(m/(1-alpha)^2) machines, through Double with the exact
-    non-preemptive prefix oracle."""
-    factor = 1 / (1 - alpha) ** 2
-    return Double(
-        lambda semi_m: NonpreemptiveEDF(_budget(factor, semi_m)),
-        factor,
-        nonpreemptive_prefix_oracle,
-    )
-
-
-def agreeable_preemptive(
-    instance: Instance, m: int, alpha: Fraction = Fraction(1, 2)
-) -> SimulationRun:
-    """Loose jobs by EDF on ceil(m/(1-alpha)^2) machines, tight jobs by LLF
-    on ceil((4/alpha+6) m); 18m in total at alpha = 1/2."""
-    _require(instance.is_agreeable, "instance is not agreeable")
-    loose = EDF(_budget(1 / (1 - alpha) ** 2, m))
-    tight = LLF(_budget(4 / alpha + 6, m))
-    policy = SplitScheduler.by_tightness(alpha, loose, tight, name="agreeable-p")
-    return simulate(instance, policy)
-
-
-def agreeable_preemptive_online(
-    instance: Instance, alpha: Fraction = Fraction(1, 2)
-) -> SimulationRun:
-    _require(instance.is_agreeable, "instance is not agreeable")
-    factor = 1 / (1 - alpha) ** 2 + 4 / alpha + 6  # 18 at alpha = 1/2
-
-    def factory(semi_m: int) -> OnlinePolicy:
-        return SplitScheduler.by_tightness(
-            alpha,
-            EDF(_budget(1 / (1 - alpha) ** 2, semi_m)),
-            LLF(_budget(4 / alpha + 6, semi_m)),
-        )
-
-    return double_wrap(instance, factory, factor, name="agreeable-p-online")
-
-
-def agreeable_nonpreemptive(
-    instance: Instance, m: int, alpha: Fraction = Fraction(1, 2)
-) -> SimulationRun:
-    """Loose jobs by non-preemptive EDF on ceil(m/(1-alpha)^2), tight jobs by
-    MediumFit; 9m in total at alpha = 1/2.
-
-    The instance is pre-scaled by 2 so every MediumFit midpoint is integral;
-    the returned run (and its trace times) live on the scaled instance.
-    """
-    _require(instance.is_agreeable, "instance is not agreeable")
-    scaled = scale_instance(instance, 2)
-    policy = SplitScheduler.by_tightness(
-        alpha,
-        NonpreemptiveEDF(_budget(1 / (1 - alpha) ** 2, m)),
-        MediumFit(),
-        name="agreeable-np",
-    )
-    return simulate(scaled, policy)
-
-
-def agreeable_nonpreemptive_online(
-    instance: Instance, alpha: Fraction = Fraction(1, 3)
-) -> SimulationRun:
-    """MediumFit is already online; the loose pool goes through Double with
-    the non-preemptive prefix oracle.  16m in total at alpha = 1/3."""
-    _require(instance.is_agreeable, "instance is not agreeable")
-    policy = SplitScheduler.by_tightness(
-        alpha,
-        _online_np_edf(alpha),
-        MediumFit(),
-        name="agreeable-np-online",
-    )
-    return simulate(scale_instance(instance, 2), policy)
-
-
-# ---------------------------------------------------------------------------
 # Equal processing times.
 # ---------------------------------------------------------------------------
 
@@ -388,41 +310,6 @@ class _NonCriticalBatch(OnlinePolicy):
             for j in active
             if j in self._starts and self._starts[j] <= t
         }
-
-
-def _equal_p_split(p: int, noncritical: OnlinePolicy, name: str) -> SplitScheduler:
-    """Critical jobs via EarlyFit on a dedicated pool, the others to
-    ``noncritical``."""
-    return SplitScheduler(
-        lambda job: "critical" if is_critical(job, p) else "noncritical",
-        {"critical": EarlyFit(), "noncritical": noncritical},
-        name=name,
-    )
-
-
-def equal_p_nonpreemptive_semi_run(instance: Instance, m: int) -> SimulationRun:
-    """Critical jobs via EarlyFit on a dedicated pool, non-critical jobs
-    rounded to the p-grid and batch-scheduled 2m at a time; 4m in total."""
-    p = _equal_p(instance)
-    policy = _equal_p_split(p, _NonCriticalBatch(p, 2 * m), "equalp-semi")
-    return simulate(instance, policy)
-
-
-def equal_p_nonpreemptive_semi(instance: Instance, m: int) -> NonpreemptiveSchedule:
-    run = equal_p_nonpreemptive_semi_run(instance, m)
-    return run.to_nonpreemptive_schedule()
-
-
-def equal_p_nonpreemptive_online(instance: Instance) -> SimulationRun:
-    """Online variant: EarlyFit needs no optimum; the batch pool (factor 2)
-    goes through Double, giving 4*2 + 2 = 10 in total."""
-    p = _equal_p(instance)
-    batches = Double(
-        lambda semi_m: _NonCriticalBatch(p, 2 * semi_m),
-        2,
-        nonpreemptive_prefix_oracle,
-    )
-    return simulate(instance, _equal_p_split(p, batches, "equalp-np-online"))
 
 
 def equal_p_offline_approx(instance: Instance) -> NonpreemptiveSchedule:
@@ -525,6 +412,7 @@ def equal_p_online(
     c: Fraction | None = None,
 ) -> SimulationRun:
     """Equal-p fully online scheduler; factor c + 1/alpha + 1 (about 9.38)."""
+    _require(0 < alpha < 1, f"alpha must lie in (0, 1), got {alpha}")
     p = _equal_p(instance)
     if c is None:
         c = equal_p_online_budget_factor(alpha)
@@ -532,49 +420,160 @@ def equal_p_online(
 
 
 # ---------------------------------------------------------------------------
-# Uniform deadlines.
+# Composites: one row of the table per special-case scheduler.
 # ---------------------------------------------------------------------------
 
-
-def uniform_deadline_preemptive(instance: Instance, m: int) -> SimulationRun:
-    """LLF on exactly m machines; 1-competitive."""
-    _require(instance.is_uniform_deadline, "deadlines are not uniform")
-    policy = LLF(m)
-    policy.name = "uniform-p"
-    return simulate(instance, policy)
+Router = Callable[[Job], Hashable]
+# pool -> (constructor, factor): the pool runs make(ceil(factor * m)), or
+# make() when the factor is None and the pool needs no optimum.
+Pools = Mapping[Hashable, tuple[Callable[..., OnlinePolicy], Fraction | int | None]]
 
 
-def uniform_deadline_preemptive_online(instance: Instance) -> SimulationRun:
-    _require(instance.is_uniform_deadline, "deadlines are not uniform")
-    return double_wrap(instance, LLF, 1, name="uniform-p-online")
+def _assemble(
+    route: Router | None, pools: Mapping, name: str | None = None
+) -> OnlinePolicy:
+    """The single pool itself when there is no router, else the split."""
+    if route is not None:
+        return SplitScheduler(route, pools, name=name)
+    (policy,) = pools.values()
+    if name:
+        policy.name = name
+    return policy
 
 
-def uniform_deadline_nonpreemptive(
-    instance: Instance, m: int, alpha: Fraction = Fraction(1, 3)
-) -> SimulationRun:
-    """Tight jobs via EarlyFit (at most ceil(1/alpha) m machines), loose jobs
-    via busy non-preemptive EDF on ceil(m/(1-alpha)^2); 5.25m at alpha=1/3."""
-    _require(instance.is_uniform_deadline, "deadlines are not uniform")
-    policy = SplitScheduler.by_tightness(
-        alpha,
-        NonpreemptiveEDF(_budget(1 / (1 - alpha) ** 2, m)),
-        EarlyFit(),
-        name="uniform-np",
+def _build(pools: Pools, m: int) -> dict[Hashable, OnlinePolicy]:
+    return {
+        key: make() if factor is None else make(_budget(factor, m))
+        for key, (make, factor) in pools.items()
+    }
+
+
+def _exact_prefix(jobs: tuple[Job, ...], lower: int) -> int:
+    """Exact non-preemptive running optimum of a released prefix, searched
+    upward from ``lower``.  The solver is a module global looked up at call
+    time, so that a wrapper put on it after import sees every solve."""
+    return optimum_nonpreemptive_exact(Instance(jobs), lower=lower)
+
+
+@dataclass(frozen=True)
+class Composite:
+    """One special-case scheduler.  ``parts(instance, alpha)`` checks the
+    instance's profile and returns a router (None for a single pool) and the
+    ``Pools``.  The default alphas are None where the composite takes none;
+    every time is multiplied by ``scale`` before the run; ``oracle`` gives
+    the running optimum to the online form's Doubles."""
+
+    name: str
+    parts: Callable[[Instance, Fraction | None], tuple[Router | None, Pools]]
+    semi_alpha: Fraction | None = None
+    online_alpha: Fraction | None = None
+    scale: int = 1
+    oracle: PrefixOracle = min_machines
+
+    def _parts(
+        self, instance: Instance, alpha: Fraction | None, default: Fraction | None
+    ) -> tuple[Router | None, Pools]:
+        if default is not None:
+            alpha = default if alpha is None else alpha
+            _require(0 < alpha < 1, f"alpha must lie in (0, 1), got {alpha}")
+        return self.parts(instance, alpha)
+
+    def semi(self, instance: Instance, m: int, alpha=None) -> SimulationRun:
+        """Each pool on ``ceil(factor * m)`` machines, ``m`` the optimum."""
+        route, pools = self._parts(instance, alpha, self.semi_alpha)
+        policy = _assemble(route, _build(pools, m), self.name)
+        return simulate(instance, policy, self.scale)
+
+    def online(self, instance: Instance, alpha=None) -> SimulationRun:
+        """One Double around the whole split when every pool has a factor,
+        else one around each pool that has one."""
+        route, pools = self._parts(instance, alpha, self.online_alpha)
+
+        def double(route: Router | None, pools: Pools, name: str | None = None):
+            factor = sum(f for _, f in pools.values())
+            factory = lambda semi_m: _assemble(route, _build(pools, semi_m))
+            return Double(factory, factor, self.oracle, name=name)
+
+        name = f"{self.name}-online"
+        if all(f is not None for _, f in pools.values()):
+            return simulate(instance, double(route, pools, name), self.scale)
+        doubled = {
+            key: make() if f is None else double(None, {key: (make, f)})
+            for key, (make, f) in pools.items()
+        }
+        return simulate(instance, _assemble(route, doubled, name), self.scale)
+
+
+def _agreeable_p(instance: Instance, alpha: Fraction):
+    _require(instance.is_agreeable, "instance is not agreeable")
+    loose, tight = (EDF, 1 / (1 - alpha) ** 2), (LLF, 4 / alpha + 6)
+    return _tightness(alpha), {"loose": loose, "tight": tight}
+
+
+def _agreeable_np(instance: Instance, alpha: Fraction):
+    _require(instance.is_agreeable, "instance is not agreeable")
+    loose, tight = (NonpreemptiveEDF, 1 / (1 - alpha) ** 2), (MediumFit, None)
+    return _tightness(alpha), {"loose": loose, "tight": tight}
+
+
+def _equal_p_parts(instance: Instance, _alpha: None):
+    """Critical jobs by EarlyFit; the others rounded to the p-grid and
+    batch-scheduled 2m at a time."""
+    p = _equal_p(instance)
+    critical, batches = (EarlyFit, None), (partial(_NonCriticalBatch, p), 2)
+    return (
+        lambda job: "critical" if is_critical(job, p) else "noncritical",
+        {"critical": critical, "noncritical": batches},
     )
-    return simulate(instance, policy)
 
 
-def uniform_deadline_nonpreemptive_online(
-    instance: Instance, alpha: Fraction = Fraction(1, 4)
-) -> SimulationRun:
-    """EarlyFit is already online; Double wraps the loose EDF pool.  The
-    factor 4/(1-alpha)^2 + ceil(1/alpha) is optimized at alpha = 1/4 (11 1/9).
-    """
+def _uniform_p(instance: Instance, _alpha: None):
     _require(instance.is_uniform_deadline, "deadlines are not uniform")
-    policy = SplitScheduler.by_tightness(
-        alpha,
-        _online_np_edf(alpha),
-        EarlyFit(),
-        name="uniform-np-online",
+    return None, {"": (LLF, 1)}
+
+
+def _uniform_np(instance: Instance, alpha: Fraction):
+    _require(instance.is_uniform_deadline, "deadlines are not uniform")
+    loose, tight = (NonpreemptiveEDF, 1 / (1 - alpha) ** 2), (EarlyFit, None)
+    return _tightness(alpha), {"loose": loose, "tight": tight}
+
+
+# In a split by alpha, loose jobs run by EDF (preemptive or not) on
+# ceil(m/(1-alpha)^2) machines.  agreeable-np runs scaled by 2, so that every
+# MediumFit midpoint is integral.
+COMPOSITES: dict[str, Composite] = {
+    row.name: row
+    for row in (
+        # 18m at alpha = 1/2; the online form's Double has factor 18
+        Composite("agreeable-p", _agreeable_p, Fraction(1, 2), Fraction(1, 2)),
+        # 9m at alpha = 1/2 / 16m online at alpha = 1/3
+        Composite(
+            "agreeable-np", _agreeable_np, Fraction(1, 2), Fraction(1, 3),
+            scale=2, oracle=_exact_prefix,
+        ),
+        # 4m / 10m online
+        Composite("equalp-semi", _equal_p_parts, oracle=_exact_prefix),
+        # m: LLF is 1-competitive on uniform deadlines
+        Composite("uniform-p", _uniform_p),
+        # 5.25m at alpha = 1/3 / 11 1/9 m online at alpha = 1/4
+        Composite(
+            "uniform-np", _uniform_np, Fraction(1, 3), Fraction(1, 4),
+            oracle=_exact_prefix,
+        ),
     )
-    return simulate(instance, policy)
+}
+
+agreeable_preemptive = COMPOSITES["agreeable-p"].semi
+agreeable_preemptive_online = COMPOSITES["agreeable-p"].online
+agreeable_nonpreemptive = COMPOSITES["agreeable-np"].semi
+agreeable_nonpreemptive_online = COMPOSITES["agreeable-np"].online
+equal_p_nonpreemptive_semi_run = COMPOSITES["equalp-semi"].semi
+equal_p_nonpreemptive_online = COMPOSITES["equalp-semi"].online
+uniform_deadline_preemptive = COMPOSITES["uniform-p"].semi
+uniform_deadline_preemptive_online = COMPOSITES["uniform-p"].online
+uniform_deadline_nonpreemptive = COMPOSITES["uniform-np"].semi
+uniform_deadline_nonpreemptive_online = COMPOSITES["uniform-np"].online
+
+
+def equal_p_nonpreemptive_semi(instance: Instance, m: int) -> NonpreemptiveSchedule:
+    return equal_p_nonpreemptive_semi_run(instance, m).to_nonpreemptive_schedule()

@@ -21,6 +21,7 @@ from .model import (
     NonpreemptiveSchedule,
     PreemptiveSchedule,
     laxity,
+    scale_instance,
 )
 
 __all__ = [
@@ -273,6 +274,7 @@ class SimulationRun:
     peak_budget: int
     starts: Mapping[int, int] | None = None  # see OnlinePolicy
     extras: Mapping[str, object] = field(default_factory=dict)
+    scale: int = 1  # ``instance`` is the given one, every time multiplied by this
 
     @property
     def first_miss(self) -> tuple[int, int] | None:
@@ -280,13 +282,13 @@ class SimulationRun:
 
     def to_preemptive_schedule(self) -> PreemptiveSchedule:
         return PreemptiveSchedule(
-            {t: ids for t, ids in enumerate(self.slots) if ids}
+            {t: ids for t, ids in enumerate(self.slots) if ids}, self.scale
         )
 
     def to_nonpreemptive_schedule(self) -> NonpreemptiveSchedule:
         if self.starts is None:
             raise ValueError("run has no committed starts")
-        return NonpreemptiveSchedule(self.starts)
+        return NonpreemptiveSchedule(self.starts, self.scale)
 
 
 class Simulation:
@@ -382,7 +384,7 @@ class Simulation:
                 break
             self.step()
 
-    def finish(self, instance: Instance) -> SimulationRun:
+    def finish(self, instance: Instance, scale: int = 1) -> SimulationRun:
         machines = self.policy.machines_used()
         starts = self.policy.starts()
         return SimulationRun(
@@ -396,15 +398,21 @@ class Simulation:
             peak_budget=self.peak_budget,
             starts=dict(starts) if starts else None,
             extras=self.policy.extras(),
+            scale=scale,
         )
 
 
-def simulate(instance: Instance, policy: OnlinePolicy) -> SimulationRun:
-    """Run a policy over a full instance, stepping t = 0 .. d_max - 1."""
+def simulate(
+    instance: Instance, policy: OnlinePolicy, scale: int = 1
+) -> SimulationRun:
+    """Run a policy over a full instance, stepping t = 0 .. d_max - 1; with
+    ``scale``, over the instance with every time multiplied by it."""
+    if scale != 1:
+        instance = scale_instance(instance, scale)
     sim = Simulation(policy)
     sim.add_jobs(instance.jobs)
     sim.run_until(instance.d_max)
-    return sim.finish(instance)
+    return sim.finish(instance, scale)
 
 
 def check_busy(run: SimulationRun, budget: int) -> bool:

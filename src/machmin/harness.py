@@ -15,19 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .adversary import GeneratedInstance, gen_random
-from .composite import (
-    agreeable_nonpreemptive,
-    agreeable_nonpreemptive_online,
-    agreeable_preemptive,
-    agreeable_preemptive_online,
-    equal_p_nonpreemptive_online,
-    equal_p_nonpreemptive_semi_run,
-    equal_p_online,
-    uniform_deadline_nonpreemptive,
-    uniform_deadline_nonpreemptive_online,
-    uniform_deadline_preemptive,
-    uniform_deadline_preemptive_online,
-)
+from .composite import COMPOSITES, equal_p_online
 from .engine import EDF, LLF, EarlyFit, MediumFit, NonpreemptiveEDF, SimulationRun, simulate
 from .logn import logn_schedule
 from .model import (
@@ -67,66 +55,42 @@ class PolicySpec:
 
     ``needs`` names the number the policy cannot run without: an explicit
     machine budget (``"machines"``), the optimum (``"m"``), or nothing.
-    ``run(instance, number, alpha_kw)`` runs the policy with that number;
-    ``online(instance, alpha_kw)``, where the policy has an online form, runs
-    it without the optimum.  ``alpha`` says whether it reads ``alpha_kw``.
+    ``run(instance, number)`` runs the policy with that number;
+    ``online(instance)``, where the policy has an online form, runs it
+    without the optimum.  Where ``alpha`` is set, both also take ``alpha=``.
     """
 
     needs: str | None
-    run: Callable[[Instance, int | None, dict], SimulationRun]
-    online: Callable[[Instance, dict], SimulationRun] | None = None
+    run: Callable[..., SimulationRun]
+    online: Callable[..., SimulationRun] | None = None
     alpha: bool = False
 
 
 def _mediumfit(instance: Instance) -> SimulationRun:
-    if any(job.laxity % 2 for job in instance.jobs):
-        instance = scale_instance(instance, 2)
-    return simulate(instance, MediumFit())
+    scale = 2 if any(job.laxity % 2 for job in instance.jobs) else 1
+    return simulate(instance, MediumFit(), scale)
 
 
-# The callables name their targets at call time, so that a module global
-# rebound after import (a wrapper, a stub) is what runs.
+# The lambdas name their targets at call time, so that a module global
+# rebound after import (a wrapper, a stub) is what runs.  The composites are
+# the rows of ``composite.COMPOSITES``.
 POLICIES: dict[str, PolicySpec] = {
-    "edf": PolicySpec("machines", lambda inst, k, kw: simulate(inst, EDF(k))),
-    "llf": PolicySpec("machines", lambda inst, k, kw: simulate(inst, LLF(k))),
-    "earlyfit": PolicySpec(None, lambda inst, _, kw: simulate(inst, EarlyFit())),
-    "mediumfit": PolicySpec(None, lambda inst, _, kw: _mediumfit(inst)),
+    "edf": PolicySpec("machines", lambda inst, k: simulate(inst, EDF(k))),
+    "llf": PolicySpec("machines", lambda inst, k: simulate(inst, LLF(k))),
+    "earlyfit": PolicySpec(None, lambda inst, _: simulate(inst, EarlyFit())),
+    "mediumfit": PolicySpec(None, lambda inst, _: _mediumfit(inst)),
     "edf-np": PolicySpec(
-        "machines", lambda inst, k, kw: simulate(inst, NonpreemptiveEDF(k))
+        "machines", lambda inst, k: simulate(inst, NonpreemptiveEDF(k))
     ),
-    "agreeable-p": PolicySpec(
-        "m",
-        lambda inst, m, kw: agreeable_preemptive(inst, m, **kw),
-        lambda inst, kw: agreeable_preemptive_online(inst, **kw),
-        alpha=True,
-    ),
-    "agreeable-np": PolicySpec(
-        "m",
-        lambda inst, m, kw: agreeable_nonpreemptive(inst, m, **kw),
-        lambda inst, kw: agreeable_nonpreemptive_online(inst, **kw),
-        alpha=True,
-    ),
-    "equalp-semi": PolicySpec(
-        "m",
-        lambda inst, m, kw: equal_p_nonpreemptive_semi_run(inst, m),
-        lambda inst, kw: equal_p_nonpreemptive_online(inst),
-    ),
+    **{
+        name: PolicySpec("m", row.semi, row.online, alpha=row.semi_alpha is not None)
+        for name, row in COMPOSITES.items()
+    },
     "equalp-online": PolicySpec(
-        None, lambda inst, _, kw: equal_p_online(inst, **kw), alpha=True
-    ),
-    "uniform-p": PolicySpec(
-        "m",
-        lambda inst, m, kw: uniform_deadline_preemptive(inst, m),
-        lambda inst, kw: uniform_deadline_preemptive_online(inst),
-    ),
-    "uniform-np": PolicySpec(
-        "m",
-        lambda inst, m, kw: uniform_deadline_nonpreemptive(inst, m, **kw),
-        lambda inst, kw: uniform_deadline_nonpreemptive_online(inst, **kw),
-        alpha=True,
+        None, lambda inst, _, **kw: equal_p_online(inst, **kw), alpha=True
     ),
     "logn": PolicySpec(
-        "m", lambda inst, m, kw: logn_schedule(inst, m, **kw), alpha=True
+        "m", lambda inst, m, **kw: logn_schedule(inst, m, **kw), alpha=True
     ),
 }
 
@@ -146,9 +110,11 @@ def run_policy(
     spec = POLICIES.get(name)
     if spec is None:
         raise ValueError(f"unknown policy {name!r}; known: {', '.join(POLICIES)}")
+    if alpha is not None and not spec.alpha:
+        raise ValueError(f"policy {name!r} takes no --alpha")
     alpha_kw = {} if alpha is None else {"alpha": alpha}
     if online and spec.online is not None:
-        return spec.online(instance, alpha_kw)
+        return spec.online(instance, **alpha_kw)
     if spec.needs == "machines" and machines is None:
         raise ValueError(f"policy {name!r} needs an explicit --machines")
     if spec.needs == "m" and m is None:
@@ -156,7 +122,7 @@ def run_policy(
         raise ValueError(f"policy {name!r} needs the optimum via --m{hint}")
     if online and spec.needs == "m":
         raise ValueError(f"policy {name!r} has no online form; drop --online")
-    return spec.run(instance, machines if spec.needs == "machines" else m, alpha_kw)
+    return spec.run(instance, machines if spec.needs == "machines" else m, **alpha_kw)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +355,7 @@ def verify(
     """
     instance = parse_instance(instance_text)
     schedule = parse_trace(trace_text)
+    instance = scale_instance(instance, schedule.scale)
     actual = (
         "preemptive" if isinstance(schedule, PreemptiveSchedule) else "nonpreemptive"
     )

@@ -10,6 +10,7 @@ values; feasibility logic never touches floating point.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -176,16 +177,19 @@ class PreemptiveSchedule:
     """Slot-level assignments: slot ``t`` maps to the set of job ids run in
     ``[t, t+1)``.  Machine identities are implicit; any per-slot bijection
     onto machines ``1..|set|`` is valid because migration is free.
+    ``scale``: the times are those of the instance scaled by this factor.
     """
 
     assignments: Mapping[int, frozenset[int]]
+    scale: int = 1
 
-    def __init__(self, assignments: Mapping[int, Iterable[int]]):
+    def __init__(self, assignments: Mapping[int, Iterable[int]], scale: int = 1):
         object.__setattr__(
             self,
             "assignments",
             {t: frozenset(ids) for t, ids in assignments.items() if ids},
         )
+        object.__setattr__(self, "scale", scale)
 
     @property
     def machines_used(self) -> int:
@@ -194,12 +198,15 @@ class PreemptiveSchedule:
 
 @dataclass(frozen=True)
 class NonpreemptiveSchedule:
-    """Start-time assignments: job id maps to its committed start slot."""
+    """Start-time assignments: job id maps to its committed start slot.
+    ``scale`` as for ``PreemptiveSchedule``."""
 
     starts: Mapping[int, int]
+    scale: int = 1
 
-    def __init__(self, starts: Mapping[int, int]):
+    def __init__(self, starts: Mapping[int, int], scale: int = 1):
         object.__setattr__(self, "starts", dict(starts))
+        object.__setattr__(self, "scale", scale)
 
 
 @dataclass(frozen=True)
@@ -349,11 +356,14 @@ def validate_nonpreemptive(
 # Instance: line 1 "machmin v1 <n>"; then n rows "<id> <r> <d> <p>"
 # (ASCII decimal, single spaces, LF).
 #
-# Trace: line 1 "trace preemptive" or "trace nonpreemptive"; then rows
-# "<t> <job-id>" (preemptive) or "<job-id> <start>" (non-preemptive).
+# Trace: line 1 "trace preemptive" or "trace nonpreemptive", followed by
+# " scale <k>" when the times are those of the instance scaled by k > 1;
+# then rows "<t> <job-id>" (preemptive) or "<job-id> <start>"
+# (non-preemptive).
 # ---------------------------------------------------------------------------
 
 _MAGIC = "machmin v1"
+_TRACE_HEADER = r"trace (preemptive|nonpreemptive)(?: scale ([1-9]\d*))?"
 
 
 def parse_instance(text: str) -> Instance:
@@ -407,12 +417,13 @@ def serialize_instance(instance: Instance) -> str:
 def serialize_trace(
     schedule: PreemptiveSchedule | NonpreemptiveSchedule,
 ) -> str:
+    kind = "preemptive" if isinstance(schedule, PreemptiveSchedule) else "nonpreemptive"
+    scale = f" scale {schedule.scale}" if schedule.scale != 1 else ""
+    rows = [f"trace {kind}{scale}"]
     if isinstance(schedule, PreemptiveSchedule):
-        rows = ["trace preemptive"]
         for t in sorted(schedule.assignments):
             rows.extend(f"{t} {job_id}" for job_id in sorted(schedule.assignments[t]))
     else:
-        rows = ["trace nonpreemptive"]
         rows.extend(
             f"{job_id} {schedule.starts[job_id]}"
             for job_id in sorted(schedule.starts)
@@ -424,9 +435,10 @@ def parse_trace(text: str) -> PreemptiveSchedule | NonpreemptiveSchedule:
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty input")
-    header = lines[0]
-    if header not in ("trace preemptive", "trace nonpreemptive"):
+    header = re.fullmatch(_TRACE_HEADER, lines[0])
+    if header is None:
         raise ParseError(1, "expected 'trace preemptive' or 'trace nonpreemptive'")
+    kind, scale = header[1], int(header[2] or 1)
     pairs = []
     for lineno, row in enumerate(lines[1:], start=2):
         fields = row.split(" ")
@@ -436,19 +448,19 @@ def parse_trace(text: str) -> PreemptiveSchedule | NonpreemptiveSchedule:
             pairs.append((int(fields[0]), int(fields[1])))
         except ValueError:
             raise ParseError(lineno, f"non-integer field in {row!r}") from None
-    if header == "trace preemptive":
+    if kind == "preemptive":
         slots: dict[int, set[int]] = {}
         for lineno, (t, job_id) in enumerate(pairs, start=2):
             if job_id in slots.setdefault(t, set()):
                 raise ParseError(lineno, f"job {job_id} appears twice in slot {t}")
             slots[t].add(job_id)
-        return PreemptiveSchedule(slots)
+        return PreemptiveSchedule(slots, scale)
     starts: dict[int, int] = {}
     for lineno, (job_id, start) in enumerate(pairs, start=2):
         if job_id in starts:
             raise ParseError(lineno, f"duplicate start for job {job_id}")
         starts[job_id] = start
-    return NonpreemptiveSchedule(starts)
+    return NonpreemptiveSchedule(starts, scale)
 
 
 def scale_instance(instance: Instance, factor: int) -> Instance:

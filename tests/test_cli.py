@@ -215,6 +215,33 @@ def test_run_refuses_options_the_policy_does_not_take(
     assert captured.err == f"error: {message}" and captured.out == ""
 
 
+@pytest.mark.parametrize("alpha", ["0", "1", "3/2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--policy", "agreeable-p", "--m", "2"],
+        ["--policy", "agreeable-np", "--m", "2"],
+        ["--policy", "uniform-np", "--m", "2"],
+        ["--policy", "equalp-online"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_run_refuses_alpha_out_of_range(argv, alpha, feasible_file, capsys):
+    assert main(["run", *argv, "--alpha", alpha, feasible_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: alpha must lie in (0, 1), got {alpha}\n"
+    assert captured.out == ""
+
+
+def test_scaled_run_verifies_against_the_given_instance(feasible_file, tmp_path, capsys):
+    assert main(["run", "--policy", "agreeable-np", "--m", "2", feasible_file]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("trace nonpreemptive scale 2\n")
+    trace = tmp_path / "trace.txt"
+    trace.write_text(out)
+    assert main(["verify", feasible_file, str(trace)]) == 0
+
+
 def test_work_beyond_the_flow_limit_exits_3(tmp_path, capsys):
     path = tmp_path / "big.txt"
     path.write_text(f"machmin v1 2\n0 0 {2**31} {2**31 - 1}\n1 0 {2**31} 1\n")

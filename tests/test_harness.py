@@ -5,6 +5,7 @@ import pytest
 
 from machmin.adversary import gen_random
 from machmin.cli import main
+from machmin.composite import COMPOSITES
 from machmin.harness import (
     POLICIES,
     CampaignConfig,
@@ -192,10 +193,20 @@ def test_policy_table_entry(name, online, tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text(capsys.readouterr().out)
     assert code == (0 if run.first_miss is None else 1)
-    # agreeable-np and mediumfit run on the 2-scaled instance; their traces
-    # live on the instance the run used
-    inst.write_text(serialize_instance(run.instance))
+    # a run on the 2-scaled instance names its scale in the trace header,
+    # so its trace verifies against the given instance
     assert main(["verify", str(inst), str(trace)]) == code
+
+
+@pytest.mark.parametrize("key", list(COMPOSITES))
+def test_composite_row_is_a_policy_entry(key):
+    row, spec = COMPOSITES[key], POLICIES[key]
+    assert spec.needs == "m" and spec.online is not None
+    assert spec.alpha == (row.semi_alpha is not None) == (row.online_alpha is not None)
+    generated = gen_random(PROFILE_FOR[key], 6, 0)
+    run = run_policy(key, generated.instance, m=generated.m_opt)
+    assert run.policy_name == key
+    assert run_policy(key, generated.instance, online=True).policy_name == f"{key}-online"
 
 
 def test_bench_equalp_online_replays():

@@ -171,6 +171,16 @@ def test_trace_roundtrip():
     assert parse_trace(text).starts == np_sched.starts
 
 
+def test_trace_names_its_scale():
+    sched = NonpreemptiveSchedule({0: 2}, scale=2)
+    text = serialize_trace(sched)
+    assert text == "trace nonpreemptive scale 2\n0 2\n"
+    assert parse_trace(text) == sched
+    for header in ("trace preemptive scale 0", "trace preemptive scale", "trace nonpreemptive x"):
+        with pytest.raises(ParseError):
+            parse_trace(header + "\n")
+
+
 def test_scale_instance():
     inst = Instance([Job(0, 1, 5, 2)])
     scaled = scale_instance(inst, 2)
