@@ -417,19 +417,28 @@ def simulate(
 
 def check_busy(run: SimulationRun, budget: int) -> bool:
     """True iff at every step either the whole budget is used or every
-    active job with non-negative laxity is being processed."""
-    remaining = {job.id: job.processing for job in run.instance.jobs}
+    active job with non-negative laxity is being processed.
+
+    Jobs are swept in release order.  A released job leaves the sweep for
+    good once it is finished, past its deadline or of negative laxity: a
+    slot lowers its laxity by one unless it runs, then keeps it."""
+    jobs = sorted(run.instance.jobs, key=lambda job: job.release)
+    remaining = {job.id: job.processing for job in jobs}
+    live: list[Job] = []
+    released = 0
     for t, processed in enumerate(run.slots):
+        while released < len(jobs) and jobs[released].release <= t:
+            live.append(jobs[released])
+            released += 1
         if len(processed) < budget:
-            for job in run.instance.jobs:
+            kept = []
+            for job in live:
                 rem = remaining[job.id]
-                if (
-                    job.release <= t < job.deadline
-                    and rem > 0
-                    and job.deadline - t - rem >= 0
-                    and job.id not in processed
-                ):
-                    return False
+                if t < job.deadline and rem > 0 and job.deadline - t - rem >= 0:
+                    if job.id not in processed:
+                        return False
+                    kept.append(job)
+            live = kept
         for j in processed:
             remaining[j] -= 1
     return True

@@ -9,6 +9,18 @@ Always-tight (*critical*) jobs are packed into groups whose members can
 nest inside each other's laxity, and each group is split round-robin over
 enough machines that no critical job ever loses more than a constant
 fraction of its original laxity.
+
+The pool's optimum m(L) is kept without a flow solve while it cannot
+change.  The policy holds the future part of a feasible schedule of the
+pool on m(L) machines as ``[a, b, load]`` segments: a load fits a segment
+when it is at most m(L)·(b - a) and no job has more than b - a of it, so
+McNaughton's wrap-around rule packs it.  At an admission the segments are
+cut at t and at each new deadline (``cut_load``), and the new residues, in
+(deadline, id) order, fill the earliest segments first, each taking at
+most b - a of a segment.  If all of them fit, the pool is feasible on m(L)
+machines, and m(L) cannot fall as the pool grows, so it stands.  Otherwise
+the flow search finds the new m(L), and one solve at it gives the
+segments again, from the flow on the segment-to-sink arcs.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from typing import Mapping, Sequence
 
 from .engine import OnlinePolicy, SimulationRun, edf_key, edf_select, simulate
 from .model import Instance, Job, JobState
-from .optimum import ceil_frac, min_machines
+from .optimum import FLOW_WORK_LIMIT, FlowNetwork, ceil_frac, min_machines
 
 __all__ = [
     "LAXITY_FLOOR",
@@ -30,6 +42,7 @@ __all__ = [
     "reclassify",
     "build_groups",
     "split_group",
+    "cut_load",
     "LogNPolicy",
     "logn_schedule",
     "TransformKind",
@@ -128,7 +141,29 @@ def split_group(
     return [s for s in subgroups if s]
 
 
+def cut_load(a: int, b: int, load: int, c: int) -> int:
+    """The part of a segment ``[a, b)``'s load that falls in ``[a, c)`` when
+    McNaughton's wrap-around rule packs it from ``a``: with
+    ``(q, r) = divmod(load, b - a)`` the first r slots hold q + 1 units and
+    the others q.  No job holds two units of one slot, so each part is a
+    segment load in its own right."""
+    q, r = divmod(load, b - a)
+    return q * (c - a) + min(r, c - a)
+
+
 class LogNPolicy(OnlinePolicy):
+    """The O(log n) scheduler: an EDF pool of safe residues on
+    ``ceil(m(L) / (1 - alpha)^2)`` machines at the largest m(L) so far, plus
+    ``h·mu`` machines for the critical subgroups.
+
+    ``extras["rebuilds"]`` lists ``(t, h, mu, m_hat)`` per rebuild of the
+    critical groups.  ``m_hat`` is the load bound ``ceil(W / (d_max - t))``
+    of the critical residues when it certifies the group bound
+    ``h <= 1 + (2 + 2/alpha)·m_hat``, else their flow optimum;
+    ``extras["monitor_solves"]`` counts the rebuilds that needed the
+    latter.
+    """
+
     name = "logn"
 
     def __init__(self, m: int, alpha: Fraction = Fraction(1, 2)):
@@ -140,13 +175,18 @@ class LogNPolicy(OnlinePolicy):
         self._critical: set[int] = set()
         self._safe: set[int] = set()
         self._residues: list[Job] = []
+        self._pool_work = 0
         self._m_L = 0
+        # [a, b, load] segments from the last admission on of a feasible
+        # schedule of the pool on m_L machines
+        self._witness: list[list[int]] = []
         self._safe_budget = 0
         self._subgroups: list[list[int]] = []
         self._h = 0
         self._mu = 1
         self._alloc_critical = 0
         self._rebuilds: list[tuple[int, int, int, int]] = []
+        self._monitor_solves = 0
         self._min_critical_ratio: Fraction | None = None
         self._min_entry_ratio: Fraction | None = None
 
@@ -167,11 +207,67 @@ class LogNPolicy(OnlinePolicy):
         for residue in residues:
             self._safe.add(residue.id)
             self._residues.append(residue)
-        self._m_L = min_machines(self._residues, self._m_L)
+            self._pool_work += residue.processing
+        # at or above the flow limit there is no witness: the search runs,
+        # and raises wherever it needs the flow oracle
+        if self._pool_work >= FLOW_WORK_LIMIT or not self._certify(residues, t):
+            self._m_L = min_machines(self._residues, self._m_L)
+            if self._pool_work < FLOW_WORK_LIMIT:
+                self._witness = self._flow_witness(t)
         self._safe_budget = max(
             self._safe_budget,
             ceil_frac(Fraction(self._m_L) / (1 - self.alpha) ** 2),
         )
+
+    def _certify(self, residues: Sequence[Job], t: int) -> bool:
+        """Fit the residues released at t into the witness on m_L machines."""
+        cuts = {t} | {r.deadline for r in residues}
+        segments = self._witness
+        start = max(segments[-1][1] if segments else t, t)
+        horizon = max(cuts)
+        if horizon > start:
+            segments.append([start, horizon, 0])
+        cut: list[list[int]] = []
+        for a, b, load in segments:
+            for point in sorted(p for p in cuts if a < p < b):
+                left = cut_load(a, b, load, point)
+                if point > t:
+                    cut.append([a, point, left])
+                a, load = point, load - left
+            if b > t:
+                cut.append([a, b, load])
+        self._witness = cut
+        m = self._m_L
+        for residue in sorted(residues, key=lambda r: (r.deadline, r.id)):
+            left = residue.processing
+            for segment in cut:
+                a, b, load = segment
+                if a >= residue.deadline:
+                    break
+                f = min(b - a, m * (b - a) - load, left)
+                segment[2] += f
+                left -= f
+                if not left:
+                    break
+            if left:
+                return False
+        return True
+
+    def _flow_witness(self, t: int) -> list[list[int]]:
+        """Segments from t on of a maximum flow of the pool on m_L machines."""
+        network = FlowNetwork.build(Instance(self._residues))
+        _, flow = network.solve(self._m_L)
+        # segment-to-sink flows, read from the sink's row (flow is
+        # antisymmetric); t is a breakpoint, since residues are released at t
+        sink = flow.shape[0] - 1
+        first = sink - len(network.segments)
+        lo, hi = flow.indptr[sink], flow.indptr[sink + 1]
+        loads = [0] * len(network.segments)
+        for v, f in zip(flow.indices[lo:hi].tolist(), flow.data[lo:hi].tolist()):
+            loads[v - first] = -f
+        return [
+            [a, b, load] for (a, b), load in zip(network.segments, loads) if b > t
+        ]
 
     def _update_partition(self, t: int, active: Mapping[int, JobState]) -> None:
         arrivals, self._arrivals = self._arrivals, []
@@ -218,7 +314,11 @@ class LogNPolicy(OnlinePolicy):
                 Job(j, t, active[j].job.deadline, active[j].remaining)
                 for j in sorted(self._critical)
             ]
-            m_t_hat = min_machines(residues, 1)
+            span = max(r.deadline for r in residues) - t
+            m_t_hat = -(-sum(r.processing for r in residues) // span)
+            if self._h > 1 + (2 + 2 / self.alpha) * m_t_hat:
+                m_t_hat = min_machines(residues, m_t_hat)
+                self._monitor_solves += 1
         else:
             m_t_hat = 0
         self._rebuilds.append((t, self._h, self._mu, m_t_hat))
@@ -264,6 +364,7 @@ class LogNPolicy(OnlinePolicy):
     def extras(self) -> dict:
         return {
             "rebuilds": self._rebuilds,
+            "monitor_solves": self._monitor_solves,
             "min_critical_laxity_ratio": self._min_critical_ratio,
             "min_safe_entry_ratio": self._min_entry_ratio,
             "safe_budget": self._safe_budget,

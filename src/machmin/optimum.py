@@ -150,19 +150,32 @@ class FlowNetwork:
         points = sorted({p for j in instance.jobs for p in (j.release, j.deadline)})
         index = {p: i for i, p in enumerate(points)}
         segments = tuple(zip(points, points[1:]))
+        lengths = [b - a for a, b in segments]
         arcs = tuple(
-            (ji, si, segments[si][1] - segments[si][0])
+            (ji, si, lengths[si])
             for ji, job in enumerate(instance.jobs)
             for si in range(index[job.release], index[job.deadline])
         )
         n, k = instance.n, len(segments)
         sink = 1 + n + k
-        rows = [0] * n + [1 + ji for ji, _, _ in arcs] + list(range(1 + n, sink))
-        cols = [*range(1, 1 + n), *(1 + n + si for _, si, _ in arcs), *[sink] * k]
+        # CSR row by row: the source, each job's run of segments, each
+        # segment's sink arc; the sink row is empty
+        indptr = [0, n]
+        for job in instance.jobs:
+            indptr.append(indptr[-1] + index[job.deadline] - index[job.release])
+        indptr += range(indptr[-1] + 1, indptr[-1] + k + 1)
+        indptr.append(indptr[-1])
+        indices = [*range(1, 1 + n), *(1 + n + si for _, si, _ in arcs), *[sink] * k]
         caps = [j.processing for j in instance.jobs] + [min(c, work) for _, _, c in arcs]
-        caps += [min(b - a, FLOW_WORK_LIMIT - 1) for a, b in segments]
-        data = np.array(caps, dtype=np.int32)
-        graph = csr_matrix((data, (rows, cols)), shape=(sink + 1, sink + 1))
+        caps += [min(c, FLOW_WORK_LIMIT - 1) for c in lengths]
+        graph = csr_matrix(
+            (
+                np.array(caps, dtype=np.int32),
+                np.array(indices, dtype=np.int32),
+                np.array(indptr, dtype=np.int32),
+            ),
+            shape=(sink + 1, sink + 1),
+        )
         return cls(segments, arcs, work, graph)
 
     def capacities(self, m: int | Fraction) -> csr_matrix:

@@ -172,6 +172,25 @@ def test_nonpreemptive_edf_policy_never_preempts():
                 assert span == list(range(s, s + p))
 
 
+def _check_busy_scan(run, budget):
+    """Reference: scan every job of the instance at each slot."""
+    remaining = {job.id: job.processing for job in run.instance.jobs}
+    for t, processed in enumerate(run.slots):
+        if len(processed) < budget:
+            for job in run.instance.jobs:
+                rem = remaining[job.id]
+                if (
+                    job.release <= t < job.deadline
+                    and rem > 0
+                    and job.deadline - t - rem >= 0
+                    and job.id not in processed
+                ):
+                    return False
+        for j in processed:
+            remaining[j] -= 1
+    return True
+
+
 def test_check_busy():
     inst = Instance([Job(0, 0, 6, 2), Job(1, 0, 6, 2), Job(2, 0, 6, 2)])
     run = simulate(inst, EDF(2))
@@ -188,6 +207,24 @@ def test_check_busy():
 
     run = simulate(inst, Idler())
     assert not check_busy(run, 2)
+
+    # the release sweep agrees with the scan over every job, both ways
+    rng = random.Random(418)
+    verdicts = set()
+    for _ in range(300):
+        jobs = []
+        for i in range(rng.randint(1, 12)):
+            r = rng.randrange(10)
+            w = rng.randint(1, 8)
+            jobs.append(Job(i, r, r + w, rng.randint(1, w)))
+        inst = Instance(jobs)
+        policy = rng.choice((EDF, LLF))(rng.randint(1, 3))
+        run = simulate(inst, policy)
+        budget = rng.randint(1, 4)
+        expected = _check_busy_scan(run, budget)
+        assert check_busy(run, budget) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_protocol_violation():

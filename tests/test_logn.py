@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from machmin import logn
 from machmin.adversary import gen_random
+from machmin.engine import Simulation
 from machmin.logn import (
     LAXITY_FLOOR,
     LaxityTransformSpec,
@@ -10,6 +13,7 @@ from machmin.logn import (
     TransformKind,
     build_groups,
     choose_mu,
+    cut_load,
     logn_schedule,
     reclassify,
     required_scale,
@@ -17,7 +21,13 @@ from machmin.logn import (
     transform,
 )
 from machmin.model import Instance, Job, JobState, scale_instance
-from machmin.optimum import ceil_frac, optimum_preemptive
+from machmin.optimum import (
+    EnumerationCapExceeded,
+    _spread_segment,
+    ceil_frac,
+    min_machines,
+    optimum_preemptive,
+)
 
 
 def test_choose_mu_examples():
@@ -201,6 +211,105 @@ def test_laxity_drop_bound_smoke():
             m1 = optimum_preemptive(transform(base, spec))
             assert m0 <= m1  # laxity only shrinks
             assert m1 <= ceil_frac(Fraction(4 * m0) / beta)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 4)], ids=str)
+def test_pool_optimum_is_exact_at_every_admission(monkeypatch, alpha):
+    # m_L after each admission is the flow optimum of the whole pool, whether
+    # the witness certified it or the search ran; both paths are taken
+    admit = LogNPolicy._admit_safe
+    searched = 0
+    admissions = 0
+
+    def checked(self, residues, t):
+        nonlocal admissions
+        admissions += 1
+        admit(self, residues, t)
+        assert self._m_L == min_machines(self._residues, 1), (t, self._m_L)
+
+    def counted(jobs, lower):
+        nonlocal searched
+        searched += 1
+        return min_machines(jobs, lower)
+
+    monkeypatch.setattr(LogNPolicy, "_admit_safe", checked)
+    monkeypatch.setattr(logn, "min_machines", counted)
+    for seed, n in enumerate((20, 45, 70, 120)):
+        for profile, kw in (
+            ("general", {"horizon": n, "max_len": max(6, n // 3)}),
+            ("alpha-loose", {"alpha": alpha}),
+        ):
+            g = gen_random(profile, n, seed, **kw)
+            run = logn_schedule(g.instance, g.m_opt, alpha)
+            assert run.first_miss is None
+    assert 0 < searched < admissions
+
+
+@given(
+    a=st.integers(0, 50),
+    width=st.integers(1, 30),
+    m=st.integers(1, 6),
+    data=st.data(),
+)
+def test_cut_load_follows_wrap_around_packing(a, width, m, data):
+    b = a + width
+    load = data.draw(st.integers(0, m * width))
+    c = data.draw(st.integers(a + 1, b))
+    left = cut_load(a, b, load, c)
+    right = load - left
+    assert 0 <= left <= m * (c - a) and 0 <= right <= m * (b - c)
+    # any split of the load into per-job shares of at most b - a packs to
+    # the same slot loads
+    amounts = []
+    rest = load
+    while rest:
+        share = data.draw(st.integers(1, min(width, rest)))
+        amounts.append((len(amounts), share))
+        rest -= share
+    slots = _spread_segment(a, b, amounts)
+    assert left == sum(len(ids) for s, ids in slots.items() if s < c)
+
+
+def test_monitor_solves_when_the_load_bound_does_not_certify():
+    # the long job takes the first group; each zero-laxity unit job then
+    # opens its own, so h = 8 > 1 + 6 * ceil(509 / 1000)
+    inst = Instance([Job(0, 0, 1000, 501)] + [Job(i, 0, 1, 1) for i in range(1, 9)])
+    run = logn_schedule(inst, optimum_preemptive(inst))
+    assert run.extras["rebuilds"] == [(0, 8, 7, 8)]  # the critical optimum
+    assert run.extras["monitor_solves"] == 1
+
+
+def test_monitor_records_the_load_bound_when_it_certifies():
+    # h = 2 <= 1 + 6 * ceil(55 / 100): the load bound 1 is recorded, below
+    # the critical optimum 2, and no flow is solved for it
+    inst = Instance([Job(0, 0, 100, 51), Job(1, 0, 2, 2), Job(2, 0, 2, 2)])
+    assert optimum_preemptive(inst) == 2
+    run = logn_schedule(inst, 2)
+    t, h, _mu, m_hat = run.extras["rebuilds"][0]
+    assert (t, h, m_hat) == (0, 2, 1)
+    assert run.extras["monitor_solves"] == 0
+
+
+@pytest.mark.parametrize("second_release", [0, 1])
+def test_pool_at_the_flow_limit_raises(second_release):
+    # two loose jobs whose pool work reaches 2^31, admitted together or apart:
+    # the admission that reaches it raises, in its own slot
+    sim = Simulation(LogNPolicy(1))
+    sim.add_jobs([Job(0, 0, 2**32, 2**30), Job(1, second_release, 2**32, 2**30)])
+    with pytest.raises(EnumerationCapExceeded, match="32 bits"):
+        sim.run_until(second_release + 1)
+
+
+def test_certificate_caps_each_share_at_the_segment_length():
+    # on two machines the witness has two spare units in [0, 1) and none
+    # after: a new residue may take only one of them, so it does not fit
+    policy = LogNPolicy(2)
+    policy._m_L = 2
+    policy._witness = [[0, 1, 0], [1, 4, 6]]
+    assert not policy._certify([Job(9, 0, 4, 2)], 0)
+    policy._witness = [[0, 1, 0], [1, 4, 6]]
+    assert policy._certify([Job(8, 0, 4, 1), Job(9, 0, 4, 1)], 0)
+    assert policy._witness == [[0, 1, 2], [1, 4, 6]]
 
 
 def test_logn_all_loose_uses_only_safe_pool():

@@ -466,6 +466,46 @@ def test_flow_network_structure():
     assert value == inst.total_work
 
 
+def _coo_graph(inst):
+    """Reference: the network's arcs listed as (row, column, capacity)
+    triples and converted by scipy."""
+    import numpy as np
+    from scipy.sparse import csr_matrix
+
+    points = sorted({p for j in inst.jobs for p in (j.release, j.deadline)})
+    segments = list(zip(points, points[1:]))
+    n, k, work = inst.n, len(segments), inst.total_work
+    sink = 1 + n + k
+    triples = [(0, 1 + ji, job.processing) for ji, job in enumerate(inst.jobs)]
+    for ji, job in enumerate(inst.jobs):
+        for si, (a, b) in enumerate(segments):
+            if job.release <= a and b <= job.deadline:
+                triples.append((1 + ji, 1 + n + si, min(b - a, work)))
+    triples += [(1 + n + si, sink, b - a) for si, (a, b) in enumerate(segments)]
+    rows, cols, caps = zip(*triples)
+    data = np.array(caps, dtype=np.int32)
+    return csr_matrix((data, (rows, cols)), shape=(sink + 1, sink + 1))
+
+
+def test_flow_network_csr_matches_coo_reference():
+    from machmin.optimum import FlowNetwork
+
+    rng = random.Random(31)
+    for _ in range(200):
+        jobs = []
+        for i in range(rng.randint(1, 15)):
+            r = rng.randrange(30)
+            w = rng.randint(1, 12)
+            jobs.append(Job(i, r, r + w, rng.randint(1, w)))
+        inst = Instance(jobs)
+        graph = FlowNetwork.build(inst).graph
+        reference = _coo_graph(inst)
+        assert graph.shape == reference.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(graph, name), getattr(reference, name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+
+
 def test_flow_network_fractional_capacities():
     from scipy.sparse.csgraph import maximum_flow
 
