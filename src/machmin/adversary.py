@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .engine import OnlinePolicy, Simulation
@@ -281,135 +282,100 @@ class GeneratedInstance:
         return optimum_preemptive(self.instance)
 
 
-def _frac_floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
+Rule = Callable[[random.Random, int], int]  # (rng, window) -> processing time
+Draw = Callable[[random.Random, int, int, int], list[Job]]  # (rng, n, horizon, max_len)
 
 
-def _draw_general(rng: random.Random, n: int, horizon: int, max_len: int):
+def _free(min_w: int, rule: Rule, rng, n, horizon, max_len) -> list[Job]:
+    """Releases in [0, horizon), windows in [min_w, max(min_w, max_len)]."""
+    top = max(min_w, max_len)
     jobs = []
     for i in range(n):
         r = rng.randrange(0, horizon)
-        w = rng.randint(1, max_len)
-        p = rng.randint(1, w)
-        jobs.append(Job(i, r, r + w, p))
+        w = rng.randint(min_w, top)
+        jobs.append(Job(i, r, r + w, rule(rng, w)))
     return jobs
 
 
-def _draw_agreeable(rng, n, horizon, max_len):
-    rs = sorted(rng.randrange(0, horizon) for _ in range(n))
+def _agreeable(min_w: int, rule: Rule, rng, n, horizon, max_len) -> list[Job]:
+    """Sorted releases; each deadline is the later of the previous one and
+    the release plus a window drawn as in ``_free``."""
+    top = max(min_w, max_len)
     jobs = []
-    d_prev = 0
-    for i, r in enumerate(rs):
-        d = max(d_prev, r + rng.randint(1, max_len))
-        p = rng.randint(1, d - r)
-        jobs.append(Job(i, r, d, p))
-        d_prev = d
+    d = 0
+    for i, r in enumerate(sorted(rng.randrange(0, horizon) for _ in range(n))):
+        d = max(d, r + rng.randint(min_w, top))
+        jobs.append(Job(i, r, d, rule(rng, d - r)))
     return jobs
 
 
-def _draw_equal_p(rng, n, horizon, max_len, p):
-    if p < 1:
-        raise GeneratorError("equal-p profile needs p >= 1")
+def _common_deadline(min_w: int, rule: Rule, rng, n, horizon, max_len) -> list[Job]:
+    """One deadline d = horizon + max_len, releases in [0, d - min_w]."""
+    d = horizon + max_len
+    if d < min_w:
+        raise GeneratorError(
+            f"horizon + max_len = {d} leaves no window of the smallest length {min_w}"
+        )
     jobs = []
     for i in range(n):
-        r = rng.randrange(0, horizon)
-        w = rng.randint(p, max(p, max_len))
-        jobs.append(Job(i, r, r + w, p))
+        r = rng.randrange(0, d - min_w + 1)
+        jobs.append(Job(i, r, d, rule(rng, d - r)))
     return jobs
 
 
-def _draw_uniform_d(rng, n, horizon, max_len):
+def _uniform_d(rng, n, horizon, max_len) -> list[Job]:
     d = horizon + max_len
     jobs = []
     for i in range(n):
         p = rng.randint(1, max_len)
-        r = rng.randrange(0, d - p + 1)
-        jobs.append(Job(i, r, d, p))
+        jobs.append(Job(i, rng.randrange(0, d - p + 1), d, p))
     return jobs
 
 
-def _loosen(rng, r, w, alpha):
-    cap = _frac_floor(alpha * w)
-    return rng.randint(1, max(1, cap))
+def _any_p(rng: random.Random, w: int) -> int:
+    return rng.randint(1, w)
 
 
-def _tighten(rng, r, w, alpha):
-    lo = _frac_floor(alpha * w) + 1
-    if lo > w:
-        return None
-    return rng.randint(lo, w)
+def _fixed_p(p: int) -> tuple[int, Rule]:
+    if p < 1:
+        raise GeneratorError("equal-p profile needs p >= 1")
+    return p, lambda rng, w: p
 
 
-def _draw_alpha(rng, n, horizon, max_len, alpha, tight: bool):
-    min_w = math.ceil(1 / alpha) if not tight else 1
-    jobs = []
-    i = 0
-    while len(jobs) < n:
-        r = rng.randrange(0, horizon)
-        w = rng.randint(min_w, max(min_w, max_len))
-        p = _tighten(rng, r, w, alpha) if tight else _loosen(rng, r, w, alpha)
-        if p is None:
-            continue
-        jobs.append(Job(i, r, r + w, p))
-        i += 1
-    return jobs
+def _alpha_rule(alpha: Fraction, *, tight: bool) -> tuple[int, Rule]:
+    """The smallest window and the processing rule of an alpha-loose job
+    (p <= alpha w) or an alpha-tight one (p > alpha w)."""
+    alpha = Fraction(alpha)
+    if not 0 < alpha < 1:
+        raise GeneratorError(f"alpha must lie in (0, 1), got {alpha}")
+    num, den = alpha.numerator, alpha.denominator
+    if tight:
+        return 1, lambda rng, w: rng.randint(num * w // den + 1, w)
+    return math.ceil(1 / alpha), lambda rng, w: rng.randint(1, num * w // den)
 
 
-def _draw_agreeable_alpha(rng, n, horizon, max_len, alpha, tight: bool):
-    rs = sorted(rng.randrange(0, horizon) for _ in range(n))
-    min_w = math.ceil(1 / alpha) if not tight else 1
-    jobs = []
-    d_prev = 0
-    for i, r in enumerate(rs):
-        d = max(d_prev, r + rng.randint(min_w, max(min_w, max_len)))
-        w = d - r
-        p = _tighten(rng, r, w, alpha) if tight else _loosen(rng, r, w, alpha)
-        while p is None:
-            d += 1
-            w = d - r
-            p = _tighten(rng, r, w, alpha)
-        jobs.append(Job(i, r, d, p))
-        d_prev = d
-    return jobs
-
-
-def _draw_uniform_alpha(rng, n, horizon, max_len, alpha, tight: bool):
-    d = horizon + max_len
-    jobs = []
-    i = 0
-    while len(jobs) < n:
-        r = rng.randrange(0, d - 1)
-        w = d - r
-        p = _tighten(rng, r, w, alpha) if tight else _loosen(rng, r, w, alpha)
-        if p is None or p > w:
-            continue
-        jobs.append(Job(i, r, d, p))
-        i += 1
-    return jobs
-
-
-# profile -> draw(rng, n, horizon, max_len, p=..., alpha=...) -> jobs
-_DRAWS: dict[str, Callable[..., list[Job]]] = {
-    "general": lambda *base, p, alpha: _draw_general(*base),
-    "agreeable": lambda *base, p, alpha: _draw_agreeable(*base),
-    "equal-p": lambda *base, p, alpha: _draw_equal_p(*base, p),
-    "uniform-d": lambda *base, p, alpha: _draw_uniform_d(*base),
-    "alpha-loose": lambda *base, p, alpha: _draw_alpha(*base, alpha, tight=False),
-    "alpha-tight": lambda *base, p, alpha: _draw_alpha(*base, alpha, tight=True),
-    "agreeable-loose": lambda *base, p, alpha: _draw_agreeable_alpha(
-        *base, alpha, tight=False
+# profile -> (p, alpha) -> draw(rng, n, horizon, max_len) -> jobs
+_DRAWS: dict[str, Callable[[int, Fraction], Draw]] = {
+    "general": lambda p, alpha: partial(_free, 1, _any_p),
+    "agreeable": lambda p, alpha: partial(_agreeable, 1, _any_p),
+    "equal-p": lambda p, alpha: partial(_free, *_fixed_p(p)),
+    "uniform-d": lambda p, alpha: _uniform_d,
+    "alpha-loose": lambda p, alpha: partial(_free, *_alpha_rule(alpha, tight=False)),
+    "alpha-tight": lambda p, alpha: partial(_free, *_alpha_rule(alpha, tight=True)),
+    "agreeable-loose": lambda p, alpha: partial(
+        _agreeable, *_alpha_rule(alpha, tight=False)
     ),
-    "agreeable-tight": lambda *base, p, alpha: _draw_agreeable_alpha(
-        *base, alpha, tight=True
+    "agreeable-tight": lambda p, alpha: partial(
+        _agreeable, *_alpha_rule(alpha, tight=True)
     ),
-    "uniform-loose": lambda *base, p, alpha: _draw_uniform_alpha(
-        *base, alpha, tight=False
+    "uniform-loose": lambda p, alpha: partial(
+        _common_deadline, *_alpha_rule(alpha, tight=False)
     ),
-    "uniform-tight": lambda *base, p, alpha: _draw_uniform_alpha(
-        *base, alpha, tight=True
+    "uniform-tight": lambda p, alpha: partial(
+        _common_deadline, 2, _alpha_rule(alpha, tight=True)[1]
     ),
-    "half-tight": lambda *base, p, alpha: _draw_alpha(
-        *base, Fraction(1, 2), tight=True
+    "half-tight": lambda p, alpha: partial(
+        _free, *_alpha_rule(Fraction(1, 2), tight=True)
     ),
 }
 
@@ -427,16 +393,48 @@ def gen_random(
     alpha: Fraction = Fraction(1, 2),
 ) -> GeneratedInstance:
     """Deterministic seeded instance with the profile's predicate holding
-    exactly; its ``m_opt`` is the flow-oracle preemptive optimum."""
+    exactly; its ``m_opt`` is the flow-oracle preemptive optimum.
+
+    Each profile is a window shape, a smallest window min_w and a
+    processing rule.  The free shape draws releases in [0, horizon) and
+    windows in [min_w, max(min_w, max_len)]; the agreeable shape sorts
+    those releases and raises each deadline to at least the previous one;
+    the common-deadline shape sets d = horizon + max_len and draws
+    releases in [0, d - min_w].
+
+    ===============  ===============  =======  ========================
+    profile          shape            min_w    p on a window w
+    ===============  ===============  =======  ========================
+    general          free             1        [1, w]
+    agreeable        agreeable        1        [1, w]
+    equal-p          free             p        p
+    alpha-loose      free             ⌈1/α⌉    [1, ⌊αw⌋]
+    alpha-tight      free             1        [⌊αw⌋ + 1, w]
+    agreeable-loose  agreeable        ⌈1/α⌉    [1, ⌊αw⌋]
+    agreeable-tight  agreeable        1        [⌊αw⌋ + 1, w]
+    uniform-loose    common deadline  ⌈1/α⌉    [1, ⌊αw⌋]
+    uniform-tight    common deadline  2        [⌊αw⌋ + 1, w]
+    half-tight       free             1        [⌊w/2⌋ + 1, w]
+    ===============  ===============  =======  ========================
+
+    ``uniform-d`` draws p in [1, max_len] first, then the release in
+    [0, d - p], against d = horizon + max_len.  A profile that reads α
+    needs 0 < α < 1; every profile needs horizon >= 1 and max_len >= 1.
+    Anything else raises ``GeneratorError``.
+    """
     if n < 1:
         raise GeneratorError("n must be >= 1")
     rng = random.Random(seed)
     horizon = horizon if horizon is not None else max(2, 2 * n)
     max_len = max_len if max_len is not None else max(3, n)
-    draw = _DRAWS.get(profile)
-    if draw is None:
+    if horizon < 1 or max_len < 1:
+        raise GeneratorError(
+            f"horizon and max_len must be >= 1, got {horizon} and {max_len}"
+        )
+    make = _DRAWS.get(profile)
+    if make is None:
         raise GeneratorError(
             f"unknown profile {profile!r}; known: {', '.join(PROFILES)}"
         )
-    jobs = draw(rng, n, horizon, max_len, p=p, alpha=alpha)
+    jobs = make(p, alpha)(rng, n, horizon, max_len)
     return GeneratedInstance(instance=Instance(jobs), profile=profile, seed=seed)

@@ -189,8 +189,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.machines is not None and POLICIES[args.policy].needs != "machines":
-        raise ValueError(f"policy {args.policy!r} takes no --machines")
     instance = _read_instance(args.instance)
     run = run_policy(
         args.policy,

@@ -407,15 +407,12 @@ class _EqualPOnline(OnlinePolicy):
 
 
 def equal_p_online(
-    instance: Instance,
-    alpha: Fraction = EQUAL_P_ONLINE_ALPHA,
-    c: Fraction | None = None,
+    instance: Instance, alpha: Fraction = EQUAL_P_ONLINE_ALPHA
 ) -> SimulationRun:
     """Equal-p fully online scheduler; factor c + 1/alpha + 1 (about 9.38)."""
     _require(0 < alpha < 1, f"alpha must lie in (0, 1), got {alpha}")
     p = _equal_p(instance)
-    if c is None:
-        c = equal_p_online_budget_factor(alpha)
+    c = equal_p_online_budget_factor(alpha)
     return simulate(instance, _EqualPOnline(p, alpha, c))
 
 

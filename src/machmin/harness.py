@@ -112,6 +112,8 @@ def run_policy(
         raise ValueError(f"unknown policy {name!r}; known: {', '.join(POLICIES)}")
     if alpha is not None and not spec.alpha:
         raise ValueError(f"policy {name!r} takes no --alpha")
+    if machines is not None and spec.needs != "machines":
+        raise ValueError(f"policy {name!r} takes no --machines")
     alpha_kw = {} if alpha is None else {"alpha": alpha}
     if online and spec.online is not None:
         return spec.online(instance, **alpha_kw)

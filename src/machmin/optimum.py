@@ -374,9 +374,7 @@ def check_strong_density_theorem(instance: Instance) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def optimum_nonpreemptive_exact(
-    instance: Instance, cap: int = DEFAULT_BNB_CAP, *, lower: int = 1
-) -> int:
+def optimum_nonpreemptive_exact(instance: Instance, *, lower: int = 1) -> int:
     """Smallest machine count on which every job runs without preemption.
 
     Intervals form a perfect graph, so a peak overlap of k is the same as a
@@ -394,10 +392,10 @@ def optimum_nonpreemptive_exact(
     """
     if instance.n == 0:
         raise ValueError("instance is empty")
-    if instance.n > cap:
+    if instance.n > DEFAULT_BNB_CAP:
         raise EnumerationCapExceeded(
             f"instance too large for exact search: {instance.n} jobs exceed "
-            f"the cap of {cap}"
+            f"the cap of {DEFAULT_BNB_CAP}"
         )
     jobs = sorted(instance.jobs, key=lambda j: (j.deadline, j.release, j.id))
     # the flow oracle is exact below FLOW_WORK_LIMIT; beyond it the search

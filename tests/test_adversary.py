@@ -4,6 +4,7 @@ import pytest
 
 from machmin import optimum
 from machmin.adversary import (
+    PROFILES,
     GeneratorError,
     gen_deadline_ordered_family,
     gen_llf_lower_bound,
@@ -199,33 +200,89 @@ def test_gen_random_solves_no_flow_until_m_opt_is_read(monkeypatch):
     assert solves
 
 
+def _all_loose(inst, alpha):
+    return all(classify_job(j, alpha) is Tightness.LOOSE for j in inst.jobs)
+
+
+def _all_tight(inst, alpha):
+    return all(classify_job(j, alpha) is Tightness.TIGHT for j in inst.jobs)
+
+
+# profile -> predicate(instance, alpha) that every draw satisfies
+PROFILE_PREDICATES = {
+    "general": lambda inst, alpha: True,
+    "agreeable": lambda inst, alpha: inst.is_agreeable,
+    "equal-p": lambda inst, alpha: inst.is_equal_processing,
+    "uniform-d": lambda inst, alpha: inst.is_uniform_deadline,
+    "alpha-loose": _all_loose,
+    "alpha-tight": _all_tight,
+    "agreeable-loose": lambda inst, alpha: (
+        inst.is_agreeable and _all_loose(inst, alpha)
+    ),
+    "agreeable-tight": lambda inst, alpha: (
+        inst.is_agreeable and _all_tight(inst, alpha)
+    ),
+    "uniform-loose": lambda inst, alpha: (
+        inst.is_uniform_deadline and _all_loose(inst, alpha)
+    ),
+    "uniform-tight": lambda inst, alpha: (
+        inst.is_uniform_deadline and _all_tight(inst, alpha)
+    ),
+    "half-tight": lambda inst, alpha: _all_tight(inst, Fraction(1, 2)),
+}
+ALPHA_PROFILES = (
+    "alpha-loose",
+    "alpha-tight",
+    "agreeable-loose",
+    "agreeable-tight",
+    "uniform-loose",
+    "uniform-tight",
+)
+
+
 def test_gen_random_profiles_hold():
-    alpha = Fraction(1, 3)
-    loose = gen_random("alpha-loose", 10, 1, alpha=alpha)
-    assert all(
-        classify_job(j, alpha) is Tightness.LOOSE for j in loose.instance.jobs
+    for profile in PROFILES:
+        holds = PROFILE_PREDICATES[profile]
+        for alpha in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)):
+            for seed in range(50):
+                generated = gen_random(profile, 10, seed, alpha=alpha)
+                assert holds(generated.instance, alpha), (profile, alpha, seed)
+
+
+@pytest.mark.parametrize("profile", ALPHA_PROFILES)
+@pytest.mark.parametrize(
+    "alpha", [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1)], ids=str
+)
+def test_gen_random_refuses_alpha_out_of_range(profile, alpha):
+    with pytest.raises(GeneratorError, match=r"alpha must lie in \(0, 1\)"):
+        gen_random(profile, 5, 0, alpha=alpha)
+
+
+def test_profiles_that_read_no_alpha_ignore_it():
+    for profile in set(PROFILES) - set(ALPHA_PROFILES):
+        assert (
+            gen_random(profile, 6, 3, alpha=Fraction(0)).instance.jobs
+            == gen_random(profile, 6, 3).instance.jobs
+        )
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("box", [(0, 5), (5, 0), (-1, 5)], ids=str)
+def test_gen_random_refuses_an_empty_box(profile, box):
+    horizon, max_len = box
+    with pytest.raises(GeneratorError, match="must be >= 1"):
+        gen_random(profile, 5, 0, horizon=horizon, max_len=max_len)
+
+
+def test_uniform_loose_needs_room_for_a_loose_window():
+    # at alpha = 1/4 a loose window is at least 4 long; d = 2 + 1 leaves none
+    with pytest.raises(GeneratorError, match="smallest length 4"):
+        gen_random("uniform-loose", 3, 0, horizon=2, max_len=1, alpha=Fraction(1, 4))
+    generated = gen_random(
+        "uniform-loose", 3, 0, horizon=3, max_len=1, alpha=Fraction(1, 4)
     )
-    tight = gen_random("alpha-tight", 10, 2, alpha=alpha)
-    assert all(
-        classify_job(j, alpha) is Tightness.TIGHT for j in tight.instance.jobs
-    )
-    agreeable = gen_random("agreeable", 10, 3)
-    assert agreeable.instance.is_agreeable
-    equal = gen_random("equal-p", 10, 4, p=2)
-    assert equal.instance.is_equal_processing
-    uniform = gen_random("uniform-d", 10, 5)
-    assert uniform.instance.is_uniform_deadline
-    half = gen_random("half-tight", 10, 6)
-    assert all(
-        classify_job(j, Fraction(1, 2)) is Tightness.TIGHT
-        for j in half.instance.jobs
-    )
-    both = gen_random("agreeable-tight", 10, 7, alpha=Fraction(1, 2))
-    assert both.instance.is_agreeable
-    assert all(
-        classify_job(j, Fraction(1, 2)) is Tightness.TIGHT
-        for j in both.instance.jobs
-    )
+    jobs = generated.instance.jobs
+    assert all(j.window_length == 4 and j.processing == 1 for j in jobs)
 
 
 def test_gen_random_annotation():

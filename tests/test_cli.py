@@ -265,3 +265,44 @@ def test_bench_refuses_online_for_a_policy_without_one(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: policy 'logn' has no online form; drop --online\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec", ["agreeable-p@3", "earlyfit@2"])
+def test_bench_refuses_a_budget_factor_the_policy_does_not_take(spec, capsys):
+    argv = ["bench", "--profile", "agreeable", "--n", "6", "--count", "2",
+            "--policy", spec]
+    assert main(argv) == 2
+    name = spec.split("@")[0]
+    captured = capsys.readouterr()
+    assert captured.err == f"error: policy {name!r} takes no --machines\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        (["--profile", "alpha-tight", "--alpha", "1"],
+         "alpha must lie in (0, 1), got 1"),
+        (["--profile", "alpha-loose", "--alpha", "0"],
+         "alpha must lie in (0, 1), got 0"),
+        (["--profile", "uniform-tight", "--alpha", "3/2"],
+         "alpha must lie in (0, 1), got 3/2"),
+        (["--profile", "general", "--horizon", "0"],
+         "horizon and max_len must be >= 1, got 0 and 5"),
+        (["--profile", "uniform-loose", "--alpha", "1/20"],
+         "horizon + max_len = 15 leaves no window of the smallest length 20"),
+    ],
+)
+def test_gen_refuses_what_no_profile_can_draw(options, message, capsys):
+    assert main(["gen", "--family", "random", "--n", "5", *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_gen_keeps_general_at_alpha_zero(capsys):
+    argv = ["gen", "--family", "random", "--profile", "general", "--n", "4"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    assert main([*argv, "--alpha", "0"]) == 0
+    assert capsys.readouterr().out == expected

@@ -178,8 +178,10 @@ ENTRIES = [(name, False) for name in POLICIES] + [
 def test_policy_table_entry(name, online, tmp_path, capsys):
     generated = gen_random(PROFILE_FOR.get(name, "general"), 10, 0)
     m = generated.m_opt
-    # each policy takes the number it needs and ignores the other
-    run = run_policy(name, generated.instance, machines=3 * m, m=m, online=online)
+    # each policy takes the number it needs; a machine budget for a policy
+    # that takes none is refused, as in the CLI below
+    machines = 3 * m if POLICIES[name].needs == "machines" else None
+    run = run_policy(name, generated.instance, machines=machines, m=m, online=online)
     if run.first_miss is None:
         _revalidate(run)  # the replay that bench applies to miss-free runs
     inst = tmp_path / "inst.txt"

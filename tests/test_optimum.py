@@ -360,7 +360,7 @@ def test_nonpreemptive_matches_brute_force():
 def test_nonpreemptive_cap():
     inst = Instance([Job(i, 0, 40, 1) for i in range(13)])
     with pytest.raises(EnumerationCapExceeded):
-        optimum_nonpreemptive_exact(inst, cap=12)
+        optimum_nonpreemptive_exact(inst)
 
 
 @st.composite
