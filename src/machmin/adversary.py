@@ -372,7 +372,7 @@ _DRAWS: dict[str, Callable[[int, Fraction], Draw]] = {
         _common_deadline, *_alpha_rule(alpha, tight=False)
     ),
     "uniform-tight": lambda p, alpha: partial(
-        _common_deadline, 2, _alpha_rule(alpha, tight=True)[1]
+        _common_deadline, *_alpha_rule(alpha, tight=True)
     ),
     "half-tight": lambda p, alpha: partial(
         _free, *_alpha_rule(Fraction(1, 2), tight=True)
@@ -413,7 +413,7 @@ def gen_random(
     agreeable-loose  agreeable        ⌈1/α⌉    [1, ⌊αw⌋]
     agreeable-tight  agreeable        1        [⌊αw⌋ + 1, w]
     uniform-loose    common deadline  ⌈1/α⌉    [1, ⌊αw⌋]
-    uniform-tight    common deadline  2        [⌊αw⌋ + 1, w]
+    uniform-tight    common deadline  1        [⌊αw⌋ + 1, w]
     half-tight       free             1        [⌊w/2⌋ + 1, w]
     ===============  ===============  =======  ========================
 

@@ -19,8 +19,10 @@ cut at t and at each new deadline (``cut_load``), and the new residues, in
 (deadline, id) order, fill the earliest segments first, each taking at
 most b - a of a segment.  If all of them fit, the pool is feasible on m(L)
 machines, and m(L) cannot fall as the pool grows, so it stands.  Otherwise
-the flow search finds the new m(L), and one solve at it gives the
-segments again, from the flow on the segment-to-sink arcs.
+the flow search finds the new m(L), and the flow of its own solve at m(L)
+gives the segments again, from the flow on the segment-to-sink arcs; only
+when the search settled m(L) without a solve there (m(L) >= the pool's job
+count) does the witness take a solve of its own.
 """
 
 from __future__ import annotations
@@ -30,11 +32,20 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .engine import OnlinePolicy, SimulationRun, edf_key, edf_select, simulate
 from .model import Instance, Job, JobState
-from .optimum import FLOW_WORK_LIMIT, FlowNetwork, ceil_frac, min_machines
+from .optimum import (
+    FLOW_WORK_LIMIT,
+    FlowNetwork,
+    ceil_frac,
+    min_machines,
+    min_machines_flow,
+)
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "LAXITY_FLOOR",
@@ -161,7 +172,8 @@ class LogNPolicy(OnlinePolicy):
     of the critical residues when it certifies the group bound
     ``h <= 1 + (2 + 2/alpha)·m_hat``, else their flow optimum;
     ``extras["monitor_solves"]`` counts the rebuilds that needed the
-    latter.
+    latter, and ``extras["witness_solves"]`` the pool witnesses that could
+    not reuse the search's flow and took a solve of their own.
     """
 
     name = "logn"
@@ -187,6 +199,7 @@ class LogNPolicy(OnlinePolicy):
         self._alloc_critical = 0
         self._rebuilds: list[tuple[int, int, int, int]] = []
         self._monitor_solves = 0
+        self._witness_solves = 0
         self._min_critical_ratio: Fraction | None = None
         self._min_entry_ratio: Fraction | None = None
 
@@ -211,9 +224,9 @@ class LogNPolicy(OnlinePolicy):
         # at or above the flow limit there is no witness: the search runs,
         # and raises wherever it needs the flow oracle
         if self._pool_work >= FLOW_WORK_LIMIT or not self._certify(residues, t):
-            self._m_L = min_machines(self._residues, self._m_L)
+            self._m_L, network, flow = min_machines_flow(self._residues, self._m_L)
             if self._pool_work < FLOW_WORK_LIMIT:
-                self._witness = self._flow_witness(t)
+                self._witness = self._flow_witness(t, network, flow)
         self._safe_budget = max(
             self._safe_budget,
             ceil_frac(Fraction(self._m_L) / (1 - self.alpha) ** 2),
@@ -253,10 +266,16 @@ class LogNPolicy(OnlinePolicy):
                 return False
         return True
 
-    def _flow_witness(self, t: int) -> list[list[int]]:
-        """Segments from t on of a maximum flow of the pool on m_L machines."""
-        network = FlowNetwork.build(Instance(self._residues))
-        _, flow = network.solve(self._m_L)
+    def _flow_witness(
+        self, t: int, network: FlowNetwork | None, flow: csr_matrix | None
+    ) -> list[list[int]]:
+        """Segments from t on of a maximum flow of the pool on m_L machines:
+        the search's ``flow`` on ``network``, or, when it is None, one solve."""
+        if flow is None:
+            if network is None:
+                network = FlowNetwork.build(Instance(self._residues))
+            _, flow = network.solve(self._m_L)
+            self._witness_solves += 1
         # segment-to-sink flows, read from the sink's row (flow is
         # antisymmetric); t is a breakpoint, since residues are released at t
         sink = flow.shape[0] - 1
@@ -365,6 +384,7 @@ class LogNPolicy(OnlinePolicy):
         return {
             "rebuilds": self._rebuilds,
             "monitor_solves": self._monitor_solves,
+            "witness_solves": self._witness_solves,
             "min_critical_laxity_ratio": self._min_critical_ratio,
             "min_safe_entry_ratio": self._min_entry_ratio,
             "safe_budget": self._safe_budget,

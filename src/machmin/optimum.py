@@ -3,9 +3,10 @@
 The preemptive optimum is computed by max-flow feasibility (jobs feed work
 into time segments, segments drain into the sink at the machine count), one
 network per job set, and a galloping search over the machine count from the
-load bound.  The strong density comes from the same network: at a fractional
-machine count its min cut picks the set of time segments that most exceeds
-that count, and Dinkelbach's method raises the count to the best ratio.  The
+load bound, which hands back the flow of its solve at the optimum.  The
+strong density comes from the same network: at a fractional machine count
+its min cut picks the set of time segments that most exceeds that count,
+and Dinkelbach's method raises the count to the best ratio.  The
 two searches must agree via ``ceil(strong density) == preemptive optimum``;
 the tests check both against enumerations.  The non-preemptive optimum
 is a search over machine assignments from the preemptive optimum upward,
@@ -35,6 +36,7 @@ __all__ = [
     "is_feasible_preemptive",
     "optimum_preemptive",
     "min_machines",
+    "min_machines_flow",
     "optimal_witness",
     "contribution",
     "strong_density_exact",
@@ -270,13 +272,21 @@ def feasible_preemptive(instance: Instance, m: int) -> FeasibilityResult:
     return FeasibilityResult(True, PreemptiveSchedule(assignments))
 
 
-def min_machines(jobs: Sequence[Job], lower: int) -> int:
-    """Smallest m >= max(lower, 1) on which ``jobs`` are preemptively feasible.
+def min_machines_flow(
+    jobs: Sequence[Job], lower: int
+) -> tuple[int, FlowNetwork | None, csr_matrix | None]:
+    """Smallest m >= max(lower, 1) on which ``jobs`` are preemptively
+    feasible, with the jobs' network and a maximum flow on m machines.
 
     The search starts at the larger of ``lower`` and the load bound
     ``ceil(W / (d_max - r_min))``, gallops upward (lo, lo+1, lo+3, lo+7, ...)
     until a count fits, then bisects the last gap.  Any m >= n fits, one job
     per machine, without a solve; every solve reuses one network.
+
+    Returns ``(m, network, flow)``.  ``flow`` is the search's own solve at
+    m, the last feasible one; it is None when m >= n settled m without a
+    solve at it.  ``network`` is None when the lower bound alone reached n,
+    before any network was built.
     """
     instance = Instance(jobs)
     n, lo = instance.n, max(lower, 1)
@@ -284,22 +294,34 @@ def min_machines(jobs: Sequence[Job], lower: int) -> int:
         span = instance.d_max - min(j.release for j in instance.jobs)
         lo = max(lo, -(-instance.total_work // span))
     if lo >= n:
-        return lo
+        return lo, None, None
     network = FlowNetwork.build(instance)
 
-    def fits(m: int) -> bool:
-        return m >= n or network.solve(m)[0] == network.work
+    def fits(m: int) -> tuple[bool, csr_matrix | None]:
+        if m >= n:
+            return True, None
+        value, flow = network.solve(m)
+        return value == network.work, flow
 
     bad, good = lo - 1, lo
-    while not fits(good):
+    ok, flow = fits(good)
+    while not ok:
         bad, good = good, min(2 * good - lo + 1, n)
+        ok, flow = fits(good)
     while good - bad > 1:
         mid = (bad + good) // 2
-        if fits(mid):
-            good = mid
+        ok, mid_flow = fits(mid)
+        if ok:
+            good, flow = mid, mid_flow
         else:
             bad = mid
-    return good
+    return good, network, flow
+
+
+def min_machines(jobs: Sequence[Job], lower: int) -> int:
+    """Smallest m >= max(lower, 1) on which ``jobs`` are preemptively
+    feasible: the count alone of ``min_machines_flow``."""
+    return min_machines_flow(jobs, lower)[0]
 
 
 def optimum_preemptive(instance: Instance) -> int:

@@ -285,6 +285,18 @@ def test_uniform_loose_needs_room_for_a_loose_window():
     assert all(j.window_length == 4 and j.processing == 1 for j in jobs)
 
 
+def test_uniform_tight_draws_zero_laxity_unit_jobs():
+    # the smallest tight window is 1: a unit job released one slot before
+    # the common deadline, tight at every alpha
+    draws = [
+        gen_random("uniform-tight", 10, seed, alpha=Fraction(1, 2)).instance
+        for seed in range(50)
+    ]
+    assert any(
+        j.window_length == 1 and j.laxity == 0 for inst in draws for j in inst.jobs
+    )
+
+
 def test_gen_random_annotation():
     g = gen_random("general", 6, 9)
     assert g.m_opt == optimum_preemptive(g.instance)

@@ -23,9 +23,11 @@ from machmin.logn import (
 from machmin.model import Instance, Job, JobState, scale_instance
 from machmin.optimum import (
     EnumerationCapExceeded,
+    FlowNetwork,
     _spread_segment,
     ceil_frac,
     min_machines,
+    min_machines_flow,
     optimum_preemptive,
 )
 
@@ -213,27 +215,67 @@ def test_laxity_drop_bound_smoke():
             assert m1 <= ceil_frac(Fraction(4 * m0) / beta)
 
 
+def _fresh_witness(residues, m, t):
+    """The pool's segments from t on, read from a solve of a freshly built
+    network at m: one entry of the flow matrix per segment-to-sink arc."""
+    network = FlowNetwork.build(Instance(residues))
+    _, flow = network.solve(m)
+    sink = flow.shape[0] - 1
+    first = sink - len(network.segments)
+    return [
+        [a, b, int(flow[first + si, sink])]
+        for si, (a, b) in enumerate(network.segments)
+        if b > t
+    ]
+
+
 @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 4)], ids=str)
 def test_pool_optimum_is_exact_at_every_admission(monkeypatch, alpha):
     # m_L after each admission is the flow optimum of the whole pool, whether
-    # the witness certified it or the search ran; both paths are taken
+    # the witness certified it or the search ran; both paths are taken.  A
+    # searched admission reads its witness from the search's own flow: it
+    # makes no solve beyond the search's, unless the search settled m_L
+    # without one, and the witness equals a fresh solve's at m_L
     admit = LogNPolicy._admit_safe
+    solve = FlowNetwork.solve
     searched = 0
     admissions = 0
+    solves = 0
+    search = None  # (solves the search made, its flow) in this admission
+
+    def counting_solve(network, m):
+        nonlocal solves
+        solves += 1
+        return solve(network, m)
 
     def checked(self, residues, t):
-        nonlocal admissions
+        nonlocal admissions, search
         admissions += 1
+        search = None
+        before, witness_solves = solves, self._witness_solves
         admit(self, residues, t)
+        made = solves - before
+        extra = self._witness_solves - witness_solves
+        if search is None:
+            assert made == 0 and extra == 0, t
+        else:
+            own, flow = search
+            assert extra == (flow is None), t
+            assert made == own + extra, t
+            assert self._witness == _fresh_witness(self._residues, self._m_L, t), t
         assert self._m_L == min_machines(self._residues, 1), (t, self._m_L)
 
     def counted(jobs, lower):
-        nonlocal searched
+        nonlocal searched, search
         searched += 1
-        return min_machines(jobs, lower)
+        before = solves
+        result = min_machines_flow(jobs, lower)
+        search = (solves - before, result[2])
+        return result
 
+    monkeypatch.setattr(FlowNetwork, "solve", counting_solve)
     monkeypatch.setattr(LogNPolicy, "_admit_safe", checked)
-    monkeypatch.setattr(logn, "min_machines", counted)
+    monkeypatch.setattr(logn, "min_machines_flow", counted)
     for seed, n in enumerate((20, 45, 70, 120)):
         for profile, kw in (
             ("general", {"horizon": n, "max_len": max(6, n // 3)}),
@@ -243,6 +285,53 @@ def test_pool_optimum_is_exact_at_every_admission(monkeypatch, alpha):
             run = logn_schedule(g.instance, g.m_opt, alpha)
             assert run.first_miss is None
     assert 0 < searched < admissions
+
+
+def test_witness_takes_one_solve_when_the_search_made_none():
+    # one loose job: m_L = 1 >= n settles the search without a network, so
+    # the witness builds and solves once, and holds the job's whole work
+    policy = LogNPolicy(1)
+    sim = Simulation(policy)
+    sim.add_jobs([Job(0, 0, 4, 1)])
+    sim.run_until(1)
+    assert policy._m_L == 1
+    assert policy.extras()["witness_solves"] == 1
+    assert policy._witness == _fresh_witness([Job(0, 0, 4, 1)], 1, 0) == [[0, 4, 1]]
+
+
+def test_search_returns_its_flow_at_the_optimum(monkeypatch):
+    # the flow is the search's solve at m, also when its last probe was
+    # below m; it is None only when m >= n settled m, and there is no
+    # network only when the lower bound alone did
+    solve = FlowNetwork.solve
+    probes = []
+
+    def recording_solve(network, m):
+        probes.append(m)
+        return solve(network, m)
+
+    monkeypatch.setattr(FlowNetwork, "solve", recording_solve)
+    # four unit jobs due at 1 and a long one: the search probes 1, 2, 4
+    # and, last, 3, which does not fit
+    spike = [Job(i, 0, 1, 1) for i in range(4)] + [Job(4, 0, 100, 1)]
+    probed_below = 0
+    for jobs in [spike] + [
+        gen_random("general", 3 + seed % 9, seed).instance.jobs for seed in range(40)
+    ]:
+        for lower in (1, 2, 4):
+            probes.clear()
+            m, network, flow = min_machines_flow(jobs, lower)
+            if flow is None:
+                assert m >= len(jobs)
+                continue
+            probed_below += probes[-1] < m
+            value, expected = solve(network, m)
+            assert value == network.work
+            assert (flow != expected).nnz == 0, (jobs, lower)
+            if m > max(lower, 1):
+                assert solve(network, m - 1)[0] < network.work
+    assert probed_below
+    assert min_machines_flow(spike, 5) == (5, None, None)
 
 
 @given(
