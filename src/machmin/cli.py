@@ -245,7 +245,6 @@ def _cmd_bench(args) -> int:
         horizon=args.horizon,
         max_len=args.max_len,
         online=args.online,
-        timing=args.timing,
     )
     rows = bench(config)
     if args.format == "csv":

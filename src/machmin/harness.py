@@ -1,8 +1,10 @@
 """Benchmark campaigns, competitive-ratio tables, and trace verification.
 
 Ratios are exact fractions; the CSV carries them verbatim (e.g. ``9/2``)
-next to a decimal convenience column.  With timing off (the default), CSV
-output is a pure function of the campaign config and seeds, byte for byte.
+next to a decimal convenience column.  Every measured row records its
+run's wall time, but the emitters write the ``wall_ms`` column only when
+asked to; without it, CSV and JSONL output is a pure function of the
+campaign config and seeds, byte for byte.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 from .adversary import GeneratedInstance, gen_random
@@ -95,6 +98,13 @@ POLICIES: dict[str, PolicySpec] = {
 }
 
 
+def _policy(name: str) -> PolicySpec:
+    spec = POLICIES.get(name)
+    if spec is None:
+        raise ValueError(f"unknown policy {name!r}; known: {', '.join(POLICIES)}")
+    return spec
+
+
 def run_policy(
     name: str,
     instance: Instance,
@@ -107,9 +117,7 @@ def run_policy(
     """Run one named policy.  Base policies take an explicit machine budget;
     composite ones derive their budgets from the optimum ``m`` (or go online
     without it, where they have an online form)."""
-    spec = POLICIES.get(name)
-    if spec is None:
-        raise ValueError(f"unknown policy {name!r}; known: {', '.join(POLICIES)}")
+    spec = _policy(name)
     if alpha is not None and not spec.alpha:
         raise ValueError(f"policy {name!r} takes no --alpha")
     if machines is not None and spec.needs != "machines":
@@ -132,20 +140,23 @@ def run_policy(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BenchRow:
+    """One campaign row.  The field order is the CSV and JSONL column order;
+    ``instance_id`` is written as the ``instance`` column."""
+
     instance_id: str
     profile: str
     n: int
-    m_opt: int | None
+    m_opt: int | None = None
     policy: str
-    params: str
-    machines_used: int | None
-    first_miss: str  # "none" or "<job>@<t>"
-    ratio: str  # exact fraction, empty when no oracle
-    ratio_dec: str
-    status: str  # "ok" or "oracle-skipped"
-    wall_ms: float | None = None
+    params: str = ""
+    machines_used: int | None = None
+    first_miss: str = ""  # "none" or "<job>@<t>" where measured
+    ratio: str = ""  # exact fraction, empty when no oracle
+    ratio_dec: str = ""
+    status: str = "ok"  # or "oracle-skipped"
+    wall_ms: float | None = None  # measured runs only
 
 
 @dataclass(frozen=True)
@@ -161,16 +172,27 @@ class CampaignConfig:
     horizon: int | None = None
     max_len: int | None = None
     online: bool = False
-    timing: bool = False
 
 
 def _parse_policy_spec(spec: str) -> tuple[str, Fraction | None]:
     """A bench policy spec is a name, optionally with a budget factor:
-    ``edf@3`` means EDF on ceil(3m) machines."""
-    if "@" in spec:
-        name, factor = spec.split("@", 1)
-        return name, Fraction(factor)
-    return spec, None
+    ``edf@3`` means EDF on ceil(3m) machines.  A spec that no run could
+    take raises ValueError."""
+    name, at, factor = spec.partition("@")
+    needs_budget = _policy(name).needs == "machines"
+    if at and not needs_budget:
+        raise ValueError(f"policy {name!r} takes no --machines")
+    if not at and needs_budget:
+        raise ValueError(f"policy {name!r} needs a budget factor, e.g. {name}@3")
+    if not at:
+        return name, None
+    try:
+        budget = Fraction(factor)
+    except (ValueError, ZeroDivisionError):
+        budget = Fraction(0)
+    if budget <= 0:
+        raise ValueError(f"budget factor in {spec!r} must be a positive rational")
+    return name, budget
 
 
 def _instance_m(config: CampaignConfig, generated: GeneratedInstance) -> int | None:
@@ -187,11 +209,11 @@ def _instance_m(config: CampaignConfig, generated: GeneratedInstance) -> int | N
 def bench(config: CampaignConfig) -> list[BenchRow]:
     """One row per (instance, policy); summary rows carry the max ratio per
     policy.  Rows where the oracle cap was exceeded are marked, never
-    dropped."""
+    dropped.  Every measured row carries its run's wall time."""
+    specs = [(spec, *_parse_policy_spec(spec)) for spec in config.policies]
     rows: list[BenchRow] = []
     worst: dict[str, Fraction] = {}
-    for index in range(config.count):
-        seed = config.seed0 + index
+    for seed in range(config.seed0, config.seed0 + config.count):
         generated = gen_random(
             config.profile,
             config.n,
@@ -202,81 +224,49 @@ def bench(config: CampaignConfig) -> list[BenchRow]:
             max_len=config.max_len,
         )
         instance = generated.instance
-        instance_id = f"{config.profile}-{seed}"
+        row = partial(
+            BenchRow,
+            instance_id=f"{config.profile}-{seed}",
+            profile=config.profile,
+            n=instance.n,
+        )
         m = _instance_m(config, generated)
-        for spec in config.policies:
-            name, factor = _parse_policy_spec(spec)
+        for spec, name, factor in specs:
             if m is None:
-                rows.append(
-                    BenchRow(
-                        instance_id=instance_id,
-                        profile=config.profile,
-                        n=instance.n,
-                        m_opt=None,
-                        policy=spec,
-                        params="",
-                        machines_used=None,
-                        first_miss="",
-                        ratio="",
-                        ratio_dec="",
-                        status="oracle-skipped",
-                    )
-                )
+                rows.append(row(policy=spec, status="oracle-skipped"))
                 continue
             machines = ceil_frac(factor * m) if factor is not None else None
             start = time.perf_counter()
-            run = run_policy(
-                name,
-                instance,
-                m=m,
-                machines=machines,
-                alpha=None,
-                online=config.online,
-            )
+            run = run_policy(name, instance, m=m, machines=machines, online=config.online)
             wall = (time.perf_counter() - start) * 1000.0
             if run.first_miss is None:
                 _revalidate(run)
             ratio = Fraction(run.machines_used, m)
             worst[spec] = max(worst.get(spec, Fraction(0)), ratio)
+            miss = run.first_miss
             rows.append(
-                BenchRow(
-                    instance_id=instance_id,
-                    profile=config.profile,
-                    n=instance.n,
+                row(
                     m_opt=m,
                     policy=spec,
-                    params=";".join(
-                        f"{k}={v}" for k, v in run.policy_params
-                    ),
+                    params=";".join(f"{k}={v}" for k, v in run.policy_params),
                     machines_used=run.machines_used,
-                    first_miss=(
-                        "none"
-                        if run.first_miss is None
-                        else f"{run.first_miss[0]}@{run.first_miss[1]}"
-                    ),
-                    ratio=str(ratio),
-                    ratio_dec=_dec(ratio),
-                    status="ok",
-                    wall_ms=wall if config.timing else None,
+                    first_miss="none" if miss is None else f"{miss[0]}@{miss[1]}",
+                    wall_ms=wall,
+                    **_ratio_cells(ratio),
                 )
             )
-    for spec in config.policies:
-        if spec in worst:
-            rows.append(
-                BenchRow(
-                    instance_id="summary",
-                    profile=config.profile,
-                    n=config.n,
-                    m_opt=None,
-                    policy=spec,
-                    params="max-ratio",
-                    machines_used=None,
-                    first_miss="",
-                    ratio=str(worst[spec]),
-                    ratio_dec=_dec(worst[spec]),
-                    status="ok",
-                )
-            )
+    rows.extend(
+        BenchRow(
+            instance_id="summary",
+            profile=config.profile,
+            n=config.n,
+            policy=spec,
+            params="max-ratio",
+            **_ratio_cells(worst[spec]),
+        )
+        for spec in config.policies
+        if spec in worst
+    )
     rows.sort(key=lambda r: (r.instance_id == "summary", r.instance_id, r.policy))
     return rows
 
@@ -295,32 +285,22 @@ def _revalidate(run: SimulationRun) -> None:
         )
 
 
-def _dec(ratio: Fraction) -> str:
-    return f"{float(ratio):.6g}"
+def _ratio_cells(ratio: Fraction) -> dict[str, str]:
+    return {"ratio": str(ratio), "ratio_dec": f"{float(ratio):.6g}"}
 
 
-_COLUMNS = (
-    "instance",
-    "profile",
-    "n",
-    "m_opt",
-    "policy",
-    "params",
-    "machines_used",
-    "first_miss",
-    "ratio",
-    "ratio_dec",
-    "status",
-)
+def _columns(timing: bool) -> dict[str, str]:
+    """Column name -> BenchRow field, in field order; ``wall_ms`` only when
+    timing is asked for."""
+    return {
+        "instance" if f.name == "instance_id" else f.name: f.name
+        for f in fields(BenchRow)
+        if timing or f.name != "wall_ms"
+    }
 
 
 def _cells(row: BenchRow, timing: bool) -> dict:
-    values = (row.instance_id, row.profile, row.n, row.m_opt, row.policy, row.params,
-              row.machines_used, row.first_miss, row.ratio, row.ratio_dec, row.status)
-    cells = dict(zip(_COLUMNS, values))
-    if timing:
-        cells["wall_ms"] = row.wall_ms
-    return cells
+    return {column: getattr(row, name) for column, name in _columns(timing).items()}
 
 
 def _csv_cell(value) -> str:
@@ -330,10 +310,8 @@ def _csv_cell(value) -> str:
 
 
 def rows_to_csv(rows: Sequence[BenchRow], timing: bool = False) -> str:
-    columns = _COLUMNS + (("wall_ms",) if timing else ())
-    out = [",".join(columns)]
-    for row in rows:
-        out.append(",".join(map(_csv_cell, _cells(row, timing).values())))
+    out = [",".join(_columns(timing))]
+    out.extend(",".join(map(_csv_cell, _cells(row, timing).values())) for row in rows)
     return "\n".join(out) + "\n"
 
 

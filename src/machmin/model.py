@@ -354,7 +354,8 @@ def validate_nonpreemptive(
 # Text formats.
 #
 # Instance: line 1 "machmin v1 <n>"; then n rows "<id> <r> <d> <p>"
-# (ASCII decimal, single spaces, LF).
+# (single spaces, LF).  A field is an optional "-" followed by the ASCII
+# digits 0-9; the job count and a trace's scale take no sign.
 #
 # Trace: line 1 "trace preemptive" or "trace nonpreemptive", followed by
 # " scale <k>" when the times are those of the instance scaled by k > 1;
@@ -363,7 +364,18 @@ def validate_nonpreemptive(
 # ---------------------------------------------------------------------------
 
 _MAGIC = "machmin v1"
-_TRACE_HEADER = r"trace (preemptive|nonpreemptive)(?: scale ([1-9]\d*))?"
+_TRACE_HEADER = r"trace (preemptive|nonpreemptive)(?: scale ([1-9][0-9]*))?"
+# int() alone would also take "+1", "1_0", a tab or a non-ASCII digit.
+_ROW_CHARS = re.compile(r"[-0-9 \r\n]*")
+
+
+def _check_row_chars(text: str, lines: list[str]) -> None:
+    """Refuse any character after the header line that no row may hold; on
+    the rest, int() reads exactly the fields the format allows."""
+    end = _ROW_CHARS.match(text, len(lines[0])).end()
+    if end < len(text):
+        lineno = text.count("\n", 0, end) + 1
+        raise ParseError(lineno, f"non-integer field in {lines[lineno - 1]!r}")
 
 
 def parse_instance(text: str) -> Instance:
@@ -373,16 +385,14 @@ def parse_instance(text: str) -> Instance:
     header = lines[0].split(" ")
     if len(header) != 3 or header[0] != "machmin" or header[1] != "v1":
         raise ParseError(1, f"expected header '{_MAGIC} <n>'")
-    try:
-        n = int(header[2])
-    except ValueError:
-        raise ParseError(1, f"job count {header[2]!r} is not an integer") from None
-    if n < 0:
-        raise ParseError(1, "job count must be non-negative")
+    if not re.fullmatch("[0-9]+", header[2]):
+        raise ParseError(1, f"job count {header[2]!r} is not a non-negative integer")
+    n = int(header[2])
     if len(lines) != n + 1:
         raise ParseError(
             min(len(lines), n) + 1, f"expected {n} job rows, found {len(lines) - 1}"
         )
+    _check_row_chars(text, lines)
     jobs = []
     seen: set[int] = set()
     for lineno, row in enumerate(lines[1:], start=2):
@@ -439,6 +449,7 @@ def parse_trace(text: str) -> PreemptiveSchedule | NonpreemptiveSchedule:
     if header is None:
         raise ParseError(1, "expected 'trace preemptive' or 'trace nonpreemptive'")
     kind, scale = header[1], int(header[2] or 1)
+    _check_row_chars(text, lines)
     pairs = []
     for lineno, row in enumerate(lines[1:], start=2):
         fields = row.split(" ")

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from machmin import harness
 from machmin.cli import main
 from machmin.model import parse_instance, parse_trace
 
@@ -276,6 +279,69 @@ def test_bench_refuses_a_budget_factor_the_policy_does_not_take(spec, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: policy {name!r} takes no --machines\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("edf@1/0", "budget factor in 'edf@1/0' must be a positive rational"),
+        ("edf@0", "budget factor in 'edf@0' must be a positive rational"),
+        ("edf@-1", "budget factor in 'edf@-1' must be a positive rational"),
+        ("edf", "policy 'edf' needs a budget factor, e.g. edf@3"),
+        ("nope@3", "unknown policy 'nope'; known: " + ", ".join(harness.POLICIES)),
+    ],
+)
+def test_bench_checks_every_spec_before_the_first_instance(
+    spec, message, monkeypatch, capsys
+):
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(harness, "gen_random", no_instance)
+    argv = ["bench", "--profile", "general", "--n", "4", "--count", "1",
+            "--policy", "logn", "--policy", spec]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+BENCH_ARGV = ["bench", "--profile", "uniform-d", "--n", "5", "--count", "2",
+              "--seed", "4", "--policy", "uniform-p"]
+
+
+def test_bench_timing_adds_a_wall_ms_column(capsys):
+    assert main([*BENCH_ARGV, "--timing"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.endswith(",status,wall_ms")
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(header.split(","))
+        if cells[0] == "summary":
+            assert cells[-1] == ""
+        else:
+            assert float(cells[-1]) >= 0
+
+
+def test_bench_timing_adds_a_wall_ms_key(capsys):
+    assert main([*BENCH_ARGV, "--timing", "--format", "jsonl"]) == 0
+    for line in capsys.readouterr().out.splitlines():
+        cells = json.loads(line)
+        assert (cells["wall_ms"] is None) == (cells["instance"] == "summary")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_bench_without_timing_writes_no_wall_ms(fmt, capsys):
+    assert main([*BENCH_ARGV, "--format", fmt]) == 0
+    assert "wall_ms" not in capsys.readouterr().out
+
+
+def test_bench_constants_line(capsys):
+    argv = ["bench", "--profile", "general", "--n", "8", "--count", "2",
+            "--policy", "logn", "--constants"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rows:")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,12 +65,15 @@ def test_bench_summary_and_ratios():
     assert uniform_max == 1  # LLF at m is 1-competitive on uniform deadlines
 
 
-def test_bench_oracle_skip_marked():
-    config = small_campaign(
+def oracle_skip_campaign():
+    return small_campaign(
         profile="general", n=14, count=2, oracle="nonpreemptive",
         policies=("edf@3",),
     )
-    rows = bench(config)
+
+
+def test_bench_oracle_skip_marked():
+    rows = bench(oracle_skip_campaign())
     assert rows and all(r.status == "oracle-skipped" for r in rows)
     assert all(r.ratio == "" for r in rows)
 
@@ -81,12 +85,32 @@ def test_bench_jsonl_shape():
     assert lines[0].startswith("{")
 
 
+def test_bench_jsonl_golden_file():
+    golden = (DATA / "golden_bench.jsonl").read_bytes()
+    text = rows_to_jsonl(bench(small_campaign())) + rows_to_jsonl(
+        bench(oracle_skip_campaign())
+    )
+    assert text.encode() == golden
+
+
 def test_csv_timing_column_is_optional():
-    rows = bench(small_campaign(count=1, timing=True))
+    rows = bench(small_campaign(count=1))
     with_timing = rows_to_csv(rows, timing=True)
     without = rows_to_csv(rows, timing=False)
     assert "wall_ms" in with_timing.splitlines()[0]
     assert "wall_ms" not in without.splitlines()[0]
+
+
+def test_jsonl_timing_marks_every_measured_row():
+    # wall times depend on the machine, so only their presence is pinned
+    rows = bench(small_campaign())
+    for line in rows_to_jsonl(rows, timing=True).splitlines():
+        cells = json.loads(line)
+        if cells["instance"] == "summary":
+            assert cells["wall_ms"] is None
+        else:
+            assert isinstance(cells["wall_ms"], float)
+    assert "wall_ms" not in rows_to_jsonl(rows)
 
 
 def test_verify_roundtrip():

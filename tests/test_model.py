@@ -159,6 +159,52 @@ def test_parse_errors():
     assert err is not None and err.line == 3
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("machmin v1 1\n0 0 1_0 3\n", 2),
+        ("machmin v1 1\n0 0 10 \u0663\n", 2),
+        ("machmin v1 1\n0 +0 10 3\n", 2),
+        ("machmin v1 1\n0 0 10\t3\n", 2),
+        ("machmin v1 2\n0 0 10 3\n1 0 10 3 \n", 3),
+        ("machmin v1 1_0\n", 1),
+        ("machmin v1 +1\n0 0 10 3\n", 1),
+        ("machmin v1 \u0661\n0 0 10 3\n", 1),
+        ("machmin v1 -1\n", 1),
+    ],
+)
+def test_instance_fields_are_ascii_decimal(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("trace preemptive\n+1 0_0\n", 2),
+        ("trace preemptive\n0 0\n1_0 0\n", 3),
+        ("trace nonpreemptive\n0 \u0663\n", 2),
+        ("trace preemptive scale \u0662\n", 1),
+        ("trace preemptive scale 1_0\n", 1),
+        ("trace preemptive scale +2\n", 1),
+    ],
+)
+def test_trace_fields_are_ascii_decimal(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_trace(text)
+    assert info.value.line == line
+
+
+def test_negative_fields_still_parse_to_their_checks():
+    # a leading minus is part of the format; the model refuses the value
+    with pytest.raises(ParseError, match="release must be non-negative"):
+        parse_instance("machmin v1 1\n0 -1 10 3\n")
+    assert parse_trace("trace nonpreemptive\n0 -2\n").starts == {0: -2}
+    # CRLF line ends still split rows as before
+    assert parse_instance("machmin v1 1\r\n0 0 10 3\r\n").jobs == (Job(0, 0, 10, 3),)
+
+
 def test_trace_roundtrip():
     sched = PreemptiveSchedule({0: {1, 0}, 2: {1}})
     text = serialize_trace(sched)
