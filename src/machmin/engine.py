@@ -6,6 +6,11 @@ states of its own active jobs; it answers with the set of job ids to run in
 records misses the moment a job's laxity turns negative, and keeps going
 (the doomed job is dropped at its deadline) so that full traces remain
 meaningful after a miss.
+
+A slot is linear in the active jobs: the policy's snapshot of them and one
+pass for negative laxity.  It builds a new state only for each selected job
+that is not finished, and sorts only the jobs whose laxity is negative.  The
+selections sort their candidates only when the budget leaves some out.
 """
 
 from __future__ import annotations
@@ -64,8 +69,11 @@ def edf_select(states: Iterable[JobState], t: int, budget: int) -> set[int]:
     """The ``budget`` jobs with smallest (deadline, release, id)."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    ranked = sorted(states, key=edf_key)
-    return {s.job.id for s in ranked[:budget]}
+    ranked = list(states)
+    if len(ranked) > budget:
+        ranked.sort(key=edf_key)
+        del ranked[budget:]
+    return {s.job.id for s in ranked}
 
 
 def llf_select(states: Iterable[JobState], t: int, budget: int) -> set[int]:
@@ -76,8 +84,10 @@ def llf_select(states: Iterable[JobState], t: int, budget: int) -> set[int]:
     if budget < 0:
         raise ValueError("budget must be non-negative")
     eligible = [s for s in states if laxity(s, t) >= 0]
-    eligible.sort(key=lambda s: llf_key(s, t))
-    return {s.job.id for s in eligible[:budget]}
+    if len(eligible) > budget:
+        eligible.sort(key=lambda s: llf_key(s, t))
+        del eligible[budget:]
+    return {s.job.id for s in eligible}
 
 
 def early_fit(job: Job) -> int:
@@ -108,9 +118,7 @@ def edf_nonpreemptive_step(
     keep = {s.job.id for s in running}
     if len(keep) > budget:
         raise ValueError("running set exceeds budget")
-    ranked = sorted(waiting, key=edf_key)
-    for state in ranked[: budget - len(keep)]:
-        keep.add(state.job.id)
+    keep.update(edf_select(waiting, t, budget - len(keep)))
     return keep
 
 
@@ -341,6 +349,13 @@ class Simulation:
         )
 
     def step(self) -> frozenset[int]:
+        """Run the slot ``[t, t+1)`` and return the set of jobs it ran.
+
+        A slot costs one snapshot of the active table for the policy, one
+        state per selected job that is still unfinished, and one pass over
+        the active jobs that collects those whose laxity has turned
+        negative; only that list, usually empty, is sorted.
+        """
         t = self.t
         active = self.active
         released = []
@@ -350,33 +365,41 @@ class Simulation:
             active[job.id] = JobState(job, job.processing)
         if released:
             self.policy.on_release(released, t)
-        selected = set(self.policy.select(t, dict(active)))
+        selected = frozenset(self.policy.select(t, dict(active)))
+        if not selected <= active.keys():
+            raise ProtocolViolation(
+                f"policy {self.policy.name!r} selected job "
+                f"{min(selected - active.keys())} at t={t}, which is not active"
+            )
         for j in selected:
-            if j not in active:
-                raise ProtocolViolation(
-                    f"policy {self.policy.name!r} selected job {j} at t={t}, "
-                    "which is not active"
-                )
-        for j in selected:
-            active[j] = JobState(active[j].job, active[j].remaining - 1)
-        self.peak_concurrency = max(self.peak_concurrency, len(selected))
-        budget = self.policy.current_budget()
-        self.peak_budget = max(
-            self.peak_budget, len(selected) if budget is None else budget
-        )
-        self.slots.append(frozenset(selected))
-        self.t = t + 1
-        for j in sorted(active):
-            job, rem = active[j].job, active[j].remaining
-            if rem == 0:
+            state = active[j]
+            if state.remaining == 1:
                 del active[j]
-                continue
-            if job.deadline - self.t - rem < 0 and j not in self._missed:
+            else:
+                active[j] = JobState(state.job, state.remaining - 1)
+        used = len(selected)
+        if used > self.peak_concurrency:
+            self.peak_concurrency = used
+        budget = self.policy.current_budget()
+        if budget is None:
+            budget = used
+        if budget > self.peak_budget:
+            self.peak_budget = budget
+        self.slots.append(selected)
+        t += 1
+        self.t = t
+        # work left at the deadline means negative laxity: only these jobs
+        # can miss now or leave unfinished
+        late = [
+            j for j, s in active.items() if s.job.deadline - t < s.remaining
+        ]
+        for j in sorted(late):
+            if j not in self._missed:
                 self._missed.add(j)
-                self.misses.append((j, self.t))
-            if job.deadline <= self.t:
+                self.misses.append((j, t))
+            if active[j].job.deadline <= t:
                 del active[j]  # doomed job dropped at its deadline
-        return self.slots[-1]
+        return selected
 
     def run_until(self, horizon: int) -> None:
         while self.t < horizon:

@@ -174,12 +174,15 @@ class CampaignConfig:
     online: bool = False
 
 
-def _parse_policy_spec(spec: str) -> tuple[str, Fraction | None]:
+def _parse_policy_spec(spec: str, online: bool) -> tuple[str, Fraction | None]:
     """A bench policy spec is a name, optionally with a budget factor:
     ``edf@3`` means EDF on ceil(3m) machines.  A spec that no run could
-    take raises ValueError."""
+    take, ``online`` or not, raises ValueError."""
     name, at, factor = spec.partition("@")
-    needs_budget = _policy(name).needs == "machines"
+    policy = _policy(name)
+    if online and policy.needs == "m" and policy.online is None:
+        raise ValueError(f"policy {name!r} has no online form; drop --online")
+    needs_budget = policy.needs == "machines"
     if at and not needs_budget:
         raise ValueError(f"policy {name!r} takes no --machines")
     if not at and needs_budget:
@@ -210,7 +213,9 @@ def bench(config: CampaignConfig) -> list[BenchRow]:
     """One row per (instance, policy); summary rows carry the max ratio per
     policy.  Rows where the oracle cap was exceeded are marked, never
     dropped.  Every measured row carries its run's wall time."""
-    specs = [(spec, *_parse_policy_spec(spec)) for spec in config.policies]
+    specs = [
+        (spec, *_parse_policy_spec(spec, config.online)) for spec in config.policies
+    ]
     rows: list[BenchRow] = []
     worst: dict[str, Fraction] = {}
     for seed in range(config.seed0, config.seed0 + config.count):

@@ -378,6 +378,25 @@ def _check_row_chars(text: str, lines: list[str]) -> None:
         raise ParseError(lineno, f"non-integer field in {lines[lineno - 1]!r}")
 
 
+def _field_error(lineno: int, line: str, fields: list[str]) -> ParseError:
+    """The error for a line whose fields int() refused: the first field
+    that is not a decimal echoes the line; one longer than int()'s digit
+    limit is named by its length instead."""
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    for field in fields:
+        if not re.fullmatch("-?[0-9]+", field):
+            break
+        digits = len(field) - field.startswith("-")
+        if limit and digits > limit:
+            return ParseError(
+                lineno, f"field of {digits} digits exceeds the {limit}-digit "
+                "limit of Python's int()"
+            )
+    return ParseError(lineno, f"non-integer field in {line!r}")
+
+
 def parse_instance(text: str) -> Instance:
     lines = text.splitlines()
     if not lines:
@@ -387,7 +406,10 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(1, f"expected header '{_MAGIC} <n>'")
     if not re.fullmatch("[0-9]+", header[2]):
         raise ParseError(1, f"job count {header[2]!r} is not a non-negative integer")
-    n = int(header[2])
+    try:
+        n = int(header[2])
+    except ValueError:
+        raise _field_error(1, lines[0], [header[2]]) from None
     if len(lines) != n + 1:
         raise ParseError(
             min(len(lines), n) + 1, f"expected {n} job rows, found {len(lines) - 1}"
@@ -402,7 +424,7 @@ def parse_instance(text: str) -> Instance:
         try:
             job_id, r, d, p = (int(f) for f in fields)
         except ValueError:
-            raise ParseError(lineno, f"non-integer field in {row!r}") from None
+            raise _field_error(lineno, row, fields) from None
         if job_id in seen:
             raise ParseError(lineno, f"duplicate id {job_id}")
         seen.add(job_id)
@@ -448,29 +470,37 @@ def parse_trace(text: str) -> PreemptiveSchedule | NonpreemptiveSchedule:
     header = re.fullmatch(_TRACE_HEADER, lines[0])
     if header is None:
         raise ParseError(1, "expected 'trace preemptive' or 'trace nonpreemptive'")
-    kind, scale = header[1], int(header[2] or 1)
+    try:
+        kind, scale = header[1], int(header[2] or 1)
+    except ValueError:
+        raise _field_error(1, lines[0], [header[2]]) from None
     _check_row_chars(text, lines)
-    pairs = []
+    preemptive = kind == "preemptive"
+    slots: dict[int, set[int]] = {}
+    starts: dict[int, int] = {}
     for lineno, row in enumerate(lines[1:], start=2):
         fields = row.split(" ")
         if len(fields) != 2:
             raise ParseError(lineno, f"expected 2 fields, found {len(fields)}")
         try:
-            pairs.append((int(fields[0]), int(fields[1])))
+            pair = int(fields[0]), int(fields[1])
         except ValueError:
-            raise ParseError(lineno, f"non-integer field in {row!r}") from None
-    if kind == "preemptive":
-        slots: dict[int, set[int]] = {}
-        for lineno, (t, job_id) in enumerate(pairs, start=2):
-            if job_id in slots.setdefault(t, set()):
+            raise _field_error(lineno, row, fields) from None
+        if preemptive:
+            t, job_id = pair
+            slot = slots.get(t)
+            if slot is None:
+                slot = slots[t] = set()
+            elif job_id in slot:
                 raise ParseError(lineno, f"job {job_id} appears twice in slot {t}")
-            slots[t].add(job_id)
+            slot.add(job_id)
+        else:
+            job_id, start = pair
+            if job_id in starts:
+                raise ParseError(lineno, f"duplicate start for job {job_id}")
+            starts[job_id] = start
+    if preemptive:
         return PreemptiveSchedule(slots, scale)
-    starts: dict[int, int] = {}
-    for lineno, (job_id, start) in enumerate(pairs, start=2):
-        if job_id in starts:
-            raise ParseError(lineno, f"duplicate start for job {job_id}")
-        starts[job_id] = start
     return NonpreemptiveSchedule(starts, scale)
 
 

@@ -261,9 +261,13 @@ def test_nonpreemptive_optimum_beyond_the_flow_limit(tmp_path, capsys):
     assert main(["opt", str(path)]) == 3
 
 
-def test_bench_refuses_online_for_a_policy_without_one(capsys):
+def test_bench_refuses_online_for_a_policy_without_one(monkeypatch, capsys):
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(harness, "gen_random", no_instance)
     argv = ["bench", "--profile", "general", "--n", "8", "--count", "2",
-            "--policy", "logn", "--online"]
+            "--policy", "earlyfit", "--policy", "logn", "--online"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: policy 'logn' has no online form; drop --online\n"

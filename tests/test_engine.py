@@ -238,6 +238,20 @@ def test_protocol_violation():
         simulate(Instance([Job(0, 0, 2, 1)]), Cheater())
 
 
+def test_protocol_violation_names_the_smallest_offending_id():
+    class Cheater(OnlinePolicy):
+        name = "cheater"
+
+        def select(self, t, active):
+            return {99, 0, 7}  # job 0 is active, 7 and 99 are not
+
+    with pytest.raises(ProtocolViolation) as info:
+        simulate(Instance([Job(0, 0, 2, 1)]), Cheater())
+    assert str(info.value) == (
+        "policy 'cheater' selected job 7 at t=0, which is not active"
+    )
+
+
 def test_determinism():
     rng = random.Random(21)
     jobs = []

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,47 @@ def test_negative_fields_still_parse_to_their_checks():
     assert parse_trace("trace nonpreemptive\n0 -2\n").starts == {0: -2}
     # CRLF line ends still split rows as before
     assert parse_instance("machmin v1 1\r\n0 0 10 3\r\n").jobs == (Job(0, 0, 10, 3),)
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("trace preemptive\n0 0\n0 1 2\n", 3, "expected 2 fields, found 3"),
+        ("trace preemptive\n0 -\n", 2, "non-integer field in '0 -'"),
+        ("trace preemptive\n0 1\n1 1\n0 1\n", 4, "job 1 appears twice in slot 0"),
+        ("trace nonpreemptive\n1 0\n2 0\n1 3\n", 4, "duplicate start for job 1"),
+    ],
+)
+def test_trace_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as info:
+        parse_trace(text)
+    assert (info.value.line, info.value.message) == (line, message)
+
+
+@pytest.mark.parametrize(
+    "parse,template,line,zeros",
+    [
+        (parse_instance, "machmin v1 1\n0 0 {} 1\n", 2, 0),
+        (parse_instance, "machmin v1 2\n0 0 1 1\n1 -{} 1 1\n", 3, 0),
+        (parse_trace, "trace preemptive\n0 0\n{} 1\n", 3, 0),
+        (parse_trace, "trace nonpreemptive\n0 -00{}\n", 2, 2),
+        (parse_instance, "machmin v1 {}\n", 1, 0),
+        (parse_trace, "trace preemptive scale {}\n", 1, 0),
+    ],
+    ids=[
+        "instance", "instance-negative", "trace", "trace-leading-zeros",
+        "job-count", "trace-scale",
+    ],
+)
+def test_fields_beyond_the_int_digit_limit_are_named(parse, template, line, zeros):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as info:
+        parse(template.format("9" * (limit + 1)))
+    assert (info.value.line, info.value.message) == (
+        line,
+        f"field of {limit + 1 + zeros} digits exceeds the {limit}-digit "
+        "limit of Python's int()",
+    )
 
 
 def test_trace_roundtrip():
