@@ -32,7 +32,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .engine import OnlinePolicy, SimulationRun, edf_key, edf_select, simulate
 from .model import Instance, Job, JobState
@@ -43,9 +43,6 @@ from .optimum import (
     min_machines,
     min_machines_flow,
 )
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 __all__ = [
     "LAXITY_FLOOR",
@@ -267,7 +264,7 @@ class LogNPolicy(OnlinePolicy):
         return True
 
     def _flow_witness(
-        self, t: int, network: FlowNetwork | None, flow: csr_matrix | None
+        self, t: int, network: FlowNetwork | None, flow: Sequence[int] | None
     ) -> list[list[int]]:
         """Segments from t on of a maximum flow of the pool on m_L machines:
         the search's ``flow`` on ``network``, or, when it is None, one solve."""
@@ -276,14 +273,11 @@ class LogNPolicy(OnlinePolicy):
                 network = FlowNetwork.build(Instance(self._residues))
             _, flow = network.solve(self._m_L)
             self._witness_solves += 1
-        # segment-to-sink flows, read from the sink's row (flow is
-        # antisymmetric); t is a breakpoint, since residues are released at t
-        sink = flow.shape[0] - 1
-        first = sink - len(network.segments)
-        lo, hi = flow.indptr[sink], flow.indptr[sink + 1]
-        loads = [0] * len(network.segments)
-        for v, f in zip(flow.indices[lo:hi].tolist(), flow.data[lo:hi].tolist()):
-            loads[v - first] = -f
+        # segment-to-sink flows, read from the sink's row, the last k arcs of
+        # the layout (their reverses); t is a breakpoint, since residues are
+        # released at t
+        k = len(network.segments)
+        loads = [-int(f) for f in flow[len(flow) - k :]]
         return [
             [a, b, load] for (a, b), load in zip(network.segments, loads) if b > t
         ]

@@ -369,32 +369,42 @@ _TRACE_HEADER = r"trace (preemptive|nonpreemptive)(?: scale ([1-9][0-9]*))?"
 _ROW_CHARS = re.compile(r"[-0-9 \r\n]*")
 
 
+# characters of a refused field that its error message repeats
+_ECHO = 20
+
+
 def _check_row_chars(text: str, lines: list[str]) -> None:
     """Refuse any character after the header line that no row may hold; on
     the rest, int() reads exactly the fields the format allows."""
     end = _ROW_CHARS.match(text, len(lines[0])).end()
     if end < len(text):
-        lineno = text.count("\n", 0, end) + 1
-        raise ParseError(lineno, f"non-integer field in {lines[lineno - 1]!r}")
+        start = text.rfind("\n", 0, end) + 1
+        stop = text.find("\n", end)
+        row = text[start : stop if stop >= 0 else len(text)]
+        raise _field_error(text.count("\n", 0, end) + 1, row.split(" "))
 
 
-def _field_error(lineno: int, line: str, fields: list[str]) -> ParseError:
-    """The error for a line whose fields int() refused: the first field
-    that is not a decimal echoes the line; one longer than int()'s digit
-    limit is named by its length instead."""
+def _field_error(lineno: int, fields: list[str]) -> ParseError:
+    """The error for a row whose fields int() refused: the first field that
+    is not a decimal is named by its position and echoed, cut to ``_ECHO``
+    characters; one longer than int()'s digit limit is named by its
+    length instead."""
     import sys
 
     limit = sys.get_int_max_str_digits()
-    for field in fields:
+    for position, field in enumerate(fields, start=1):
         if not re.fullmatch("-?[0-9]+", field):
-            break
+            echo = repr(field[:_ECHO])
+            if len(field) > _ECHO:
+                echo += f" (cut from {len(field)} characters)"
+            return ParseError(lineno, f"field {position} is not an integer: {echo}")
         digits = len(field) - field.startswith("-")
         if limit and digits > limit:
             return ParseError(
                 lineno, f"field of {digits} digits exceeds the {limit}-digit "
                 "limit of Python's int()"
             )
-    return ParseError(lineno, f"non-integer field in {line!r}")
+    return ParseError(lineno, "non-integer field")
 
 
 def parse_instance(text: str) -> Instance:
@@ -409,7 +419,7 @@ def parse_instance(text: str) -> Instance:
     try:
         n = int(header[2])
     except ValueError:
-        raise _field_error(1, lines[0], [header[2]]) from None
+        raise _field_error(1, [header[2]]) from None
     if len(lines) != n + 1:
         raise ParseError(
             min(len(lines), n) + 1, f"expected {n} job rows, found {len(lines) - 1}"
@@ -424,7 +434,7 @@ def parse_instance(text: str) -> Instance:
         try:
             job_id, r, d, p = (int(f) for f in fields)
         except ValueError:
-            raise _field_error(lineno, row, fields) from None
+            raise _field_error(lineno, fields) from None
         if job_id in seen:
             raise ParseError(lineno, f"duplicate id {job_id}")
         seen.add(job_id)
@@ -473,7 +483,7 @@ def parse_trace(text: str) -> PreemptiveSchedule | NonpreemptiveSchedule:
     try:
         kind, scale = header[1], int(header[2] or 1)
     except ValueError:
-        raise _field_error(1, lines[0], [header[2]]) from None
+        raise _field_error(1, [header[2]]) from None
     _check_row_chars(text, lines)
     preemptive = kind == "preemptive"
     slots: dict[int, set[int]] = {}
@@ -485,7 +495,7 @@ def parse_trace(text: str) -> PreemptiveSchedule | NonpreemptiveSchedule:
         try:
             pair = int(fields[0]), int(fields[1])
         except ValueError:
-            raise _field_error(lineno, row, fields) from None
+            raise _field_error(lineno, fields) from None
         if preemptive:
             t, job_id = pair
             slot = slots.get(t)

@@ -16,14 +16,16 @@ subsets, so its cost follows the job count rather than the time magnitudes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 
 from .model import Instance, Job, PreemptiveSchedule, peak_overlap
 
@@ -113,10 +115,21 @@ def contribution(job: Job, iset: IntervalSet) -> int:
 # Max-flow feasibility.
 # ---------------------------------------------------------------------------
 
-# The flow value below which the flow oracle is exact: scipy's maximum_flow
-# computes in int32, and no arc carries more than the flow value, so
-# capacities are clamped to it.
+# The flow value below which the flow oracle is exact.  It is kept for both
+# kernels: scipy's maximum_flow computes in int32, and the Python kernel
+# reproduces scipy's flows, so it takes the same clamped capacities.  No arc
+# carries more than the flow value, so capacities are clamped to it.
 FLOW_WORK_LIMIT = 2**31
+
+# Networks with at most this many job arcs are solved by ``_dinic`` in
+# Python, larger ones by scipy, whose maximum_flow spends 0.2-0.4 ms on
+# sparse-matrix set-up per call whatever the size.  Median time per solve
+# on a 2-core Xeon VM (Python 3.11, scipy 1.17.1), scipy against Python,
+# 24 random networks per row (BENCH_flow_kernel.json): up to 16 job arcs
+# 0.37 against 0.03 ms; 33-64 arcs 0.23 against 0.08; 161-192 arcs 0.43
+# against 0.38; 193-224 arcs 0.44 against 0.43; 225-256 arcs 0.40 against
+# 0.47; 385-512 arcs 0.45 against 0.78.
+PYTHON_FLOW_ARCS = 192
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,15 +144,20 @@ class FlowNetwork:
     ``m * L`` to the sink.  Only those sink arcs depend on ``m``, which may
     be a fraction: at ``m = num / den`` every capacity is scaled by ``den``,
     so the flow saturates at ``work * den``.
+
+    A flow is the sequence of arc flows on ``layout``, the residual layout
+    that scipy's maximum_flow builds, whichever kernel solved it.
     """
 
     segments: tuple[tuple[int, int], ...]
     job_arcs: tuple[tuple[int, int, int], ...]  # (job index, segment index, cap)
+    n: int  # the job count
     work: int
-    # capacities at m = 1, each clamped to W, except the sink arcs (the last
-    # entries): they hold segment lengths clamped to int32, since at
-    # m = num / den < 1 a segment longer than W drains num * L < W * den
-    graph: csr_matrix
+    # the capacities of graph's arcs at m = 1: each clamped to W, except the
+    # sink arcs (the last entries): they hold segment lengths clamped to
+    # int32, since at m = num / den < 1 a segment longer than W drains
+    # num * L < W * den
+    base: np.ndarray
 
     @classmethod
     def build(cls, instance: Instance) -> "FlowNetwork":
@@ -158,30 +176,68 @@ class FlowNetwork:
             for ji, job in enumerate(instance.jobs)
             for si in range(index[job.release], index[job.deadline])
         )
-        n, k = instance.n, len(segments)
-        sink = 1 + n + k
-        # CSR row by row: the source, each job's run of segments, each
-        # segment's sink arc; the sink row is empty
-        indptr = [0, n]
-        for job in instance.jobs:
-            indptr.append(indptr[-1] + index[job.deadline] - index[job.release])
-        indptr += range(indptr[-1] + 1, indptr[-1] + k + 1)
-        indptr.append(indptr[-1])
-        indices = [*range(1, 1 + n), *(1 + n + si for _, si, _ in arcs), *[sink] * k]
         caps = [j.processing for j in instance.jobs] + [min(c, work) for _, _, c in arcs]
         caps += [min(c, FLOW_WORK_LIMIT - 1) for c in lengths]
-        graph = csr_matrix(
-            (
-                np.array(caps, dtype=np.int32),
-                np.array(indices, dtype=np.int32),
-                np.array(indptr, dtype=np.int32),
-            ),
+        return cls(segments, arcs, instance.n, work, np.array(caps, dtype=np.int32))
+
+    @cached_property
+    def graph(self) -> csr_matrix:
+        """The arcs as scipy's maximum_flow takes them, with capacities
+        ``base``: CSR row by row, the source, each job's run of segments,
+        each segment's sink arc; the sink row is empty."""
+        n, k, arcs = self.n, len(self.segments), len(self.job_arcs)
+        sink = 1 + n + k
+        # job ji's run starts at its first arc, found by bisection
+        starts = (bisect.bisect_left(self.job_arcs, (ji,)) for ji in range(n))
+        indptr = [0, *(n + s for s in starts), *range(n + arcs, n + arcs + k + 1), n + arcs + k]
+        indices = [*range(1, 1 + n), *(1 + n + si for _, si, _ in self.job_arcs), *[sink] * k]
+        return csr_matrix(
+            (self.base, np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
             shape=(sink + 1, sink + 1),
         )
-        return cls(segments, arcs, work, graph)
 
-    def capacities(self, m: int | Fraction) -> csr_matrix:
-        """The capacities on ``m`` machines, scaled by ``m``'s denominator."""
+    @cached_property
+    def layout(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """``(indptr, indices, reverse, forward)``: the network with a
+        reverse arc for every arc, as CSR rows in ascending column order.
+
+        Row by row: the source, as its jobs; each job, as the source and
+        then its segments; each segment, as the jobs that cover it and then
+        the sink; the sink, as every segment.  ``reverse[p]`` is the
+        position of the reverse of the arc at ``p``, and ``forward`` lists
+        the positions of ``graph``'s arcs in its order: the arcs whose head
+        is above their tail.  So job arc ``i`` of job ``ji`` sits at
+        ``n + 1 + ji + i``, and the sink's row is the last ``k`` positions.
+        """
+        n, k = self.n, len(self.segments)
+        sink = 1 + n + k
+        rows = [list(range(1, 1 + n))] + [[0] for _ in range(n)]
+        covers: list[list[int]] = [[] for _ in range(k)]
+        for ji, si, _ in self.job_arcs:
+            rows[1 + ji].append(1 + n + si)
+            covers[si].append(1 + ji)
+        rows += [jobs + [sink] for jobs in covers]
+        rows.append(list(range(1 + n, sink)))
+        indptr = list(itertools.accumulate(map(len, rows), initial=0))
+        indices = [v for row in rows for v in row]
+        # tails visit each row in ascending order, so the arcs into a node
+        # fill its row in column order
+        fill = indptr[:-1]
+        reverse = []
+        for row in rows:
+            for v in row:
+                reverse.append(fill[v])
+                fill[v] += 1
+        forward = [
+            *range(n),
+            *(n + 1 + ji + i for i, (ji, _, _) in enumerate(self.job_arcs)),
+            *(indptr[v + 1] - 1 for v in range(1 + n, sink)),
+        ]
+        return indptr, indices, reverse, forward
+
+    def capacities(self, m: int | Fraction) -> np.ndarray:
+        """The capacities of ``graph``'s arcs on ``m`` machines, in its
+        order, scaled by ``m``'s denominator."""
         num, den = m.numerator, m.denominator
         limit = self.work * den
         if limit >= FLOW_WORK_LIMIT:
@@ -191,18 +247,138 @@ class FlowNetwork:
                 f"2^{FLOW_WORK_LIMIT.bit_length() - 1}"
             )
         k = len(self.segments)
-        graph = self.graph.copy()
+        caps = self.base.copy()
         if den > 1:
-            graph.data[:-k] *= den
+            caps[:-k] *= den
         # both factors are below 2^31, so the int64 product is exact
-        drain = min(num, limit) * graph.data[-k:].astype(np.int64)
-        graph.data[-k:] = np.minimum(drain, limit)
-        return graph
+        drain = min(num, limit) * caps[-k:].astype(np.int64)
+        caps[-k:] = np.minimum(drain, limit)
+        return caps
 
-    def solve(self, m: int) -> tuple[int, csr_matrix]:
-        """Max flow value on ``m`` machines and the flow matrix."""
-        result = maximum_flow(self.capacities(m), 0, self.graph.shape[0] - 1)
-        return int(result.flow_value), result.flow
+    def on_layout(self, caps: np.ndarray) -> list[int]:
+        """``graph``'s arc capacities ``caps`` at their positions on
+        ``layout``; a reverse arc has none."""
+        _, indices, _, forward = self.layout
+        placed = [0] * len(indices)
+        for p, c in zip(forward, caps.tolist()):
+            placed[p] = c
+        return placed
+
+    def solve(self, m: int | Fraction) -> tuple[int, Sequence[int]]:
+        """Max flow value on ``m`` machines and the arc flows on ``layout``."""
+        return maximum_flow(self, self.capacities(m))
+
+
+def maximum_flow(network: FlowNetwork, caps: np.ndarray) -> tuple[int, Sequence[int]]:
+    """Maximum flow from the source to the sink of ``network`` under
+    ``graph``'s arc capacities ``caps``: its value and the arc flows on
+    ``layout`` (a reverse arc carries minus its arc's flow).
+
+    Up to ``PYTHON_FLOW_ARCS`` job arcs ``_dinic`` solves it; above, scipy
+    does, on ``graph``'s arcs, and returns its flows on the same layout.
+    Both run Dinic's algorithm in the same order, so they return the same
+    flows.
+    """
+    if len(network.job_arcs) <= PYTHON_FLOW_ARCS:
+        indptr, indices, reverse, _ = network.layout
+        placed = network.on_layout(caps)
+        residual = placed[:]
+        _dinic(indptr, indices, reverse, residual)
+        flows = [c - r for c, r in zip(placed, residual)]
+        return sum(flows[: indptr[1]]), flows
+    graph = network.graph
+    result = scipy_maximum_flow(
+        csr_matrix((caps, graph.indices, graph.indptr), shape=graph.shape),
+        0,
+        graph.shape[0] - 1,
+    )
+    return int(result.flow_value), result.flow.data
+
+
+def _levels(indptr: list[int], indices: list[int], residual: list[int]) -> list[int]:
+    """Breadth-first distances from the source (node 0) over the arcs of
+    positive residual capacity, -1 where unreached; as in scipy, the search
+    stops when it takes the sink (the last node) off the queue."""
+    sink = len(indptr) - 2
+    levels = [-1] * (sink + 1)
+    levels[0] = 0
+    queue = [0]
+    for node in queue:
+        if node == sink:
+            break
+        level = levels[node] + 1
+        for e in range(indptr[node], indptr[node + 1]):
+            v = indices[e]
+            if residual[e] > 0 and levels[v] < 0:
+                levels[v] = level
+                queue.append(v)
+    return levels
+
+
+def _dinic(
+    indptr: list[int], indices: list[int], reverse: list[int], residual: list[int]
+) -> None:
+    """Push a maximum flow from the source (node 0) to the sink (the last
+    node) into ``residual``, the residual capacities of a layout on which
+    the arc at ``p`` has its reverse at ``reverse[p]``.
+
+    A transliteration of scipy's Dinic (``scipy/sparse/csgraph/_flow.pyx``),
+    whose order fixes the flow: each phase levels the nodes by ``_levels``,
+    then augments one path at a time until none is left.
+    """
+    sink = len(indptr) - 2
+    while True:
+        levels = _levels(indptr, indices, residual)
+        if levels[sink] < 0:
+            return
+        progress = indptr[:-1]
+        while _augment(indptr, indices, reverse, residual, levels, progress):
+            pass
+
+
+def _augment(
+    indptr: list[int],
+    indices: list[int],
+    reverse: list[int],
+    residual: list[int],
+    levels: list[int],
+    progress: list[int],
+) -> bool:
+    """One augmenting path of a Dinic phase, or False when none is left.
+
+    The depth-first search restarts from the source with scipy's int32
+    maximum as its flow, and each node resumes at its own progress pointer.
+    An arc is followed when it has residual capacity and climbs one level;
+    a node whose last arc fails is abandoned, and its parent's pointer
+    moves on.
+    """
+    sink = len(indptr) - 2
+    node, limit = 0, 2**31 - 1
+    path, limits = [node], [limit]
+    while True:
+        e = progress[node]
+        v = indices[e]
+        left = residual[e]
+        if left > 0 and levels[v] == levels[node] + 1:
+            if left < limit:
+                limit = left
+            if v == sink:
+                for u in path:
+                    e = progress[u]
+                    residual[e] -= limit
+                    residual[reverse[e]] += limit
+                return True
+            node = v
+            path.append(node)
+            limits.append(limit)
+            continue
+        while progress[node] == indptr[node + 1] - 1:
+            path.pop()
+            limits.pop()
+            if not path:
+                return False
+            node, limit = path[-1], limits[-1]
+        progress[node] += 1
 
 
 @dataclass(frozen=True)
@@ -259,11 +435,12 @@ def feasible_preemptive(instance: Instance, m: int) -> FeasibilityResult:
     if value < network.work:
         return FeasibilityResult(False, None)
     n, arcs = instance.n, network.job_arcs
-    pairs = np.array([(1 + ji, 1 + n + si) for ji, si, _ in arcs])
-    amounts = np.asarray(flow[pairs[:, 0], pairs[:, 1]]).ravel().tolist()
+    # job arc i of job ji sits at n + 1 + ji + i on the layout; entries are
     # (segment, job id, amount), so each segment packs its jobs in id order
     entries = sorted(
-        (si, instance.jobs[ji].id, f) for (ji, si, _), f in zip(arcs, amounts) if f
+        (si, instance.jobs[ji].id, int(f))
+        for i, (ji, si, _) in enumerate(arcs)
+        if (f := flow[n + 1 + ji + i])
     )
     assignments: dict[int, set[int]] = {}
     for si, group in itertools.groupby(entries, key=lambda e: e[0]):
@@ -274,7 +451,7 @@ def feasible_preemptive(instance: Instance, m: int) -> FeasibilityResult:
 
 def min_machines_flow(
     jobs: Sequence[Job], lower: int
-) -> tuple[int, FlowNetwork | None, csr_matrix | None]:
+) -> tuple[int, FlowNetwork | None, Sequence[int] | None]:
     """Smallest m >= max(lower, 1) on which ``jobs`` are preemptively
     feasible, with the jobs' network and a maximum flow on m machines.
 
@@ -297,7 +474,7 @@ def min_machines_flow(
         return lo, None, None
     network = FlowNetwork.build(instance)
 
-    def fits(m: int) -> tuple[bool, csr_matrix | None]:
+    def fits(m: int) -> tuple[bool, Sequence[int] | None]:
         if m >= n:
             return True, None
         value, flow = network.solve(m)
@@ -365,15 +542,16 @@ def strong_density_witness(instance: Instance) -> tuple[Fraction, IntervalSet]:
     while True:
         iset = IntervalSet(network.segments[si] for si in chosen)
         rho = Fraction(sum(contribution(j, iset) for j in instance.jobs), iset.length)
-        graph = network.capacities(rho)
-        result = maximum_flow(graph, 0, graph.shape[0] - 1)
-        if result.flow_value == network.work * rho.denominator:
+        caps = network.capacities(rho)
+        value, flow = maximum_flow(network, caps)
+        if value == network.work * rho.denominator:
             return rho, iset
-        residual = graph - result.flow
-        residual.eliminate_zeros()
-        # the sink is unreachable at a maximum flow
-        reached = breadth_first_order(residual, 0, return_predecessors=False)
-        chosen = {v - first for v in reached.tolist() if v >= first}
+        indptr, indices, _, _ = network.layout
+        residual = [c - int(f) for c, f in zip(network.on_layout(caps), flow)]
+        # the sink is unreachable at a maximum flow, so the search reaches
+        # the source side of the minimum cut, the same for every such flow
+        levels = _levels(indptr, indices, residual)
+        chosen = {v - first for v in range(first, len(levels) - 1) if levels[v] >= 0}
 
 
 def strong_density_exact(instance: Instance) -> Fraction:

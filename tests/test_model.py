@@ -210,7 +210,7 @@ def test_negative_fields_still_parse_to_their_checks():
     "text,line,message",
     [
         ("trace preemptive\n0 0\n0 1 2\n", 3, "expected 2 fields, found 3"),
-        ("trace preemptive\n0 -\n", 2, "non-integer field in '0 -'"),
+        ("trace preemptive\n0 -\n", 2, "field 2 is not an integer: '-'"),
         ("trace preemptive\n0 1\n1 1\n0 1\n", 4, "job 1 appears twice in slot 0"),
         ("trace nonpreemptive\n1 0\n2 0\n1 3\n", 4, "duplicate start for job 1"),
     ],
@@ -245,6 +245,40 @@ def test_fields_beyond_the_int_digit_limit_are_named(parse, template, line, zero
         f"field of {limit + 1 + zeros} digits exceeds the {limit}-digit "
         "limit of Python's int()",
     )
+
+
+@pytest.mark.parametrize(
+    "parse,text,line,message",
+    [
+        (parse_instance, "machmin v1 1\n0 -- {} 1\n", 2, "field 2 is not an integer: '--'"),
+        (
+            parse_instance,
+            "machmin v1 1\n0 0 -{}- 1\n",
+            2,
+            "field 3 is not an integer: '-9999999999999999999' (cut from 5002 characters)",
+        ),
+        (
+            parse_instance,
+            "machmin v1 1\n0 0 5 {}+\n",
+            2,
+            "field 4 is not an integer: '99999999999999999999' (cut from 5001 characters)",
+        ),
+        (parse_trace, "trace preemptive\n0 0\n-- {}\n", 3, "field 1 is not an integer: '--'"),
+        (
+            parse_trace,
+            "trace nonpreemptive\n{}\t 1\n",
+            2,
+            "field 1 is not an integer: '99999999999999999999' (cut from 5001 characters)",
+        ),
+    ],
+    ids=["instance", "instance-long", "instance-bad-char", "trace", "trace-bad-char"],
+)
+def test_non_integer_fields_are_named_and_cut(parse, text, line, message):
+    # the row holds a field of 5000 digits; the message names the refused
+    # field and repeats at most 20 of its characters, not the whole row
+    with pytest.raises(ParseError) as info:
+        parse(text.format("9" * 5000))
+    assert (info.value.line, info.value.message) == (line, message)
 
 
 def test_trace_roundtrip():

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from machmin.adversary import gen_random
 from machmin.model import Instance, Job, validate_preemptive
@@ -19,6 +19,7 @@ from machmin.optimum import (
     feasible_preemptive,
     is_feasible_preemptive,
     min_machines,
+    min_machines_flow,
     optimal_witness,
     optimum_nonpreemptive_exact,
     optimum_preemptive,
@@ -466,9 +467,10 @@ def test_flow_network_structure():
     assert value == inst.total_work
 
 
-def _coo_graph(inst):
+def _coo_graph(inst, reverses=False):
     """Reference: the network's arcs listed as (row, column, capacity)
-    triples and converted by scipy."""
+    triples and converted by scipy; with ``reverses``, each arc's reverse of
+    capacity 0 as well, which is the layout scipy's maximum_flow solves on."""
     import numpy as np
     from scipy.sparse import csr_matrix
 
@@ -482,40 +484,174 @@ def _coo_graph(inst):
             if job.release <= a and b <= job.deadline:
                 triples.append((1 + ji, 1 + n + si, min(b - a, work)))
     triples += [(1 + n + si, sink, b - a) for si, (a, b) in enumerate(segments)]
+    if reverses:
+        triples += [(v, u, 0) for u, v, _ in triples]
     rows, cols, caps = zip(*triples)
     data = np.array(caps, dtype=np.int32)
     return csr_matrix((data, (rows, cols)), shape=(sink + 1, sink + 1))
 
 
-def test_flow_network_csr_matches_coo_reference():
-    from machmin.optimum import FlowNetwork
-
-    rng = random.Random(31)
-    for _ in range(200):
+def _random_instances(seed, count, max_n=15):
+    rng = random.Random(seed)
+    for _ in range(count):
         jobs = []
-        for i in range(rng.randint(1, 15)):
+        for i in range(rng.randint(1, max_n)):
             r = rng.randrange(30)
             w = rng.randint(1, 12)
             jobs.append(Job(i, r, r + w, rng.randint(1, w)))
-        inst = Instance(jobs)
-        graph = FlowNetwork.build(inst).graph
+        yield Instance(jobs)
+
+
+def test_flow_network_csr_matches_coo_reference():
+    from machmin.optimum import FlowNetwork
+
+    for inst in _random_instances(31, 200):
+        network = FlowNetwork.build(inst)
+        graph = network.graph
         reference = _coo_graph(inst)
         assert graph.shape == reference.shape
         for name in ("indptr", "indices", "data"):
             got, want = getattr(graph, name), getattr(reference, name)
             assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+        # the layout: every arc beside its reverse, the capacities of graph
+        # placed on it, and each position's reverse holding the opposite arc
+        indptr, indices, reverse, forward = network.layout
+        full = _coo_graph(inst, reverses=True)
+        assert indptr == full.indptr.tolist()
+        assert indices == full.indices.tolist()
+        assert network.on_layout(graph.data) == full.data.tolist()
+        tails = [u for u in range(len(indptr) - 1) for _ in range(indptr[u], indptr[u + 1])]
+        for p, q in enumerate(reverse):
+            assert (tails[q], indices[q]) == (indices[p], tails[p])
+        assert [p for p in range(len(indices)) if indices[p] > tails[p]] == forward
 
 
 def test_flow_network_fractional_capacities():
-    from scipy.sparse.csgraph import maximum_flow
-
     from machmin.optimum import FlowNetwork
 
     # one unit of work over four slots saturates at a quarter machine: the
     # segment must drain all four scaled units, not its length clamped to W
     net = FlowNetwork.build(Instance([Job(0, 0, 4, 1)]))
-    graph = net.capacities(Fraction(1, 4))
-    assert maximum_flow(graph, 0, graph.shape[0] - 1).flow_value == 4
+    assert net.solve(Fraction(1, 4))[0] == 4
     # at a fifth of a machine the segment drains 4 of the 5 scaled units
-    graph = net.capacities(Fraction(1, 5))
-    assert maximum_flow(graph, 0, graph.shape[0] - 1).flow_value == 4
+    assert net.solve(Fraction(1, 5))[0] == 4
+
+
+@st.composite
+def straddling_instances(draw):
+    """A job set whose network has at most 190 job arcs, so the Python
+    kernel solves it, or more than ``PYTHON_FLOW_ARCS``, so scipy does."""
+    from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
+
+    large = draw(st.booleans())
+    n = draw(st.integers(25, 40) if large else st.integers(1, 10))
+    jobs = []
+    for i in range(n):
+        r = draw(st.integers(0, 50))
+        w = draw(st.integers(15, 40) if large else st.integers(1, 40))
+        jobs.append(Job(i, r, r + w, draw(st.integers(1, w))))
+    instance = Instance(jobs)
+    network = FlowNetwork.build(instance)
+    assume(large == (len(network.job_arcs) > PYTHON_FLOW_ARCS))
+    return instance, network
+
+
+@st.composite
+def kernel_cases(draw):
+    """A network on either side of the kernel cutoff, at an integer or a
+    fractional machine count."""
+    instance, network = draw(straddling_instances())
+    m = draw(
+        st.integers(1, instance.n)
+        | st.builds(Fraction, st.integers(1, 3 * instance.n), st.integers(2, 7))
+    )
+    return network, m
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=kernel_cases())
+def test_python_kernel_flows_equal_scipy(case):
+    # scipy's maximum_flow on the arcs of graph is the reference: each
+    # kernel, forced whatever the size, returns its value and its flow
+    # matrix element by element, on the same layout
+    from unittest import mock
+
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
+
+    from machmin import optimum
+
+    network, m = case
+    caps = network.capacities(m)
+    graph = network.graph
+    reference = scipy_maximum_flow(
+        csr_matrix((caps, graph.indices, graph.indptr), shape=graph.shape),
+        0,
+        graph.shape[0] - 1,
+    )
+    indptr, indices, _, _ = network.layout
+    assert indptr == reference.flow.indptr.tolist()
+    assert indices == reference.flow.indices.tolist()
+    for cutoff in (len(network.job_arcs), len(network.job_arcs) - 1):
+        with mock.patch.object(optimum, "PYTHON_FLOW_ARCS", cutoff):
+            value, flow = optimum.maximum_flow(network, caps)
+        assert value == reference.flow_value
+        assert list(flow) == reference.flow.data.tolist()
+
+
+def _scaled_past_limit(instance, offset):
+    """The instance scaled by 2^k, where k is ``offset`` away from the
+    smallest k that brings its total work to ``FLOW_WORK_LIMIT``."""
+    from machmin.model import scale_instance
+
+    k = 0
+    while instance.total_work << k < FLOW_WORK_LIMIT:
+        k += 1
+    return scale_instance(instance, 2 ** max(0, k + offset))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=straddling_instances(), offset=st.integers(-3, 2))
+def test_scaling_keeps_verdicts_below_the_flow_limit(case, offset):
+    # scaling every time by 2^k keeps the optimum and every feasibility
+    # verdict while the total work stays below FLOW_WORK_LIMIT, on either
+    # kernel; at or above it every entry point refuses, although the Python
+    # kernel itself has no int32 ceiling
+    instance, _ = case
+    scaled = _scaled_past_limit(instance, offset)
+    assert (scaled.total_work < FLOW_WORK_LIMIT) == (offset < 0)
+    m = optimum_preemptive(instance)
+    counts = sorted({1, max(1, m - 1), m})
+    if offset < 0:
+        assert optimum_preemptive(scaled) == m
+        # (not feasible_preemptive: its witness lists every occupied slot)
+        for count in counts:
+            assert is_feasible_preemptive(scaled, count) == (count >= m)
+        return
+    if min_machines_flow(instance.jobs, 1)[1] is None:
+        # the load bound alone reached n: the search builds no network
+        assert optimum_preemptive(scaled) == m
+    else:
+        with pytest.raises(EnumerationCapExceeded):
+            optimum_preemptive(scaled)
+    for count in counts:
+        with pytest.raises(EnumerationCapExceeded):
+            is_feasible_preemptive(scaled, count)
+        with pytest.raises(EnumerationCapExceeded):
+            feasible_preemptive(scaled, count)
+
+
+@pytest.mark.parametrize("jobs", [3, 30], ids=["python-kernel", "scipy-kernel"])
+def test_scaled_past_the_flow_limit_exits_3(tmp_path, jobs):
+    from machmin.cli import main
+    from machmin.model import serialize_instance
+    from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
+
+    # nested windows: job i covers 2i + 1 segments
+    instance = Instance(Job(i, jobs - i, jobs + i + 1, 1) for i in range(jobs))
+    arcs = len(FlowNetwork.build(instance).job_arcs)
+    assert (arcs > PYTHON_FLOW_ARCS) == (jobs == 30)
+    path = tmp_path / "inst.txt"
+    for offset, code in ((-1, 0), (0, 3)):
+        path.write_text(serialize_instance(_scaled_past_limit(instance, offset)))
+        assert main(["opt", "--preemptive", str(path)]) == code
