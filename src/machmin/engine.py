@@ -492,8 +492,13 @@ def check_load_inequality(
 
         W_A(t) <= W_OPT(t) + alpha/(1-alpha) * m * (d_max - t).
 
+    With ``alpha = num / den`` it is tested in integers, exactly, as
+    ``W_A(t)*(den-num) <= W_OPT(t)*(den-num) + num*m*(d_max - t)``.
     Returns (ok, first violation as (t, W_A(t), W_OPT(t)) or None).
     """
+    num, den = alpha.numerator, alpha.denominator
+    if num >= den:
+        raise ValueError(f"alpha must be below 1, got {alpha}")
     instance = run.instance
     horizon = instance.d_max
     # the inequality's hypothesis is "no miss up to t": stop at the miss
@@ -504,9 +509,8 @@ def check_load_inequality(
         for t in range(horizon)
     ]
     w_opt = work_remaining_trace(instance, opt_slots, horizon)
-    coeff = alpha / (1 - alpha) * m
+    gap, per_slot = den - num, num * m
     for t in range(min(end, horizon + 1)):
-        bound = Fraction(w_opt[t]) + coeff * (instance.d_max - t)
-        if Fraction(w_a[t]) > bound:
+        if w_a[t] * gap > w_opt[t] * gap + per_slot * (horizon - t):
             return False, (t, w_a[t], w_opt[t])
     return True, None

@@ -10,6 +10,12 @@ nest inside each other's laxity, and each group is split round-robin over
 enough machines that no critical job ever loses more than a constant
 fraction of its original laxity.
 
+Every rational test here (the loose test, the subgroup count mu, the
+laxity-ratio minima and the group bound) is an integer cross-multiplication
+on ``alpha``'s numerator and denominator, and the pool budget an integer
+ceiling division, with the same exact semantics as the rational forms; a
+``Fraction`` is built only for a value that is reported.
+
 The pool's optimum m(L) is kept without a flow solve while it cannot
 change.  The policy holds the future part of a feasible schedule of the
 pool on m(L) machines as ``[a, b, load]`` segments: a load fits a segment
@@ -35,11 +41,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .engine import OnlinePolicy, SimulationRun, edf_key, edf_select, simulate
-from .model import Instance, Job, JobState
+from .model import Instance, Job, JobState, is_loose
 from .optimum import (
     FLOW_WORK_LIMIT,
     FlowNetwork,
-    ceil_frac,
     min_machines,
     min_machines_flow,
 )
@@ -78,12 +83,14 @@ def choose_mu(n_jobs: int, alpha: Fraction) -> int:
     """Smallest mu >= 1 with (1-alpha)^mu <= 1/n^2; O(log n)."""
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
-    target = Fraction(1, n_jobs * n_jobs)
-    mu = 1
-    value = 1 - alpha
-    while value > target:
+    # (1-alpha)^mu = kept / whole; the test is n^2 * kept > whole
+    num, den = alpha.numerator, alpha.denominator
+    square = n_jobs * n_jobs
+    mu, kept, whole = 1, den - num, den
+    while square * kept > whole:
         mu += 1
-        value *= 1 - alpha
+        kept *= den - num
+        whole *= den
     return mu
 
 
@@ -100,7 +107,7 @@ def reclassify(
     residues: list[Job] = []
     for job_id in sorted(critical):
         state = critical[job_id]
-        if Fraction(state.remaining) <= alpha * (state.job.deadline - t):
+        if is_loose(state.remaining, state.job.deadline - t, alpha):
             residues.append(
                 Job(job_id, t, state.job.deadline, state.remaining)
             )
@@ -149,6 +156,17 @@ def split_group(
     return [s for s in subgroups if s]
 
 
+def _lower_ratio(best: Fraction | None, left: int, laxity: int) -> Fraction | None:
+    """The smaller of ``best`` and ``left / laxity``; ``best`` unchanged when
+    ``laxity <= 0``.  The test is ``left * den < num * laxity`` on ``best``,
+    and a ``Fraction`` is built only for a new minimum."""
+    if laxity <= 0:
+        return best
+    if best is None or left * best.denominator < best.numerator * laxity:
+        return Fraction(left, laxity)
+    return best
+
+
 def cut_load(a: int, b: int, load: int, c: int) -> int:
     """The part of a segment ``[a, b)``'s load that falls in ``[a, c)`` when
     McNaughton's wrap-around rule packs it from ``a``: with
@@ -179,6 +197,11 @@ class LogNPolicy(OnlinePolicy):
         _check_alpha(alpha)
         self.m = m
         self.alpha = alpha
+        num, den = alpha.numerator, alpha.denominator
+        # the pool budget ceil(m_L / (1-alpha)^2) is ceil(m_L * _grow / _shrink)
+        self._grow, self._shrink = den * den, (den - num) ** 2
+        # 2 + 2/alpha, an integer since 1/alpha is one
+        self._group_factor = 2 + 2 * den // num
         self._arrivals: list[Job] = []
         self._released = 0
         self._critical: set[int] = set()
@@ -207,11 +230,9 @@ class LogNPolicy(OnlinePolicy):
     # -- partition maintenance -------------------------------------------
 
     def _note_entry_ratio(self, job: Job, remaining: int, t: int) -> None:
-        if job.laxity > 0:
-            ratio = Fraction(job.deadline - t - remaining, job.laxity)
-            best = self._min_entry_ratio
-            if best is None or ratio < best:
-                self._min_entry_ratio = ratio
+        self._min_entry_ratio = _lower_ratio(
+            self._min_entry_ratio, job.deadline - t - remaining, job.laxity
+        )
 
     def _admit_safe(self, residues: Sequence[Job], t: int) -> None:
         for residue in residues:
@@ -225,8 +246,7 @@ class LogNPolicy(OnlinePolicy):
             if self._pool_work < FLOW_WORK_LIMIT:
                 self._witness = self._flow_witness(t, network, flow)
         self._safe_budget = max(
-            self._safe_budget,
-            ceil_frac(Fraction(self._m_L) / (1 - self.alpha) ** 2),
+            self._safe_budget, -(-self._m_L * self._grow // self._shrink)
         )
 
     def _certify(self, residues: Sequence[Job], t: int) -> bool:
@@ -294,7 +314,7 @@ class LogNPolicy(OnlinePolicy):
         self._critical = still
         fresh_safe: list[Job] = []
         for job in arrivals:
-            if Fraction(job.processing) <= self.alpha * (job.deadline - t):
+            if is_loose(job.processing, job.deadline - t, self.alpha):
                 fresh_safe.append(Job(job.id, t, job.deadline, job.processing))
                 self._note_entry_ratio(job, job.processing, t)
             else:
@@ -329,7 +349,7 @@ class LogNPolicy(OnlinePolicy):
             ]
             span = max(r.deadline for r in residues) - t
             m_t_hat = -(-sum(r.processing for r in residues) // span)
-            if self._h > 1 + (2 + 2 / self.alpha) * m_t_hat:
+            if self._h > 1 + self._group_factor * m_t_hat:
                 m_t_hat = min_machines(residues, m_t_hat)
                 self._monitor_solves += 1
         else:
@@ -339,17 +359,12 @@ class LogNPolicy(OnlinePolicy):
     def _monitor_laxity_floor(
         self, t: int, active: Mapping[int, JobState]
     ) -> None:
+        best = self._min_critical_ratio
         for j in self._critical:
             state = active[j]
-            original = state.job.laxity
-            if original <= 0:
-                continue
-            ratio = Fraction(
-                state.job.deadline - t - state.remaining, original
-            )
-            best = self._min_critical_ratio
-            if best is None or ratio < best:
-                self._min_critical_ratio = ratio
+            job = state.job
+            best = _lower_ratio(best, job.deadline - t - state.remaining, job.laxity)
+        self._min_critical_ratio = best
 
     # -- scheduling -------------------------------------------------------
 

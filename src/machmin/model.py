@@ -3,8 +3,9 @@
 Time is discrete and integral throughout.  A job released at ``r`` may run in
 the unit slots ``[t, t+1)`` with ``r <= t < d``; a deadline ``d`` means the
 last permitted slot is ``[d-1, d)``.  Rational constants (tightness
-thresholds and machine-budget factors) are handled as exact ``Fraction``
-values; feasibility logic never touches floating point.
+thresholds and machine-budget factors) are exact ``Fraction`` values, and a
+test against one is an integer cross-multiplication on its numerator and
+denominator; feasibility logic never touches floating point.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "ValidationReport",
     "ParseError",
     "laxity",
+    "is_loose",
     "classify",
     "classify_job",
     "validate_preemptive",
@@ -157,19 +159,26 @@ def laxity(state: JobState, t: int) -> int:
     return state.job.deadline - t - state.remaining
 
 
+def is_loose(work: int, window: int, alpha: Fraction) -> bool:
+    """``work <= alpha * window``, decided exactly in integers as
+    ``work * den <= num * window`` for ``alpha = num / den``."""
+    return work * alpha.denominator <= alpha.numerator * window
+
+
 def classify(state: JobState, t: int, alpha: Fraction) -> Tightness:
     """Loose iff remaining work is at most ``alpha`` times the window length.
 
-    The boundary case (equality) classifies as loose.  Comparison is exact.
+    The boundary case (equality) classifies as loose.  The comparison is an
+    integer cross-multiplication (``is_loose``), exact at every magnitude.
     """
-    if Fraction(state.remaining) <= alpha * state.job.window_length:
-        return Tightness.LOOSE
-    return Tightness.TIGHT
+    loose = is_loose(state.remaining, state.job.window_length, alpha)
+    return Tightness.LOOSE if loose else Tightness.TIGHT
 
 
 def classify_job(job: Job, alpha: Fraction) -> Tightness:
     """Tightness of an untouched job at its release date."""
-    return classify(JobState(job, job.processing), job.release, alpha)
+    loose = is_loose(job.processing, job.window_length, alpha)
+    return Tightness.LOOSE if loose else Tightness.TIGHT
 
 
 @dataclass(frozen=True)

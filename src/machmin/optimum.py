@@ -661,16 +661,15 @@ def density_equal_p(jobs: Sequence[Job], p: int) -> Fraction:
             raise ValueError(
                 f"job {job.id} has processing {job.processing}, expected {p}"
             )
-    if not jobs:
-        return Fraction(0)
     starts = sorted({0, *(j.release for j in jobs)})
     ends = sorted({j.deadline for j in jobs})
-    best = Fraction(0)
+    # the best ratio so far is count / length, compared by cross-multiplying
+    count, length = 0, 1
     for a in starts:
         for b in ends:
             if b <= a:
                 continue
-            count = sum(1 for j in jobs if a <= j.release and j.deadline <= b)
-            if count:
-                best = max(best, Fraction(p * count, b - a))
-    return best
+            inside = sum(1 for j in jobs if a <= j.release and j.deadline <= b)
+            if inside * length > count * (b - a):
+                count, length = inside, b - a
+    return Fraction(p * count, length)
