@@ -18,7 +18,7 @@ from typing import Callable
 
 from .engine import OnlinePolicy, Simulation
 from .model import Instance, Job
-from .optimum import FLOW_WORK_LIMIT, is_feasible_preemptive, optimum_preemptive
+from .optimum import is_feasible_preemptive, optimum_preemptive
 
 __all__ = [
     "GeneratorError",
@@ -122,9 +122,18 @@ def gen_deadline_ordered_family(m: int, n: int) -> tuple[Instance, ...]:
     the rest at q^(n-m+1).  Everything is scaled by (m-1)^(n-m+1) to stay
     integral.  Each J_k is certified feasible on m machines; any fixed
     deadline-ordered schedule serving the whole family needs about n-1.
+
+    For m >= 3 only n = m + 1 is feasible: J_{n-m-1} fills all m machines
+    up to q^(n-m-1), and its tail job of q^(n-m) then fits before q^(n-m+1)
+    only if q(q - 1) >= 1, which holds for m = 2 alone.
     """
     if not 2 <= m < n:
         raise GeneratorError(f"need 2 <= m < n, got m={m}, n={n}")
+    if m >= 3 and n > m + 1:
+        raise GeneratorError(
+            f"m >= 3 needs n = m + 1, got m={m}, n={n}: J_{n - m - 1} leaves "
+            f"its tail job no room, as q(q - 1) = m/(m-1)^2 < 1"
+        )
     scale = (m - 1) ** (n - m + 1)
 
     def q_pow(e: int) -> int:  # q^e * scale, exactly
@@ -132,12 +141,6 @@ def gen_deadline_ordered_family(m: int, n: int) -> tuple[Instance, ...]:
 
     tail_deadline = q_pow(n - m + 1)
     processing = [scale] * m + [q_pow(j) for j in range(1, n - m + 1)]
-    work = sum(processing)
-    if work >= FLOW_WORK_LIMIT:
-        raise GeneratorError(
-            f"scaled total work needs {work.bit_length()} bits, beyond the "
-            f"flow oracle's {FLOW_WORK_LIMIT.bit_length() - 1}; shrink n or m"
-        )
     family = []
     for k in range(1, n - m + 1):
         due_k = q_pow(k)

@@ -42,12 +42,7 @@ from typing import Mapping, Sequence
 
 from .engine import OnlinePolicy, SimulationRun, edf_key, edf_select, simulate
 from .model import Instance, Job, JobState, is_loose
-from .optimum import (
-    FLOW_WORK_LIMIT,
-    FlowNetwork,
-    min_machines,
-    min_machines_flow,
-)
+from .optimum import FlowNetwork, min_machines, min_machines_flow
 
 __all__ = [
     "LAXITY_FLOOR",
@@ -207,7 +202,6 @@ class LogNPolicy(OnlinePolicy):
         self._critical: set[int] = set()
         self._safe: set[int] = set()
         self._residues: list[Job] = []
-        self._pool_work = 0
         self._m_L = 0
         # [a, b, load] segments from the last admission on of a feasible
         # schedule of the pool on m_L machines
@@ -238,13 +232,9 @@ class LogNPolicy(OnlinePolicy):
         for residue in residues:
             self._safe.add(residue.id)
             self._residues.append(residue)
-            self._pool_work += residue.processing
-        # at or above the flow limit there is no witness: the search runs,
-        # and raises wherever it needs the flow oracle
-        if self._pool_work >= FLOW_WORK_LIMIT or not self._certify(residues, t):
+        if not self._certify(residues, t):
             self._m_L, network, flow = min_machines_flow(self._residues, self._m_L)
-            if self._pool_work < FLOW_WORK_LIMIT:
-                self._witness = self._flow_witness(t, network, flow)
+            self._witness = self._flow_witness(t, network, flow)
         self._safe_budget = max(
             self._safe_budget, -(-self._m_L * self._grow // self._shrink)
         )

@@ -115,10 +115,11 @@ def contribution(job: Job, iset: IntervalSet) -> int:
 # Max-flow feasibility.
 # ---------------------------------------------------------------------------
 
-# The flow value below which the flow oracle is exact.  It is kept for both
-# kernels: scipy's maximum_flow computes in int32, and the Python kernel
-# reproduces scipy's flows, so it takes the same clamped capacities.  No arc
-# carries more than the flow value, so capacities are clamped to it.
+# The flow bound W·den below which a solve runs on int32 capacities, each
+# clamped to that bound (no arc carries more), as scipy's maximum_flow takes
+# them.  From it on the capacities are exact Python ints and ``_dinic``
+# solves them, whatever the network's size.  It also bounds the total work
+# of ``feasible_preemptive``, whose witness holds one entry per unit.
 FLOW_WORK_LIMIT = 2**31
 
 # Networks with at most this many job arcs are solved by ``_dinic`` in
@@ -156,17 +157,12 @@ class FlowNetwork:
     # the capacities of graph's arcs at m = 1: each clamped to W, except the
     # sink arcs (the last entries): they hold segment lengths clamped to
     # int32, since at m = num / den < 1 a segment longer than W drains
-    # num * L < W * den
+    # num * L < W * den; Python ints from W = FLOW_WORK_LIMIT on
     base: np.ndarray
 
     @classmethod
     def build(cls, instance: Instance) -> "FlowNetwork":
         work = instance.total_work
-        if work >= FLOW_WORK_LIMIT:
-            raise EnumerationCapExceeded(
-                f"total work {work} needs {work.bit_length()} bits; the flow "
-                f"oracle is exact below 2^{FLOW_WORK_LIMIT.bit_length() - 1}"
-            )
         points = sorted({p for j in instance.jobs for p in (j.release, j.deadline)})
         index = {p: i for i, p in enumerate(points)}
         segments = tuple(zip(points, points[1:]))
@@ -178,7 +174,8 @@ class FlowNetwork:
         )
         caps = [j.processing for j in instance.jobs] + [min(c, work) for _, _, c in arcs]
         caps += [min(c, FLOW_WORK_LIMIT - 1) for c in lengths]
-        return cls(segments, arcs, instance.n, work, np.array(caps, dtype=np.int32))
+        dtype = np.int32 if work < FLOW_WORK_LIMIT else object
+        return cls(segments, arcs, instance.n, work, np.array(caps, dtype=dtype))
 
     @cached_property
     def graph(self) -> csr_matrix:
@@ -237,16 +234,16 @@ class FlowNetwork:
 
     def capacities(self, m: int | Fraction) -> np.ndarray:
         """The capacities of ``graph``'s arcs on ``m`` machines, in its
-        order, scaled by ``m``'s denominator."""
+        order, scaled by ``m``'s denominator: int32 below a flow bound of
+        ``FLOW_WORK_LIMIT``, Python ints in an object array from it on."""
         num, den = m.numerator, m.denominator
         limit = self.work * den
-        if limit >= FLOW_WORK_LIMIT:
-            raise EnumerationCapExceeded(
-                f"total work {self.work} at machine count {m} needs a flow of "
-                f"{limit}; the flow oracle is exact below "
-                f"2^{FLOW_WORK_LIMIT.bit_length() - 1}"
-            )
         k = len(self.segments)
+        if limit >= FLOW_WORK_LIMIT:
+            # base's sink arcs are clamped, so they come from the segments
+            caps = [c * den for c in self.base[:-k].tolist()]
+            caps += [min(num * (b - a), limit) for a, b in self.segments]
+            return np.array(caps, dtype=object)
         caps = self.base.copy()
         if den > 1:
             caps[:-k] *= den
@@ -274,12 +271,12 @@ def maximum_flow(network: FlowNetwork, caps: np.ndarray) -> tuple[int, Sequence[
     ``graph``'s arc capacities ``caps``: its value and the arc flows on
     ``layout`` (a reverse arc carries minus its arc's flow).
 
-    Up to ``PYTHON_FLOW_ARCS`` job arcs ``_dinic`` solves it; above, scipy
-    does, on ``graph``'s arcs, and returns its flows on the same layout.
-    Both run Dinic's algorithm in the same order, so they return the same
-    flows.
+    Up to ``PYTHON_FLOW_ARCS`` job arcs, or on Python int capacities,
+    ``_dinic`` solves it; otherwise scipy does, on ``graph``'s arcs, and
+    returns its flows on the same layout.  Both run Dinic's algorithm in
+    the same order, so they return the same flows.
     """
-    if len(network.job_arcs) <= PYTHON_FLOW_ARCS:
+    if len(network.job_arcs) <= PYTHON_FLOW_ARCS or caps.dtype == object:
         indptr, indices, reverse, _ = network.layout
         placed = network.on_layout(caps)
         residual = placed[:]
@@ -327,12 +324,13 @@ def _dinic(
     then augments one path at a time until none is left.
     """
     sink = len(indptr) - 2
+    bound = sum(residual[: indptr[1]])  # the source arcs: no path carries more
     while True:
         levels = _levels(indptr, indices, residual)
         if levels[sink] < 0:
             return
         progress = indptr[:-1]
-        while _augment(indptr, indices, reverse, residual, levels, progress):
+        while _augment(indptr, indices, reverse, residual, levels, progress, bound):
             pass
 
 
@@ -343,17 +341,19 @@ def _augment(
     residual: list[int],
     levels: list[int],
     progress: list[int],
+    bound: int,
 ) -> bool:
     """One augmenting path of a Dinic phase, or False when none is left.
 
-    The depth-first search restarts from the source with scipy's int32
-    maximum as its flow, and each node resumes at its own progress pointer.
-    An arc is followed when it has residual capacity and climbs one level;
+    The depth-first search restarts from the source with ``bound`` as its
+    flow (no source arc exceeds it, so each bottleneck is the one scipy
+    finds from its int32 maximum), and each node resumes at its own
+    progress pointer.  An arc is followed when it has residual capacity and climbs one level;
     a node whose last arc fails is abandoned, and its parent's pointer
     moves on.
     """
     sink = len(indptr) - 2
-    node, limit = 0, 2**31 - 1
+    node, limit = 0, bound
     path, limits = [node], [limit]
     while True:
         e = progress[node]
@@ -430,6 +430,12 @@ def feasible_preemptive(instance: Instance, m: int) -> FeasibilityResult:
         raise ValueError("machine count must be positive")
     if instance.n == 0:
         return FeasibilityResult(True, PreemptiveSchedule({}))
+    work = instance.total_work
+    if work >= FLOW_WORK_LIMIT:
+        raise EnumerationCapExceeded(
+            f"total work {work} needs {work.bit_length()} bits; a witness "
+            "holds one entry per unit of work and is built only below 2^31"
+        )
     network = FlowNetwork.build(instance)
     value, flow = network.solve(m)
     if value < network.work:
@@ -598,10 +604,7 @@ def optimum_nonpreemptive_exact(instance: Instance, *, lower: int = 1) -> int:
             f"the cap of {DEFAULT_BNB_CAP}"
         )
     jobs = sorted(instance.jobs, key=lambda j: (j.deadline, j.release, j.id))
-    # the flow oracle is exact below FLOW_WORK_LIMIT; beyond it the search
-    # alone rules out each k
-    if instance.total_work < FLOW_WORK_LIMIT:
-        lower = min_machines(instance.jobs, lower)
+    lower = min_machines(instance.jobs, lower)
     incumbent = peak_overlap((j.release, j.release + j.processing) for j in jobs)
     finish: dict[int, int | None] = {0: 0}
 

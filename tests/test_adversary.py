@@ -128,18 +128,35 @@ def test_deadline_ordered_rejects_bad_params():
         gen_deadline_ordered_family(1, 4)
     with pytest.raises(GeneratorError):
         gen_deadline_ordered_family(4, 4)
-    with pytest.raises(GeneratorError, match="bits"):
+    with pytest.raises(GeneratorError, match="needs n = m \\+ 1"):
         gen_deadline_ordered_family(3, 200)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_deadline_ordered_for_three_or_more_machines(m):
+    # only n = m + 1 is feasible for m >= 3, since q(q - 1) < 1 there
+    (only,) = gen_deadline_ordered_family(m, m + 1)
+    assert optimum_preemptive(only) == m
+    for n in (m + 2, m + 3):
+        with pytest.raises(GeneratorError, match=f"m={m}, n={n}: J_{n - m - 1} "):
+            gen_deadline_ordered_family(m, n)
+
+
 def test_deadline_ordered_at_the_flow_limit():
-    # (2, 31) has total work 2^30 and certifies; (2, 32) has 2^31, one bit
-    # beyond what the flow oracle computes exactly
-    family = gen_deadline_ordered_family(2, 31)
-    assert len(family) == 29
-    assert family[-1].total_work == 2**30
-    with pytest.raises(GeneratorError, match="32 bits"):
-        gen_deadline_ordered_family(2, 32)
+    # total work 2^(n-1): (2, 31) stays below the 2^31 of the int32 kernel,
+    # (2, 32) reaches it and (2, 60) is far past it; every member certifies
+    for n in (31, 32, 60):
+        family = gen_deadline_ordered_family(2, n)
+        assert len(family) == n - 2
+        assert family[-1].total_work == 2 ** (n - 1)
+
+
+def test_llf_family_past_the_flow_limit_certifies():
+    # c = 7 puts the total work past 2^31; the generator certifies it
+    instance = gen_llf_lower_bound(2, 7, 8)
+    assert instance.n == 2360
+    assert instance.total_work >= 2**31
+    assert is_feasible_preemptive(instance, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 Any text given to ``parse_instance`` or ``parse_trace`` yields a value or a
 ``ParseError``, never another exception.  ``machmin opt`` (all three
-optima) and ``machmin verify`` on fuzzed files exit 0, 1, 2 or 3 and write
-at most one line to stderr.
+optima) and ``machmin verify`` on fuzzed files exit 0, 1 or 2, or 3 only
+where ``opt --nonpreemptive`` meets more than 12 jobs, and write at most
+one line to stderr.
 
-The fuzzed files keep their time fields small (below 2^12 before mutation),
-and ``machmin run`` is left out: the simulator steps every slot from 0, so
-a release of 2^40 still hangs it (ROADMAP open item 1, the event-driven
-simulator).  ``opt`` and ``verify`` do not step slots and are fuzzed
-whole.
+The fuzzed files keep their time fields small (below 2^12 before mutation).
+Valid instances whose time fields reach past 2^62 get from ``opt --preemptive``
+and ``opt --strong-density`` the answer of the same instance divided by
+its common power of two.  ``machmin run`` is left out: the simulator steps
+every slot from 0, so a release of 2^40 still hangs it (ROADMAP open item
+1, the event-driven simulator).  ``opt`` and ``verify`` do not step slots
+and are fuzzed whole.
 """
 
 import io
@@ -136,11 +139,11 @@ def test_parse_trace_returns_or_raises_parse_error(text):
     assert isinstance(value, (PreemptiveSchedule, NonpreemptiveSchedule))
 
 
-def run_cli(argv: list[str]) -> tuple[int, str]:
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 OPT_FLAGS = ([], ["--nonpreemptive"], ["--strong-density"])
@@ -152,7 +155,7 @@ def test_opt_on_fuzzed_files_exits_with_a_documented_code(text, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "instance.txt"
         path.write_text(text, newline="")
-        code, err = run_cli(["opt", *flags, str(path)])
+        code, _, err = run_cli(["opt", *flags, str(path)])
     assert code in (0, 1, 2, 3)
     assert len(err.splitlines()) <= 1, err
 
@@ -164,6 +167,32 @@ def test_verify_on_fuzzed_files_exits_with_a_documented_code(pair, kind):
         paths = Path(tmp) / "instance.txt", Path(tmp) / "trace.txt"
         for path, text in zip(paths, pair):
             path.write_text(text, newline="")
-        code, err = run_cli(["verify", *kind, *map(str, paths)])
+        code, _, err = run_cli(["verify", *kind, *map(str, paths)])
     assert code in (0, 1, 2, 3)
     assert len(err.splitlines()) <= 1, err
+
+
+@st.composite
+def large_instance_jobs(draw) -> list[tuple[int, int, int]]:
+    """Valid jobs scaled by a power of two that takes their largest
+    deadline as far as [2^62, 2^63)."""
+    jobs = draw(instance_jobs().filter(bool))
+    top = max(d for _, d, _ in jobs).bit_length()
+    shift = draw(st.integers(0, 63 - top) | st.just(63 - top))
+    return [tuple(x << shift for x in job) for job in jobs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_instance_jobs(), st.sampled_from((["--preemptive"], ["--strong-density"])))
+def test_opt_at_large_times_equals_the_divided_instance(jobs, flag):
+    low = min(x & -x for job in jobs for x in job if x)
+    divided = [tuple(x // low for x in job) for job in jobs]
+    answers = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.txt"
+        for version in (jobs, divided):
+            path.write_text(instance_text(version))
+            code, out, err = run_cli(["opt", *flag, str(path)])
+            assert (code, err) == (0, "")
+            answers.append(out)
+    assert answers[0] == answers[1]

@@ -22,7 +22,6 @@ from machmin.logn import (
 )
 from machmin.model import Instance, Job, JobState, scale_instance
 from machmin.optimum import (
-    EnumerationCapExceeded,
     FlowNetwork,
     _spread_segment,
     ceil_frac,
@@ -384,13 +383,20 @@ def test_monitor_records_the_load_bound_when_it_certifies():
 
 
 @pytest.mark.parametrize("second_release", [0, 1])
-def test_pool_at_the_flow_limit_raises(second_release):
-    # two loose jobs whose pool work reaches 2^31, admitted together or apart:
-    # the admission that reaches it raises, in its own slot
-    sim = Simulation(LogNPolicy(1))
+def test_pool_at_the_flow_limit_admits(second_release):
+    # two loose jobs whose pool work reaches 2^31, admitted together or
+    # apart: the admission that reaches it keeps m(L) = 1 and a witness of
+    # the whole pool work, less the unit the witness placed in [0, 1) when
+    # it is cut at t = 1; only the slots up to that admission run, since
+    # the simulator steps every slot up to the horizon
+    policy = LogNPolicy(1)
+    sim = Simulation(policy)
     sim.add_jobs([Job(0, 0, 2**32, 2**30), Job(1, second_release, 2**32, 2**30)])
-    with pytest.raises(EnumerationCapExceeded, match="32 bits"):
-        sim.run_until(second_release + 1)
+    sim.run_until(second_release + 1)
+    assert policy._m_L == 1
+    assert policy._safe_budget == 4
+    assert sum(load for _, _, load in policy._witness) == 2**31 - second_release
+    assert all(load <= b - a for a, b, load in policy._witness)
 
 
 def test_certificate_caps_each_share_at_the_segment_length():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from machmin.adversary import gen_random
-from machmin.model import Instance, Job, validate_preemptive
+from machmin.model import Instance, Job, scale_instance, validate_preemptive
 from machmin.optimum import (
     FLOW_WORK_LIMIT,
     _spread_segment,
@@ -19,7 +19,6 @@ from machmin.optimum import (
     feasible_preemptive,
     is_feasible_preemptive,
     min_machines,
-    min_machines_flow,
     optimal_witness,
     optimum_nonpreemptive_exact,
     optimum_preemptive,
@@ -223,13 +222,18 @@ def test_wrap_around_packing_matches_least_loaded():
 
 
 def test_total_work_at_the_flow_limit_raises():
-    fits = Instance([Job(0, 0, 2**31, FLOW_WORK_LIMIT - 2), Job(1, 0, 2**31, 1)])
-    assert optimum_preemptive(fits) == 1
-    over = Instance([Job(0, 0, 2**31, FLOW_WORK_LIMIT - 1), Job(1, 0, 2**31, 1)])
+    # optima and verdicts are exact on both sides of the limit; only
+    # feasible_preemptive refuses from it on, since its witness holds one
+    # entry per unit of work
+    for p in (FLOW_WORK_LIMIT - 2, FLOW_WORK_LIMIT - 1):
+        fits = Instance([Job(0, 0, 2**31, p), Job(1, 0, 2**31, 1)])
+        assert optimum_preemptive(fits) == 1
+        assert is_feasible_preemptive(fits, 1)
+    over = Instance([Job(0, 0, 2**31, 2**31), Job(1, 0, 2**31, 1)])
+    assert optimum_preemptive(over) == 2
+    assert not is_feasible_preemptive(over, 1)
     with pytest.raises(EnumerationCapExceeded, match="32 bits"):
-        optimum_preemptive(over)
-    with pytest.raises(EnumerationCapExceeded):
-        is_feasible_preemptive(over, 1)
+        feasible_preemptive(fits, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +289,10 @@ def test_strong_density_across_a_gap():
 def test_strong_density_at_large_windows():
     small = Instance([Job(i, 0, 2**20, 5) for i in range(3)])
     assert strong_density_exact(small) == Fraction(15, 2**20)
-    # the density's denominator 2^30 times W = 15 leaves int32; the
-    # optimum's integer search does not scale
+    # the density's denominator 2^30 times W = 15 leaves int32, so those
+    # solves take exact Python ints
     large = Instance([Job(i, 0, 2**30, 5) for i in range(3)])
-    with pytest.raises(EnumerationCapExceeded):
-        strong_density_exact(large)
+    assert strong_density_exact(large) == Fraction(15, 2**30)
     assert optimum_preemptive(large) == 1
 
 
@@ -413,8 +416,7 @@ def test_nonpreemptive_at_large_times(bits):
     # short job is what makes one machine enough
     k = 2**bits
     inst = Instance([Job(0, k, k + 1, 1), Job(1, 0, 2 * k + 1, k + 1)])
-    if inst.total_work < FLOW_WORK_LIMIT:
-        assert optimum_preemptive(inst) == 1
+    assert optimum_preemptive(inst) == 1
     assert optimum_nonpreemptive_exact(inst) == 2
 
 
@@ -602,8 +604,6 @@ def test_python_kernel_flows_equal_scipy(case):
 def _scaled_past_limit(instance, offset):
     """The instance scaled by 2^k, where k is ``offset`` away from the
     smallest k that brings its total work to ``FLOW_WORK_LIMIT``."""
-    from machmin.model import scale_instance
-
     k = 0
     while instance.total_work << k < FLOW_WORK_LIMIT:
         k += 1
@@ -611,38 +611,30 @@ def _scaled_past_limit(instance, offset):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=straddling_instances(), offset=st.integers(-3, 2))
-def test_scaling_keeps_verdicts_below_the_flow_limit(case, offset):
+@given(case=straddling_instances(), offset=st.integers(-3, 2), k=st.integers(0, 64))
+def test_scaling_keeps_verdicts_below_the_flow_limit(case, offset, k):
     # scaling every time by 2^k keeps the optimum and every feasibility
-    # verdict while the total work stays below FLOW_WORK_LIMIT, on either
-    # kernel; at or above it every entry point refuses, although the Python
-    # kernel itself has no int32 ceiling
+    # verdict, on either kernel, below FLOW_WORK_LIMIT and past it: by a
+    # power that brings the total work just short of the limit or just
+    # past it, and by any power up to 2^64.  Only feasible_preemptive
+    # refuses from the limit on, since its witness lists every occupied
+    # slot.  The small side also keeps its strong density.
     instance, _ = case
-    scaled = _scaled_past_limit(instance, offset)
-    assert (scaled.total_work < FLOW_WORK_LIMIT) == (offset < 0)
     m = optimum_preemptive(instance)
     counts = sorted({1, max(1, m - 1), m})
-    if offset < 0:
+    for scaled in (_scaled_past_limit(instance, offset), scale_instance(instance, 2**k)):
         assert optimum_preemptive(scaled) == m
-        # (not feasible_preemptive: its witness lists every occupied slot)
         for count in counts:
             assert is_feasible_preemptive(scaled, count) == (count >= m)
-        return
-    if min_machines_flow(instance.jobs, 1)[1] is None:
-        # the load bound alone reached n: the search builds no network
-        assert optimum_preemptive(scaled) == m
-    else:
-        with pytest.raises(EnumerationCapExceeded):
-            optimum_preemptive(scaled)
-    for count in counts:
-        with pytest.raises(EnumerationCapExceeded):
-            is_feasible_preemptive(scaled, count)
-        with pytest.raises(EnumerationCapExceeded):
-            feasible_preemptive(scaled, count)
+        if instance.n <= 10:
+            assert strong_density_exact(scaled) == strong_density_exact(instance)
+        if scaled.total_work >= FLOW_WORK_LIMIT:
+            with pytest.raises(EnumerationCapExceeded, match="witness"):
+                feasible_preemptive(scaled, m)
 
 
 @pytest.mark.parametrize("jobs", [3, 30], ids=["python-kernel", "scipy-kernel"])
-def test_scaled_past_the_flow_limit_exits_3(tmp_path, jobs):
+def test_opt_scaled_past_the_flow_limit(tmp_path, jobs, capsys):
     from machmin.cli import main
     from machmin.model import serialize_instance
     from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
@@ -652,6 +644,9 @@ def test_scaled_past_the_flow_limit_exits_3(tmp_path, jobs):
     arcs = len(FlowNetwork.build(instance).job_arcs)
     assert (arcs > PYTHON_FLOW_ARCS) == (jobs == 30)
     path = tmp_path / "inst.txt"
-    for offset, code in ((-1, 0), (0, 3)):
+    expected = f"{optimum_preemptive(instance)}\n{strong_density_exact(instance)}\n"
+    for offset in (-1, 0, 33):
         path.write_text(serialize_instance(_scaled_past_limit(instance, offset)))
-        assert main(["opt", "--preemptive", str(path)]) == code
+        assert main(["opt", "--preemptive", str(path)]) == 0
+        assert main(["opt", "--strong-density", str(path)]) == 0
+        assert capsys.readouterr().out == expected
