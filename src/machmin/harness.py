@@ -98,10 +98,14 @@ POLICIES: dict[str, PolicySpec] = {
 }
 
 
-def _policy(name: str) -> PolicySpec:
+def _policy(name: str, online: bool) -> PolicySpec:
+    """The named policy.  With ``online``, one that needs the optimum and
+    has no online form is refused here, before any other check."""
     spec = POLICIES.get(name)
     if spec is None:
         raise ValueError(f"unknown policy {name!r}; known: {', '.join(POLICIES)}")
+    if online and spec.needs == "m" and spec.online is None:
+        raise ValueError(f"policy {name!r} has no online form; drop --online")
     return spec
 
 
@@ -117,7 +121,7 @@ def run_policy(
     """Run one named policy.  Base policies take an explicit machine budget;
     composite ones derive their budgets from the optimum ``m`` (or go online
     without it, where they have an online form)."""
-    spec = _policy(name)
+    spec = _policy(name, online)
     if alpha is not None and not spec.alpha:
         raise ValueError(f"policy {name!r} takes no --alpha")
     if machines is not None and spec.needs != "machines":
@@ -130,8 +134,6 @@ def run_policy(
     if spec.needs == "m" and m is None:
         hint = " (or --online)" if spec.online is not None else ""
         raise ValueError(f"policy {name!r} needs the optimum via --m{hint}")
-    if online and spec.needs == "m":
-        raise ValueError(f"policy {name!r} has no online form; drop --online")
     return spec.run(instance, machines if spec.needs == "machines" else m, **alpha_kw)
 
 
@@ -179,9 +181,7 @@ def _parse_policy_spec(spec: str, online: bool) -> tuple[str, Fraction | None]:
     ``edf@3`` means EDF on ceil(3m) machines.  A spec that no run could
     take, ``online`` or not, raises ValueError."""
     name, at, factor = spec.partition("@")
-    policy = _policy(name)
-    if online and policy.needs == "m" and policy.online is None:
-        raise ValueError(f"policy {name!r} has no online form; drop --online")
+    policy = _policy(name, online)
     needs_budget = policy.needs == "machines"
     if at and not needs_budget:
         raise ValueError(f"policy {name!r} takes no --machines")

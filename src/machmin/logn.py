@@ -283,11 +283,9 @@ class LogNPolicy(OnlinePolicy):
                 network = FlowNetwork.build(Instance(self._residues))
             _, flow = network.solve(self._m_L)
             self._witness_solves += 1
-        # segment-to-sink flows, read from the sink's row, the last k arcs of
-        # the layout (their reverses); t is a breakpoint, since residues are
+        # the segment-to-sink flows; t is a breakpoint, since residues are
         # released at t
-        k = len(network.segments)
-        loads = [-int(f) for f in flow[len(flow) - k :]]
+        loads = [int(flow[p]) for p in network.drains]
         return [
             [a, b, load] for (a, b), load in zip(network.segments, loads) if b > t
         ]

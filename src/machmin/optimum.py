@@ -3,7 +3,10 @@
 The preemptive optimum is computed by max-flow feasibility (jobs feed work
 into time segments, segments drain into the sink at the machine count), one
 network per job set, and a galloping search over the machine count from the
-load bound, which hands back the flow of its solve at the optimum.  The
+load bound, which hands back the flow of its solve at the optimum.  A
+network is held once, as the residual CSR layout that Dinic's algorithm
+solves; a Python kernel solves small networks on it and scipy large ones,
+with the same flows.  The
 strong density comes from the same network: at a fractional machine count
 its min cut picks the set of time segments that most exceeds that count,
 and Dinkelbach's method raises the count to the best ratio.  The
@@ -20,7 +23,6 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -115,11 +117,13 @@ def contribution(job: Job, iset: IntervalSet) -> int:
 # Max-flow feasibility.
 # ---------------------------------------------------------------------------
 
-# The flow bound W·den below which a solve runs on int32 capacities, each
-# clamped to that bound (no arc carries more), as scipy's maximum_flow takes
-# them.  From it on the capacities are exact Python ints and ``_dinic``
-# solves them, whatever the network's size.  It also bounds the total work
-# of ``feasible_preemptive``, whose witness holds one entry per unit.
+# The flow bound W·den below which a solve runs on int32 capacities, as
+# scipy's maximum_flow takes them: no arc carries more than that bound, as
+# ``capacities`` clamps each sink arc to it (``base`` holds none of them,
+# since they depend on the machine count).  From it on the capacities are
+# exact Python ints and ``_dinic`` solves them, whatever the network's
+# size.  It also bounds the total work of ``feasible_preemptive``, whose
+# witness holds one entry per unit.
 FLOW_WORK_LIMIT = 2**31
 
 # Networks with at most this many job arcs are solved by ``_dinic`` in
@@ -146,149 +150,127 @@ class FlowNetwork:
     be a fraction: at ``m = num / den`` every capacity is scaled by ``den``,
     so the flow saturates at ``work * den``.
 
-    A flow is the sequence of arc flows on ``layout``, the residual layout
-    that scipy's maximum_flow builds, whichever kernel solved it.
+    The arcs are held once, in the residual layout that Dinic's algorithm
+    solves: CSR rows ``indptr``/``indices`` in ascending column order, with
+    a reverse arc of capacity 0 beside every arc, as Python lists, which the
+    Python kernel indexes and scipy takes as int32.  Row by row: the source,
+    as its jobs; each job, as the source and then its segments; each
+    segment, as the jobs that cover it and then the sink; the sink, as
+    every segment.  So job arc ``i`` of job ``ji`` sits at ``n + 1 + ji +
+    i``, and the sink's row is the last ``k`` positions.  ``reverse[p]`` is
+    the position of the reverse of the arc at ``p``, and ``drains[si]`` the
+    position of segment ``si``'s sink arc.  Both kernels solve this layout
+    as it is, and a flow is the sequence of arc flows on it.  scipy 1.17.1
+    was checked to add no arc to it and to return its flows position for
+    position; the package allows scipy 1.10 on, but no other version was
+    checked, and ``test_python_kernel_flows_equal_scipy`` (scipy on the
+    forward arcs alone as the reference) guards it on the installed one.
     """
 
     segments: tuple[tuple[int, int], ...]
-    job_arcs: tuple[tuple[int, int, int], ...]  # (job index, segment index, cap)
-    n: int  # the job count
     work: int
-    # the capacities of graph's arcs at m = 1: each clamped to W, except the
-    # sink arcs (the last entries): they hold segment lengths clamped to
-    # int32, since at m = num / den < 1 a segment longer than W drains
-    # num * L < W * den; Python ints from W = FLOW_WORK_LIMIT on
+    arcs: int  # the job-arc count, which picks the kernel
+    indptr: list[int]
+    indices: list[int]
+    reverse: list[int]
+    # the capacities at m = 1 of the arcs that do not depend on m, each
+    # clamped to W; 0 on the sink arcs and on every reverse arc.  int32
+    # below W = FLOW_WORK_LIMIT, Python ints from it on
     base: np.ndarray
+    drains: np.ndarray
 
     @classmethod
     def build(cls, instance: Instance) -> "FlowNetwork":
-        work = instance.total_work
-        points = sorted({p for j in instance.jobs for p in (j.release, j.deadline)})
+        jobs, n, work = instance.jobs, instance.n, instance.total_work
+        points = sorted({p for j in jobs for p in (j.release, j.deadline)})
         index = {p: i for i, p in enumerate(points)}
         segments = tuple(zip(points, points[1:]))
-        lengths = [b - a for a, b in segments]
-        arcs = tuple(
-            (ji, si, lengths[si])
-            for ji, job in enumerate(instance.jobs)
-            for si in range(index[job.release], index[job.deadline])
-        )
-        caps = [j.processing for j in instance.jobs] + [min(c, work) for _, _, c in arcs]
-        caps += [min(c, FLOW_WORK_LIMIT - 1) for c in lengths]
+        k = len(segments)
+        first, sink = 1 + n, 1 + n + k
+        spans = [(index[j.release], index[j.deadline]) for j in jobs]
+        # the jobs covering each segment, summed from where spans open and close
+        opened = [0] * (k + 1)
+        for lo, hi in spans:
+            opened[lo] += 1
+            opened[hi] -= 1
+        covers = list(itertools.accumulate(opened[:k]))
+        rows = [n, *(1 + hi - lo for lo, hi in spans), *(c + 1 for c in covers), k]
+        indptr = list(itertools.accumulate(rows, initial=0))
+        size = indptr[-1]
+        indices, reverse, base = [0] * size, [0] * size, [0] * size
+        indices[:n] = range(1, first)
+        base[:n] = [j.processing for j in jobs]
+        feeds = [min(b - a, work) for a, b in segments]
+        # the next free position in each segment's row: the jobs fill it in
+        # ascending order, which leaves it at the segment's sink arc
+        fill = indptr[first:sink]
+        for ji, (lo, hi) in enumerate(spans):
+            p = indptr[1 + ji]
+            reverse[ji], reverse[p] = p, ji
+            p += 1
+            indices[p : p + hi - lo] = range(first + lo, first + hi)
+            base[p : p + hi - lo] = feeds[lo:hi]
+            for si in range(lo, hi):
+                q = fill[si]
+                fill[si] = q + 1
+                indices[q] = 1 + ji
+                reverse[p], reverse[q] = q, p
+                p += 1
+        last = indptr[sink]
+        indices[last:] = range(first, sink)
+        for si, q in enumerate(fill):
+            indices[q] = sink
+            reverse[q], reverse[last + si] = last + si, q
         dtype = np.int32 if work < FLOW_WORK_LIMIT else object
-        return cls(segments, arcs, instance.n, work, np.array(caps, dtype=dtype))
-
-    @cached_property
-    def graph(self) -> csr_matrix:
-        """The arcs as scipy's maximum_flow takes them, with capacities
-        ``base``: CSR row by row, the source, each job's run of segments,
-        each segment's sink arc; the sink row is empty."""
-        n, k, arcs = self.n, len(self.segments), len(self.job_arcs)
-        sink = 1 + n + k
-        # job ji's run starts at its first arc, found by bisection
-        starts = (bisect.bisect_left(self.job_arcs, (ji,)) for ji in range(n))
-        indptr = [0, *(n + s for s in starts), *range(n + arcs, n + arcs + k + 1), n + arcs + k]
-        indices = [*range(1, 1 + n), *(1 + n + si for _, si, _ in self.job_arcs), *[sink] * k]
-        return csr_matrix(
-            (self.base, np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-            shape=(sink + 1, sink + 1),
+        return cls(
+            segments,
+            work,
+            sum(covers),
+            indptr,
+            indices,
+            reverse,
+            np.array(base, dtype=dtype),
+            np.array(fill, dtype=np.intp),
         )
-
-    @cached_property
-    def layout(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """``(indptr, indices, reverse, forward)``: the network with a
-        reverse arc for every arc, as CSR rows in ascending column order.
-
-        Row by row: the source, as its jobs; each job, as the source and
-        then its segments; each segment, as the jobs that cover it and then
-        the sink; the sink, as every segment.  ``reverse[p]`` is the
-        position of the reverse of the arc at ``p``, and ``forward`` lists
-        the positions of ``graph``'s arcs in its order: the arcs whose head
-        is above their tail.  So job arc ``i`` of job ``ji`` sits at
-        ``n + 1 + ji + i``, and the sink's row is the last ``k`` positions.
-        """
-        n, k = self.n, len(self.segments)
-        sink = 1 + n + k
-        rows = [list(range(1, 1 + n))] + [[0] for _ in range(n)]
-        covers: list[list[int]] = [[] for _ in range(k)]
-        for ji, si, _ in self.job_arcs:
-            rows[1 + ji].append(1 + n + si)
-            covers[si].append(1 + ji)
-        rows += [jobs + [sink] for jobs in covers]
-        rows.append(list(range(1 + n, sink)))
-        indptr = list(itertools.accumulate(map(len, rows), initial=0))
-        indices = [v for row in rows for v in row]
-        # tails visit each row in ascending order, so the arcs into a node
-        # fill its row in column order
-        fill = indptr[:-1]
-        reverse = []
-        for row in rows:
-            for v in row:
-                reverse.append(fill[v])
-                fill[v] += 1
-        forward = [
-            *range(n),
-            *(n + 1 + ji + i for i, (ji, _, _) in enumerate(self.job_arcs)),
-            *(indptr[v + 1] - 1 for v in range(1 + n, sink)),
-        ]
-        return indptr, indices, reverse, forward
 
     def capacities(self, m: int | Fraction) -> np.ndarray:
-        """The capacities of ``graph``'s arcs on ``m`` machines, in its
-        order, scaled by ``m``'s denominator: int32 below a flow bound of
-        ``FLOW_WORK_LIMIT``, Python ints in an object array from it on."""
+        """The arc capacities on ``m`` machines, in layout order, scaled by
+        ``m``'s denominator: int32 below a flow bound of ``FLOW_WORK_LIMIT``,
+        Python ints in an object array from it on."""
         num, den = m.numerator, m.denominator
         limit = self.work * den
-        k = len(self.segments)
-        if limit >= FLOW_WORK_LIMIT:
-            # base's sink arcs are clamped, so they come from the segments
-            caps = [c * den for c in self.base[:-k].tolist()]
-            caps += [min(num * (b - a), limit) for a, b in self.segments]
-            return np.array(caps, dtype=object)
-        caps = self.base.copy()
-        if den > 1:
-            caps[:-k] *= den
-        # both factors are below 2^31, so the int64 product is exact
-        drain = min(num, limit) * caps[-k:].astype(np.int64)
-        caps[-k:] = np.minimum(drain, limit)
+        dtype = np.int32 if limit < FLOW_WORK_LIMIT else object
+        caps = self.base.astype(dtype, copy=False) * den
+        caps[self.drains] = [min(num * (b - a), limit) for a, b in self.segments]
         return caps
 
-    def on_layout(self, caps: np.ndarray) -> list[int]:
-        """``graph``'s arc capacities ``caps`` at their positions on
-        ``layout``; a reverse arc has none."""
-        _, indices, _, forward = self.layout
-        placed = [0] * len(indices)
-        for p, c in zip(forward, caps.tolist()):
-            placed[p] = c
-        return placed
-
     def solve(self, m: int | Fraction) -> tuple[int, Sequence[int]]:
-        """Max flow value on ``m`` machines and the arc flows on ``layout``."""
+        """Max flow value on ``m`` machines and the arc flows on the layout."""
         return maximum_flow(self, self.capacities(m))
 
 
 def maximum_flow(network: FlowNetwork, caps: np.ndarray) -> tuple[int, Sequence[int]]:
-    """Maximum flow from the source to the sink of ``network`` under
-    ``graph``'s arc capacities ``caps``: its value and the arc flows on
-    ``layout`` (a reverse arc carries minus its arc's flow).
+    """Maximum flow from the source to the sink of ``network`` under the
+    arc capacities ``caps``: its value and the arc flows on the layout (a
+    reverse arc carries minus its arc's flow).
 
     Up to ``PYTHON_FLOW_ARCS`` job arcs, or on Python int capacities,
-    ``_dinic`` solves it; otherwise scipy does, on ``graph``'s arcs, and
-    returns its flows on the same layout.  Both run Dinic's algorithm in
-    the same order, so they return the same flows.
+    ``_dinic`` solves it; otherwise scipy does.  Both run Dinic's algorithm
+    in the same order on the same layout, so they return the same flows.
     """
-    if len(network.job_arcs) <= PYTHON_FLOW_ARCS or caps.dtype == object:
-        indptr, indices, reverse, _ = network.layout
-        placed = network.on_layout(caps)
+    indptr, indices = network.indptr, network.indices
+    if network.arcs <= PYTHON_FLOW_ARCS or caps.dtype == object:
+        placed = caps.tolist()
         residual = placed[:]
-        _dinic(indptr, indices, reverse, residual)
+        _dinic(indptr, indices, network.reverse, residual)
         flows = [c - r for c, r in zip(placed, residual)]
         return sum(flows[: indptr[1]]), flows
-    graph = network.graph
-    result = scipy_maximum_flow(
-        csr_matrix((caps, graph.indices, graph.indptr), shape=graph.shape),
-        0,
-        graph.shape[0] - 1,
+    nodes = len(indptr) - 1
+    graph = csr_matrix(
+        (caps, np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
+        shape=(nodes, nodes),
     )
+    result = scipy_maximum_flow(graph, 0, nodes - 1)
     return int(result.flow_value), result.flow.data
 
 
@@ -440,13 +422,15 @@ def feasible_preemptive(instance: Instance, m: int) -> FeasibilityResult:
     value, flow = network.solve(m)
     if value < network.work:
         return FeasibilityResult(False, None)
-    n, arcs = instance.n, network.job_arcs
-    # job arc i of job ji sits at n + 1 + ji + i on the layout; entries are
-    # (segment, job id, amount), so each segment packs its jobs in id order
+    indptr, indices = network.indptr, network.indices
+    first = 1 + instance.n  # the node of segment 0
+    # a job's row is the source, then its job arcs; entries are (segment,
+    # job id, amount), so each segment packs its jobs in id order
     entries = sorted(
-        (si, instance.jobs[ji].id, int(f))
-        for i, (ji, si, _) in enumerate(arcs)
-        if (f := flow[n + 1 + ji + i])
+        (indices[p] - first, job.id, int(flow[p]))
+        for ji, job in enumerate(instance.jobs)
+        for p in range(indptr[1 + ji] + 1, indptr[2 + ji])
+        if flow[p]
     )
     assignments: dict[int, set[int]] = {}
     for si, group in itertools.groupby(entries, key=lambda e: e[0]):
@@ -543,8 +527,14 @@ def strong_density_witness(instance: Instance) -> tuple[Fraction, IntervalSet]:
     if instance.n == 0:
         raise ValueError("instance is empty")
     network = FlowNetwork.build(instance)
+    indptr, indices = network.indptr, network.indices
     first = 1 + instance.n  # the node of segment 0; segments precede the sink
-    chosen = {si for _, si, _ in network.job_arcs}
+    # every segment whose row holds a job, that is, one arc besides the sink's
+    chosen = {
+        si
+        for si in range(len(network.segments))
+        if indptr[first + si + 1] - indptr[first + si] > 1
+    }
     while True:
         iset = IntervalSet(network.segments[si] for si in chosen)
         rho = Fraction(sum(contribution(j, iset) for j in instance.jobs), iset.length)
@@ -552,8 +542,7 @@ def strong_density_witness(instance: Instance) -> tuple[Fraction, IntervalSet]:
         value, flow = maximum_flow(network, caps)
         if value == network.work * rho.denominator:
             return rho, iset
-        indptr, indices, _, _ = network.layout
-        residual = [c - int(f) for c, f in zip(network.on_layout(caps), flow)]
+        residual = [c - int(f) for c, f in zip(caps.tolist(), flow)]
         # the sink is unreachable at a maximum flow, so the search reaches
         # the source side of the minimum cut, the same for every such flow
         levels = _levels(indptr, indices, residual)
@@ -664,15 +653,21 @@ def density_equal_p(jobs: Sequence[Job], p: int) -> Fraction:
             raise ValueError(
                 f"job {job.id} has processing {job.processing}, expected {p}"
             )
-    starts = sorted({0, *(j.release for j in jobs)})
-    ends = sorted({j.deadline for j in jobs})
+    # a sweep over the starts from the last down: ``deadlines`` holds, in
+    # ascending order, those of the jobs released at or after a, so the
+    # i-th of them, b, closes at least i windows inside [a, b]
+    later = sorted(jobs, key=lambda j: j.release)
+    deadlines: list[int] = []
     # the best ratio so far is count / length, compared by cross-multiplying
     count, length = 0, 1
-    for a in starts:
-        for b in ends:
-            if b <= a:
-                continue
-            inside = sum(1 for j in jobs if a <= j.release and j.deadline <= b)
-            if inside * length > count * (b - a):
+    for a in sorted({0, *(j.release for j in jobs)}, reverse=True):
+        while later and later[-1].release >= a:
+            bisect.insort(deadlines, later.pop().deadline)
+        total = len(deadlines)
+        for inside, b in enumerate(deadlines, 1):
+            best = count * (b - a)
+            if total * length <= best:
+                break  # from b on, no interval beats count / length
+            if inside * length > best:
                 count, length = inside, b - a
     return Fraction(p * count, length)

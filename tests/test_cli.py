@@ -180,7 +180,7 @@ def test_equalp_online_run_then_verify(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["--policy", "logn", "--online"], "policy 'logn' needs the optimum via --m\n"),
+        (["--policy", "logn", "--online"], "policy 'logn' has no online form; drop --online\n"),
         (["--policy", "uniform-np"],
          "policy 'uniform-np' needs the optimum via --m (or --online)\n"),
         (["--policy", "llf"], "policy 'llf' needs an explicit --machines\n"),

@@ -220,7 +220,7 @@ def _fresh_witness(residues, m, t):
     by the arc's tail row and head column."""
     network = FlowNetwork.build(Instance(residues))
     _, flow = network.solve(m)
-    indptr, indices, _, _ = network.layout
+    indptr, indices = network.indptr, network.indices
     sink = len(indptr) - 2
     first = sink - len(network.segments)
     loads = [

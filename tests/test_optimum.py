@@ -462,9 +462,15 @@ def test_flow_network_structure():
     # segments are the maximal runs between window breakpoints
     assert net.segments == ((0, 1), (1, 3), (3, 5))
     # a job feeds exactly the segments inside its window, one unit of
-    # capacity per covered slot
-    arcs = {(ji, si): cap for ji, si, cap in net.job_arcs}
+    # capacity per covered slot: job ji's row is the source, then its arcs
+    first, indptr, indices = 1 + inst.n, net.indptr, net.indices
+    arcs = {
+        (ji, indices[p] - first): int(net.base[p])
+        for ji in range(inst.n)
+        for p in range(indptr[1 + ji] + 1, indptr[2 + ji])
+    }
     assert arcs == {(0, 0): 1, (0, 1): 2, (1, 1): 2, (1, 2): 2}
+    assert net.arcs == 4
     value, _flow = net.solve(2)
     assert value == inst.total_work
 
@@ -509,23 +515,27 @@ def test_flow_network_csr_matches_coo_reference():
 
     for inst in _random_instances(31, 200):
         network = FlowNetwork.build(inst)
-        graph = network.graph
-        reference = _coo_graph(inst)
-        assert graph.shape == reference.shape
-        for name in ("indptr", "indices", "data"):
-            got, want = getattr(graph, name), getattr(reference, name)
-            assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
-        # the layout: every arc beside its reverse, the capacities of graph
-        # placed on it, and each position's reverse holding the opposite arc
-        indptr, indices, reverse, forward = network.layout
+        # the layout: every arc beside its reverse, in scipy's CSR order,
+        # with the m-free capacities in base, and each position's reverse
+        # holding the opposite arc
         full = _coo_graph(inst, reverses=True)
+        indptr, indices = network.indptr, network.indices
         assert indptr == full.indptr.tolist()
         assert indices == full.indices.tolist()
-        assert network.on_layout(graph.data) == full.data.tolist()
         tails = [u for u in range(len(indptr) - 1) for _ in range(indptr[u], indptr[u + 1])]
-        for p, q in enumerate(reverse):
+        for p, q in enumerate(network.reverse):
             assert (tails[q], indices[q]) == (indices[p], tails[p])
-        assert [p for p in range(len(indices)) if indices[p] > tails[p]] == forward
+        # drains are the sink arcs, one per segment row, which base leaves
+        # to capacities
+        sink = len(indptr) - 2
+        drains = network.drains.tolist()
+        assert drains == [indptr[v + 1] - 1 for v in range(1 + inst.n, sink)]
+        assert all(indices[p] == sink for p in drains)
+        expected = full.data.copy()
+        expected[drains] = 0
+        assert network.base.dtype == expected.dtype
+        assert network.base.tolist() == expected.tolist()
+        assert network.arcs == sum(1 <= u <= inst.n < v for u, v in zip(tails, indices))
 
 
 def test_flow_network_fractional_capacities():
@@ -554,7 +564,7 @@ def straddling_instances(draw):
         jobs.append(Job(i, r, r + w, draw(st.integers(1, w))))
     instance = Instance(jobs)
     network = FlowNetwork.build(instance)
-    assume(large == (len(network.job_arcs) > PYTHON_FLOW_ARCS))
+    assume(large == (network.arcs > PYTHON_FLOW_ARCS))
     return instance, network
 
 
@@ -573,11 +583,13 @@ def kernel_cases(draw):
 @settings(max_examples=120, deadline=None)
 @given(case=kernel_cases())
 def test_python_kernel_flows_equal_scipy(case):
-    # scipy's maximum_flow on the arcs of graph is the reference: each
-    # kernel, forced whatever the size, returns its value and its flow
-    # matrix element by element, on the same layout
+    # scipy's maximum_flow on the forward arcs alone (head above tail), to
+    # which it adds the reverse arcs itself, is the reference: each kernel,
+    # forced whatever the size, returns its value and its flow matrix
+    # element by element, on the same layout
     from unittest import mock
 
+    import numpy as np
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 
@@ -585,16 +597,18 @@ def test_python_kernel_flows_equal_scipy(case):
 
     network, m = case
     caps = network.capacities(m)
-    graph = network.graph
+    indptr, indices = np.array(network.indptr), np.array(network.indices)
+    nodes = len(indptr) - 1
+    tails = np.repeat(np.arange(nodes), np.diff(indptr))
+    forward = indices > tails
     reference = scipy_maximum_flow(
-        csr_matrix((caps, graph.indices, graph.indptr), shape=graph.shape),
+        csr_matrix((caps[forward], (tails[forward], indices[forward])), shape=(nodes, nodes)),
         0,
-        graph.shape[0] - 1,
+        nodes - 1,
     )
-    indptr, indices, _, _ = network.layout
-    assert indptr == reference.flow.indptr.tolist()
-    assert indices == reference.flow.indices.tolist()
-    for cutoff in (len(network.job_arcs), len(network.job_arcs) - 1):
+    assert network.indptr == reference.flow.indptr.tolist()
+    assert network.indices == reference.flow.indices.tolist()
+    for cutoff in (network.arcs, network.arcs - 1):
         with mock.patch.object(optimum, "PYTHON_FLOW_ARCS", cutoff):
             value, flow = optimum.maximum_flow(network, caps)
         assert value == reference.flow_value
@@ -641,7 +655,7 @@ def test_opt_scaled_past_the_flow_limit(tmp_path, jobs, capsys):
 
     # nested windows: job i covers 2i + 1 segments
     instance = Instance(Job(i, jobs - i, jobs + i + 1, 1) for i in range(jobs))
-    arcs = len(FlowNetwork.build(instance).job_arcs)
+    arcs = FlowNetwork.build(instance).arcs
     assert (arcs > PYTHON_FLOW_ARCS) == (jobs == 30)
     path = tmp_path / "inst.txt"
     expected = f"{optimum_preemptive(instance)}\n{strong_density_exact(instance)}\n"
