@@ -17,10 +17,8 @@ from .model import (
     JobState,
     NonpreemptiveSchedule,
     PreemptiveSchedule,
-    Tightness,
     ValidationReport,
-    classify,
-    classify_job,
+    is_loose,
     laxity,
     parse_instance,
     scale_instance,

@@ -30,14 +30,7 @@ from .engine import (
     merge_starts,
     simulate,
 )
-from .model import (
-    Instance,
-    Job,
-    JobState,
-    NonpreemptiveSchedule,
-    Tightness,
-    classify_job,
-)
+from .model import Instance, Job, JobState, NonpreemptiveSchedule, is_loose
 from .optimum import (
     ceil_frac,
     density_equal_p,
@@ -85,7 +78,7 @@ def _require(condition: bool, message: str) -> None:
 def _tightness(alpha: Fraction) -> Callable[[Job], str]:
     """Router to the "loose" or the "tight" pool by tightness at release."""
     return lambda job: (
-        "loose" if classify_job(job, alpha) is Tightness.LOOSE else "tight"
+        "loose" if is_loose(job.processing, job.window_length, alpha) else "tight"
     )
 
 
@@ -314,8 +307,8 @@ class _NonCriticalBatch(OnlinePolicy):
 
 def equal_p_offline_approx(instance: Instance) -> NonpreemptiveSchedule:
     """Offline variant: critical jobs via EarlyFit; non-critical jobs become
-    unit jobs on the p-grid, solved exactly there (EDF at grid times with the
-    unit-job optimum as per-slot capacity) and mapped back."""
+    unit jobs on the p-grid, run there by EDF on the unit-job optimum (exact
+    on unit jobs), and each grid slot tau maps back to the start tau * p."""
     p = _equal_p(instance)
     starts: dict[int, int] = {}
     units: list[Job] = []
@@ -327,20 +320,12 @@ def equal_p_offline_approx(instance: Instance) -> NonpreemptiveSchedule:
             units.append(Job(job.id, lo // p, hi // p, 1))
     if units:
         grid = Instance(units)
-        mu = optimum_preemptive(grid)  # unit jobs: preemptive == non-preemptive
-        pending = {u.id: u for u in units}
-        for tau in range(grid.d_max):
-            eligible = [
-                u for u in pending.values() if u.release <= tau < u.deadline
-            ]
-            chosen = edf_select(
-                (JobState(u, 1) for u in eligible), tau, mu
-            )
-            for j in sorted(chosen):
-                starts[j] = tau * p
-                del pending[j]
-        if pending:  # cannot happen on a feasible instance
-            raise RuntimeError(f"grid EDF left jobs unscheduled: {sorted(pending)}")
+        run = simulate(grid, EDF(optimum_preemptive(grid)))
+        if run.misses:  # cannot happen on a feasible instance
+            missed = sorted(j for j, _ in run.misses)
+            raise RuntimeError(f"grid EDF left jobs unscheduled: {missed}")
+        for tau, ids in enumerate(run.slots):
+            starts.update((j, tau * p) for j in sorted(ids))
     return NonpreemptiveSchedule(starts)
 
 
@@ -366,23 +351,20 @@ class _EqualPOnline(OnlinePolicy):
         self.c = c
         self._loose: set[int] = set()
         self._loose_jobs: list[Job] = []
-        self._all_jobs: list[Job] = []
         self.budget = 0
         self._tight_peak = 0
         self._budget_trace: list[tuple[int, int]] = []
-        self._density_trace: list[tuple[int, Fraction, Fraction]] = []
+        self._density_trace: list[tuple[int, Fraction]] = []
 
     def on_release(self, jobs: Sequence[Job], t: int) -> None:
         for job in jobs:
-            self._all_jobs.append(job)
-            if classify_job(job, self.alpha) is Tightness.LOOSE:
+            if is_loose(job.processing, job.window_length, self.alpha):
                 self._loose.add(job.id)
                 self._loose_jobs.append(job)
         rho_loose = density_equal_p(self._loose_jobs, self.p)
-        rho_all = density_equal_p(self._all_jobs, self.p)
         self.budget = max(self.budget, ceil_frac(self.c * rho_loose))
         self._budget_trace.append((t, self.budget))
-        self._density_trace.append((t, rho_all, rho_loose))
+        self._density_trace.append((t, rho_loose))
 
     def select(self, t: int, active: Mapping[int, JobState]) -> set[int]:
         # tight jobs start at release (EarlyFit) and run to completion

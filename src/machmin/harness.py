@@ -120,12 +120,19 @@ def run_policy(
 ) -> SimulationRun:
     """Run one named policy.  Base policies take an explicit machine budget;
     composite ones derive their budgets from the optimum ``m`` (or go online
-    without it, where they have an online form)."""
+    without it, where they have an online form).  A number the run would
+    not read is refused, as is a non-positive ``m``."""
     spec = _policy(name, online)
     if alpha is not None and not spec.alpha:
         raise ValueError(f"policy {name!r} takes no --alpha")
     if machines is not None and spec.needs != "machines":
         raise ValueError(f"policy {name!r} takes no --machines")
+    if m is not None and spec.needs != "m":
+        raise ValueError(f"policy {name!r} takes no --m")
+    if m is not None and online:
+        raise ValueError(f"policy {name!r} takes no --m with --online")
+    if m is not None and m <= 0:
+        raise ValueError(f"--m must be positive, got {m}")
     alpha_kw = {} if alpha is None else {"alpha": alpha}
     if online and spec.online is not None:
         return spec.online(instance, **alpha_kw)
@@ -241,8 +248,12 @@ def bench(config: CampaignConfig) -> list[BenchRow]:
                 rows.append(row(policy=spec, status="oracle-skipped"))
                 continue
             machines = ceil_frac(factor * m) if factor is not None else None
+            reads_m = POLICIES[name].needs == "m" and not config.online
             start = time.perf_counter()
-            run = run_policy(name, instance, m=m, machines=machines, online=config.online)
+            run = run_policy(
+                name, instance, m=m if reads_m else None, machines=machines,
+                online=config.online,
+            )
             wall = (time.perf_counter() - start) * 1000.0
             if run.first_miss is None:
                 _revalidate(run)

@@ -10,7 +10,6 @@ denominator; feasibility logic never touches floating point.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,6 @@ __all__ = [
     "Job",
     "Instance",
     "JobState",
-    "Tightness",
     "PreemptiveSchedule",
     "NonpreemptiveSchedule",
     "JobDiagnostic",
@@ -29,8 +27,6 @@ __all__ = [
     "ParseError",
     "laxity",
     "is_loose",
-    "classify",
-    "classify_job",
     "validate_preemptive",
     "validate_nonpreemptive",
     "peak_overlap",
@@ -146,11 +142,6 @@ class JobState:
             )
 
 
-class Tightness(enum.Enum):
-    LOOSE = "loose"
-    TIGHT = "tight"
-
-
 def laxity(state: JobState, t: int) -> int:
     """Slack of an in-flight job: ``deadline - t - remaining``.
 
@@ -160,25 +151,10 @@ def laxity(state: JobState, t: int) -> int:
 
 
 def is_loose(work: int, window: int, alpha: Fraction) -> bool:
-    """``work <= alpha * window``, decided exactly in integers as
+    """The package's one tightness test: loose iff ``work <= alpha * window``
+    (equality is loose), decided exactly in integers as
     ``work * den <= num * window`` for ``alpha = num / den``."""
     return work * alpha.denominator <= alpha.numerator * window
-
-
-def classify(state: JobState, t: int, alpha: Fraction) -> Tightness:
-    """Loose iff remaining work is at most ``alpha`` times the window length.
-
-    The boundary case (equality) classifies as loose.  The comparison is an
-    integer cross-multiplication (``is_loose``), exact at every magnitude.
-    """
-    loose = is_loose(state.remaining, state.job.window_length, alpha)
-    return Tightness.LOOSE if loose else Tightness.TIGHT
-
-
-def classify_job(job: Job, alpha: Fraction) -> Tightness:
-    """Tightness of an untouched job at its release date."""
-    loose = is_loose(job.processing, job.window_length, alpha)
-    return Tightness.LOOSE if loose else Tightness.TIGHT
 
 
 @dataclass(frozen=True)

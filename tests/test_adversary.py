@@ -12,7 +12,7 @@ from machmin.adversary import (
     play_eight_sevenths,
 )
 from machmin.engine import EDF, LLF, simulate
-from machmin.model import Tightness, classify_job
+from machmin.model import is_loose
 from machmin.optimum import is_feasible_preemptive, optimum_preemptive
 
 
@@ -218,11 +218,11 @@ def test_gen_random_solves_no_flow_until_m_opt_is_read(monkeypatch):
 
 
 def _all_loose(inst, alpha):
-    return all(classify_job(j, alpha) is Tightness.LOOSE for j in inst.jobs)
+    return all(is_loose(j.processing, j.window_length, alpha) for j in inst.jobs)
 
 
 def _all_tight(inst, alpha):
-    return all(classify_job(j, alpha) is Tightness.TIGHT for j in inst.jobs)
+    return not any(is_loose(j.processing, j.window_length, alpha) for j in inst.jobs)
 
 
 # profile -> predicate(instance, alpha) that every draw satisfies

@@ -207,6 +207,16 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
          "policy 'edf' takes no --alpha\n"),
         (["--policy", "agreeable-p", "--m", "2", "--machines", "4"],
          "policy 'agreeable-p' takes no --machines\n"),
+        (["--policy", "edf", "--machines", "2", "--m", "5"],
+         "policy 'edf' takes no --m\n"),
+        (["--policy", "earlyfit", "--m", "5"], "policy 'earlyfit' takes no --m\n"),
+        (["--policy", "equalp-online", "--m", "7"],
+         "policy 'equalp-online' takes no --m\n"),
+        (["--policy", "agreeable-p", "--m", "2", "--online"],
+         "policy 'agreeable-p' takes no --m with --online\n"),
+        (["--policy", "agreeable-p", "--m", "0"], "--m must be positive, got 0\n"),
+        (["--policy", "agreeable-p", "--m", "-3"], "--m must be positive, got -3\n"),
+        (["--policy", "logn", "--m", "-3"], "--m must be positive, got -3\n"),
     ],
 )
 def test_run_refuses_options_the_policy_does_not_take(

@@ -25,10 +25,11 @@ from machmin.composite import (
     uniform_deadline_preemptive,
     uniform_deadline_preemptive_online,
 )
-from machmin.engine import EDF, simulate
+from machmin.engine import EDF, edf_select, simulate
 from machmin.model import (
     Instance,
     Job,
+    JobState,
     scale_instance,
     validate_nonpreemptive,
     validate_preemptive,
@@ -260,6 +261,44 @@ def test_equal_p_offline_campaign_within_4x():
         assert report.machines_used <= 4 * opt
 
 
+def reference_offline_starts(instance):
+    """Reference starts of ``equal_p_offline_approx``, by a hand-written grid
+    loop: at each grid time tau, EDF on the unit-job optimum over the
+    pending jobs whose grid window holds tau."""
+    p = instance.jobs[0].processing
+    starts, units = {}, []
+    for job in instance.jobs:
+        if is_critical(job, p):
+            starts[job.id] = job.release
+        else:
+            lo, hi = round_noncritical(job, p)
+            units.append(Job(job.id, lo // p, hi // p, 1))
+    if units:
+        grid = Instance(units)
+        mu = optimum_preemptive(grid)
+        pending = {u.id: u for u in units}
+        for tau in range(grid.d_max):
+            eligible = [u for u in pending.values() if u.release <= tau < u.deadline]
+            for j in sorted(edf_select((JobState(u, 1) for u in eligible), tau, mu)):
+                starts[j] = tau * p
+                del pending[j]
+        assert not pending
+    return starts
+
+
+def test_equal_p_offline_starts_match_the_grid_loop():
+    count = 0
+    for p in (2, 3, 4, 7):
+        for n in (4, 8, 12, 20, 30):
+            for seed in range(40):
+                instance = gen_random("equal-p", n, seed, p=p).instance
+                starts = equal_p_offline_approx(instance).starts
+                expected = reference_offline_starts(instance)
+                assert list(starts.items()) == list(expected.items()), (p, n, seed)
+                count += 1
+    assert count == 800
+
+
 def test_equal_p_online_factor_is_as_reported():
     alpha = Fraction(3, 10)
     c = equal_p_online_budget_factor(alpha)
@@ -276,12 +315,8 @@ def test_equal_p_online_campaign():
         run = equal_p_online(g.instance)
         assert run.first_miss is None
         assert Fraction(run.machines_used) <= bound * g.m_opt
-        # EarlyFit pool bound holds against the density at every release
-        densities = dict(
-            (t, rho_all) for t, rho_all, _ in run.extras["density_trace"]
-        )
-        final_rho = run.extras["density_trace"][-1][1]
-        limit = (1 / alpha + 1) * final_rho
+        # EarlyFit pool bound holds against the density of all the jobs
+        limit = (1 / alpha + 1) * density_equal_p(g.instance.jobs, 3)
         assert run.extras["tight_peak"] <= limit.numerator // limit.denominator
 
 

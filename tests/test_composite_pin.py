@@ -51,9 +51,8 @@ def _line(name, online, profile, n, seed, alpha) -> str:
         f"{alpha or 'default'}"
     )
     try:
-        run = run_policy(
-            name, generated.instance, m=generated.m_opt, alpha=alpha, online=online
-        )
+        m = None if online else generated.m_opt
+        run = run_policy(name, generated.instance, m=m, alpha=alpha, online=online)
     except ValueError as exc:
         return f"{key} error: {exc}"
     miss = "none" if run.first_miss is None else "{}@{}".format(*run.first_miss)

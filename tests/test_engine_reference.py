@@ -225,9 +225,10 @@ def test_every_policy_matches_the_reference_engine(name):
                 generated = gen_random(profile, n, seed)
                 machines = generated.m_opt if spec.needs == "machines" else None
                 for online in forms:
+                    m = generated.m_opt if spec.needs == "m" and not online else None
                     expected, got = both_engines(
                         lambda: run_policy(
-                            name, generated.instance, m=generated.m_opt,
+                            name, generated.instance, m=m,
                             machines=machines, online=online,
                         )
                     )

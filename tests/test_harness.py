@@ -202,20 +202,21 @@ ENTRIES = [(name, False) for name in POLICIES] + [
 def test_policy_table_entry(name, online, tmp_path, capsys):
     generated = gen_random(PROFILE_FOR.get(name, "general"), 10, 0)
     m = generated.m_opt
-    # each policy takes the number it needs; a machine budget for a policy
-    # that takes none is refused, as in the CLI below
-    machines = 3 * m if POLICIES[name].needs == "machines" else None
-    run = run_policy(name, generated.instance, machines=machines, m=m, online=online)
+    # each policy takes only the number its run reads; any other number is
+    # refused, as in the CLI below
+    needs = None if online else POLICIES[name].needs
+    machines = 3 * m if needs == "machines" else None
+    run = run_policy(
+        name, generated.instance, machines=machines,
+        m=m if needs == "m" else None, online=online,
+    )
     if run.first_miss is None:
         _revalidate(run)  # the replay that bench applies to miss-free runs
     inst = tmp_path / "inst.txt"
     inst.write_text(serialize_instance(generated.instance))
-    # the CLI refuses --machines where the policy takes none
-    if POLICIES[name].needs == "machines":
-        numbers = ["--machines", str(3 * m)]
-    else:
-        numbers = ["--m", str(m)]
-    code = main(["run", "--policy", name, *numbers, *["--online"] * online, str(inst)])
+    numbers = {"machines": ["--machines", str(3 * m)], "m": ["--m", str(m)]}
+    argv = ["--policy", name, *numbers.get(needs, []), *["--online"] * online]
+    code = main(["run", *argv, str(inst)])
     trace = tmp_path / "trace.txt"
     trace.write_text(capsys.readouterr().out)
     assert code == (0 if run.first_miss is None else 1)

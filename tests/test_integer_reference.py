@@ -22,9 +22,6 @@ from machmin.model import (
     Instance,
     Job,
     JobState,
-    Tightness,
-    classify,
-    classify_job,
     is_loose,
     scale_instance,
 )
@@ -105,23 +102,6 @@ rationals = st.builds(Fraction, big, st.integers(1, 2**200))
 @given(big, big, rationals)
 def test_is_loose_matches_the_fraction_test(work, window, alpha):
     assert is_loose(work, window, alpha) == reference_is_loose(work, window, alpha)
-
-
-@given(
-    st.integers(0, 2**200),
-    st.integers(1, 2**200),
-    st.integers(0, 2**200),
-    st.fractions(min_value=0, max_value=2, max_denominator=2**64),
-)
-def test_classify_matches_the_fraction_test(release, window, spare, alpha):
-    work = max(1, window - spare)
-    job = Job(0, release, release + window, work)
-    expected = reference_is_loose(work, window, alpha)
-    assert (classify_job(job, alpha) is Tightness.LOOSE) == expected
-    remaining = work // 2
-    state_expected = reference_is_loose(remaining, window, alpha)
-    got = classify(JobState(job, remaining), release + spare, alpha)
-    assert (got is Tightness.LOOSE) == state_expected
 
 
 @given(

@@ -173,6 +173,25 @@ def test_required_scale():
     ) == 4
 
 
+FRACTIONAL_KINDS = [k for k in TransformKind if k is not TransformKind.RESIDUE_AT]
+job_shapes = st.lists(
+    st.tuples(st.integers(0, 50), st.integers(1, 40), st.integers(0, 60)), max_size=6
+)
+proper_fractions = st.integers(2, 64).flatmap(
+    lambda den: st.builds(Fraction, st.integers(1, den - 1), st.just(den))
+)
+
+
+@given(st.sampled_from(FRACTIONAL_KINDS), proper_fractions, job_shapes)
+def test_required_scale_makes_every_transform_integral(kind, q, shapes):
+    # (release, processing, laxity) per job; any pre-scale error would raise
+    inst = Instance(
+        Job(i, r, r + p + lax, p) for i, (r, p, lax) in enumerate(shapes)
+    )
+    spec = LaxityTransformSpec(kind, q)
+    transform(scale_instance(inst, required_scale(spec)), spec)
+
+
 def test_residue_transform():
     inst = Instance([Job(0, 0, 10, 3), Job(1, 5, 9, 2)])
     out = transform(

@@ -11,9 +11,7 @@ from machmin.model import (
     NonpreemptiveSchedule,
     ParseError,
     PreemptiveSchedule,
-    Tightness,
-    classify,
-    classify_job,
+    is_loose,
     laxity,
     parse_instance,
     parse_trace,
@@ -59,12 +57,12 @@ def test_laxity_examples():
     assert laxity(JobState(job, 2), 9) == -1
 
 
-def test_classify_examples():
+def test_is_loose_examples():
     half = Fraction(1, 2)
-    assert classify_job(Job(0, 0, 10, 4), half) is Tightness.LOOSE
-    assert classify_job(Job(0, 0, 10, 6), half) is Tightness.TIGHT
+    assert is_loose(4, 10, half)
+    assert not is_loose(6, 10, half)
     # boundary equality is loose
-    assert classify(JobState(Job(0, 0, 10, 6), 5), 2, half) is Tightness.LOOSE
+    assert is_loose(5, 10, half)
 
 
 @given(
@@ -74,19 +72,14 @@ def test_classify_examples():
     den=st.integers(2, 10),
     drop=st.integers(0, 19),
 )
-def test_classify_monotone_in_remaining(p, window, num, den, drop):
-    # decreasing remaining never flips loose -> tight
+def test_is_loose_monotone_in_work(p, window, num, den, drop):
+    # less work in the same window never flips loose -> tight
     if num >= den:
         num = den - 1
     alpha = Fraction(num, den)
-    window = max(window, p)
-    job = Job(0, 0, window + p, p)
-    rem_hi = p
-    rem_lo = max(0, p - drop)
-    hi = classify(JobState(job, rem_hi), 0, alpha)
-    lo = classify(JobState(job, rem_lo), 0, alpha)
-    if hi is Tightness.LOOSE:
-        assert lo is Tightness.LOOSE
+    window = max(window, p) + p
+    if is_loose(p, window, alpha):
+        assert is_loose(max(0, p - drop), window, alpha)
 
 
 def test_validate_preemptive_examples():
