@@ -7,9 +7,10 @@ records misses the moment a job's laxity turns negative, and keeps going
 (the doomed job is dropped at its deadline) so that full traces remain
 meaningful after a miss.
 
-A slot is linear in the active jobs: the policy's snapshot of them and one
-pass for negative laxity.  It builds a new state only for each selected job
-that is not finished, and sorts only the jobs whose laxity is negative.  The
+A slot is linear in the active jobs and allocates no state.  The policy
+reads the active table through a read-only live view, the simulator advances
+each selected job that is not finished in place, one unit of work, and one
+pass collects the jobs whose laxity is negative; only those are sorted.  The
 selections sort their candidates only when the budget leaves some out.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -50,6 +52,10 @@ __all__ = [
     "work_remaining_trace",
     "check_load_inequality",
 ]
+
+
+# the simulator's one write to a state: one unit of work done in a slot
+_advance = JobState.remaining.__set__
 
 
 class ProtocolViolation(RuntimeError):
@@ -128,7 +134,10 @@ class OnlinePolicy:
     Subclasses implement ``select``; ``on_release`` is optional.  The
     ``active`` view passed to ``select`` holds exactly what the policy could
     reconstruct from its own processing history, so it leaks no information
-    a genuine online algorithm would lack.
+    a genuine online algorithm would lack.  It is a read-only live view of
+    the simulator's table, valid for the duration of the call: the
+    simulator advances its states in place after the call, so a policy that
+    needs a state at a later slot keeps a copy of the numbers it reads.
 
     A run reports two things once, when ``Simulation.finish`` closes it:
     ``starts()`` is the committed start of every job the policy ran, or None
@@ -176,11 +185,18 @@ def merge_starts(policies: Iterable[OnlinePolicy]) -> dict[int, int] | None:
     return {j: start for part in parts for j, start in part.items()}
 
 
+def _budget(machines: int) -> int:
+    """A budgeted policy's machine count, refused when negative."""
+    if machines < 0:
+        raise ValueError(f"machines must be non-negative, got {machines}")
+    return machines
+
+
 class EDF(OnlinePolicy):
     name = "edf"
 
     def __init__(self, machines: int):
-        self.machines = machines
+        self.machines = _budget(machines)
 
     def current_budget(self) -> int:
         return self.machines
@@ -196,7 +212,7 @@ class LLF(OnlinePolicy):
     name = "llf"
 
     def __init__(self, machines: int):
-        self.machines = machines
+        self.machines = _budget(machines)
 
     def current_budget(self) -> int:
         return self.machines
@@ -246,7 +262,7 @@ class NonpreemptiveEDF(OnlinePolicy):
     name = "edf-np"
 
     def __init__(self, machines: int):
-        self.machines = machines
+        self.machines = _budget(machines)
         self._starts: dict[int, int] = {}
         self._running: set[int] = set()
 
@@ -312,6 +328,7 @@ class Simulation:
         self.t = 0
         self.jobs: dict[int, Job] = {}
         self.active: dict[int, JobState] = {}
+        self._view = MappingProxyType(self.active)  # what policies see
         self._pending: list[Job] = []  # sorted by (release, id), consumed from the back
         self.slots: list[frozenset[int]] = []
         self.misses: list[tuple[int, int]] = []
@@ -351,10 +368,12 @@ class Simulation:
     def step(self) -> frozenset[int]:
         """Run the slot ``[t, t+1)`` and return the set of jobs it ran.
 
-        A slot costs one snapshot of the active table for the policy, one
-        state per selected job that is still unfinished, and one pass over
-        the active jobs that collects those whose laxity has turned
-        negative; only that list, usually empty, is sorted.
+        The policy reads the active table through one read-only live view,
+        made once per simulation.  Each selected job that is not finished
+        has its state advanced in place by one unit of work; a job finishing
+        in the slot leaves the table.  One pass over the active jobs
+        collects those whose laxity has turned negative; only that list,
+        usually empty, is sorted.
         """
         t = self.t
         active = self.active
@@ -365,7 +384,7 @@ class Simulation:
             active[job.id] = JobState(job, job.processing)
         if released:
             self.policy.on_release(released, t)
-        selected = frozenset(self.policy.select(t, dict(active)))
+        selected = frozenset(self.policy.select(t, self._view))
         if not selected <= active.keys():
             raise ProtocolViolation(
                 f"policy {self.policy.name!r} selected job "
@@ -373,10 +392,11 @@ class Simulation:
             )
         for j in selected:
             state = active[j]
-            if state.remaining == 1:
+            remaining = state.remaining
+            if remaining == 1:
                 del active[j]
             else:
-                active[j] = JobState(state.job, state.remaining - 1)
+                _advance(state, remaining - 1)
         used = len(selected)
         if used > self.peak_concurrency:
             self.peak_concurrency = used

@@ -121,7 +121,8 @@ def run_policy(
     """Run one named policy.  Base policies take an explicit machine budget;
     composite ones derive their budgets from the optimum ``m`` (or go online
     without it, where they have an online form).  A number the run would
-    not read is refused, as is a non-positive ``m``."""
+    not read is refused, as is a non-positive ``m`` or a negative
+    ``machines``."""
     spec = _policy(name, online)
     if alpha is not None and not spec.alpha:
         raise ValueError(f"policy {name!r} takes no --alpha")
@@ -133,6 +134,8 @@ def run_policy(
         raise ValueError(f"policy {name!r} takes no --m with --online")
     if m is not None and m <= 0:
         raise ValueError(f"--m must be positive, got {m}")
+    if machines is not None and machines < 0:
+        raise ValueError(f"--machines must be non-negative, got {machines}")
     alpha_kw = {} if alpha is None else {"alpha": alpha}
     if online and spec.online is not None:
         return spec.online(instance, **alpha_kw)

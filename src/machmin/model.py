@@ -11,7 +11,7 @@ denominator; feasibility logic never touches floating point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -127,19 +127,44 @@ class Instance:
         return len({job.deadline for job in self.jobs}) <= 1
 
 
-@dataclass(frozen=True)
 class JobState:
-    """A job together with its remaining work at some point in time."""
+    """A job together with its remaining work at some point in time.
 
-    job: Job
-    remaining: int
+    Read-only to everyone but the simulator, which owns the states of a run
+    and advances ``remaining`` in place, through the slot descriptor
+    ``JobState.remaining.__set__``, once per slot a job runs.  A state can
+    therefore change while someone holds it, and it is not hashable."""
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.remaining <= self.job.processing:
+    __slots__ = ("job", "remaining")
+
+    def __init__(self, job: Job, remaining: int) -> None:
+        if not 0 <= remaining <= job.processing:
             raise ValueError(
-                f"job {self.job.id}: remaining {self.remaining} outside "
-                f"[0, {self.job.processing}]"
+                f"job {job.id}: remaining {remaining} outside "
+                f"[0, {job.processing}]"
             )
+        JobState.job.__set__(self, job)
+        JobState.remaining.__set__(self, remaining)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.job == other.job and self.remaining == other.remaining
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"JobState(job={self.job!r}, remaining={self.remaining!r})"
+
+    def __reduce__(self):
+        # copy and pickle through the constructor, not through __setattr__
+        return JobState, (self.job, self.remaining)
 
 
 def laxity(state: JobState, t: int) -> int:

@@ -217,6 +217,12 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
         (["--policy", "agreeable-p", "--m", "0"], "--m must be positive, got 0\n"),
         (["--policy", "agreeable-p", "--m", "-3"], "--m must be positive, got -3\n"),
         (["--policy", "logn", "--m", "-3"], "--m must be positive, got -3\n"),
+        (["--policy", "edf", "--machines", "-3"],
+         "--machines must be non-negative, got -3\n"),
+        (["--policy", "llf", "--machines", "-1"],
+         "--machines must be non-negative, got -1\n"),
+        (["--policy", "edf-np", "--machines", "-2"],
+         "--machines must be non-negative, got -2\n"),
     ],
 )
 def test_run_refuses_options_the_policy_does_not_take(
@@ -225,6 +231,13 @@ def test_run_refuses_options_the_policy_does_not_take(
     assert main(["run", *argv, feasible_file]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}" and captured.out == ""
+
+
+@pytest.mark.parametrize("policy", ["edf", "llf", "edf-np"])
+def test_run_on_zero_machines_is_a_miss(policy, feasible_file, capsys):
+    assert main(["run", "--policy", policy, "--machines", "0", feasible_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{policy}: first miss (0, 3), machines_used=0\n"
 
 
 @pytest.mark.parametrize("alpha", ["0", "1", "3/2"])

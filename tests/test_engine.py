@@ -1,3 +1,5 @@
+import copy
+import operator
 import random
 from fractions import Fraction
 
@@ -250,6 +252,74 @@ def test_protocol_violation_names_the_smallest_offending_id():
     assert str(info.value) == (
         "policy 'cheater' selected job 7 at t=0, which is not active"
     )
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda active: operator.setitem(active, 0, JobState(Job(0, 0, 4, 2), 1)),
+        lambda active: operator.delitem(active, 0),
+    ],
+    ids=["assign", "delete"],
+)
+def test_policies_cannot_write_the_active_table(write):
+    class Writer(OnlinePolicy):
+        name = "writer"
+
+        def select(self, t, active):
+            write(active)
+            return set()
+
+    with pytest.raises(TypeError):
+        simulate(Instance([Job(0, 0, 4, 2)]), Writer())
+
+
+def test_job_states_are_read_only_and_range_checked():
+    job = Job(0, 0, 6, 3)
+    state = JobState(job, 2)
+    with pytest.raises(AttributeError):
+        state.remaining = 1
+    with pytest.raises(AttributeError):
+        state.job = Job(1, 0, 6, 3)
+    with pytest.raises(AttributeError):
+        del state.remaining
+    assert (state.job, state.remaining) == (job, 2)
+    assert state == JobState(job, 2) != JobState(job, 1)
+    assert repr(state) == f"JobState(job={job!r}, remaining=2)"
+    assert copy.copy(state) == state
+    with pytest.raises(TypeError):
+        hash(state)
+    for remaining in (-1, job.processing + 1):
+        with pytest.raises(ValueError, match=f"remaining {remaining} outside"):
+            JobState(job, remaining)
+    assert JobState(job, 0).remaining == 0
+
+
+def test_the_simulator_advances_states_in_place():
+    """A state read at one slot is the one the next slot sees, one unit
+    lower after it ran; a job finishing in the slot leaves the table."""
+    seen = []
+
+    class Recorder(OnlinePolicy):
+        name = "recorder"
+
+        def select(self, t, active):
+            seen.append((active[0], active[0].remaining))
+            return {0}
+
+    sim = Simulation(Recorder())
+    sim.add_jobs([Job(0, 0, 4, 3)])
+    sim.run_until(4)
+    assert [remaining for _, remaining in seen] == [3, 2, 1]
+    assert seen[0][0] is seen[1][0] is seen[2][0]
+    assert sim.idle and sim.misses == []
+
+
+@pytest.mark.parametrize("policy", [EDF, LLF, NonpreemptiveEDF])
+def test_budgeted_policies_refuse_a_negative_budget(policy):
+    with pytest.raises(ValueError, match="machines must be non-negative, got -1"):
+        policy(-1)
+    assert policy(0).machines == 0
 
 
 def test_determinism():

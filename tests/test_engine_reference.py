@@ -1,13 +1,13 @@
 """The simulator against the reference engine it must agree with.
 
-``reference_step`` is the slot loop written the plain way: it sorts the
-whole active table after every slot, rebuilds a state for every selected
-job (a finished one too) and looks every job up twice.  The reference
-selections sort their candidates even when the budget takes all of them.
-Every run must match the current engine in every field a ``SimulationRun``
-carries.  Budgets at the EarlyFit peak ``b`` and at ``ceil(b/2)`` make
-misses and doomed-job drops, where a slot loop that touches only the jobs
-a slot changes is easiest to get wrong.
+``reference_step`` is the slot loop written the plain way: it hands the
+policy a copy of the active table, sorts the whole table after every slot,
+rebuilds a state for every selected job (a finished one too) and looks
+every job up twice.  The reference selections sort their candidates even
+when the budget takes all of them.  Every run must match the current engine
+in every field a ``SimulationRun`` carries.  Budgets at the EarlyFit peak
+``b`` and at ``ceil(b/2)`` make misses and doomed-job drops, where a slot
+loop that touches only the jobs a slot changes is easiest to get wrong.
 """
 
 import random
@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import pytest
 
 from machmin import composite, engine, logn
-from machmin.adversary import PROFILES, gen_random
+from machmin.adversary import PROFILES, gen_random, play_eight_sevenths
 from machmin.engine import (
     EDF,
     LLF,
@@ -37,6 +37,9 @@ from machmin.model import Instance, Job, JobState, laxity
 
 
 def reference_step(self) -> frozenset[int]:
+    """The reference slot: the policy gets a plain copy of the active table,
+    ``dict(active)``, and every selected job gets a new ``JobState``, where
+    the engine hands a read-only live view and advances states in place."""
     t = self.t
     active = self.active
     released = []
@@ -201,6 +204,16 @@ def test_half_budgets_reach_misses_and_drops():
         )
     assert misses > 0
     assert selected_after_miss > 0
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("policy", [EDF, LLF])
+def test_the_eight_sevenths_game_matches_the_reference_engine(policy, m):
+    """The interactive path: the game adds jobs between steps and reads
+    ``total_remaining`` from the states the engine advances in place."""
+    with reference_engine():
+        expected = play_eight_sevenths(policy, m)
+    assert play_eight_sevenths(policy, m) == expected
 
 
 # Each POLICIES entry on the profiles it serves; the base policies on all.
