@@ -127,14 +127,15 @@ def contribution(job: Job, iset: IntervalSet) -> int:
 FLOW_WORK_LIMIT = 2**31
 
 # Networks with at most this many job arcs are solved by ``_dinic`` in
-# Python, larger ones by scipy, whose maximum_flow spends 0.2-0.4 ms on
-# sparse-matrix set-up per call whatever the size.  Median time per solve
-# on a 2-core Xeon VM (Python 3.11, scipy 1.17.1), scipy against Python,
-# 24 random networks per row (BENCH_flow_kernel.json): up to 16 job arcs
-# 0.37 against 0.03 ms; 33-64 arcs 0.23 against 0.08; 161-192 arcs 0.43
-# against 0.38; 193-224 arcs 0.44 against 0.43; 225-256 arcs 0.40 against
-# 0.47; 385-512 arcs 0.45 against 0.78.
-PYTHON_FLOW_ARCS = 192
+# Python, larger ones by scipy, whose maximum_flow spends 0.3-0.4 ms on
+# sparse-matrix set-up per call whatever the size.  Median time per solve,
+# at a network's optimum and one machine below it, on a 2-core Xeon VM
+# (Python 3.11, scipy 1.17.1), Python against scipy, 24 random networks per
+# 64-arc bin (tools/flow_crossover.py, BENCH_flow_first_phase.json): 1-64
+# job arcs 0.04 against 0.36 ms; 129-192 0.17 against 0.29; 193-256 0.24
+# against 0.33; 257-320 0.39 against 0.46; 321-384 0.51 against 0.41;
+# 385-448 0.57 against 0.49; 577-640 0.65 against 0.34.
+PYTHON_FLOW_ARCS = 320
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,6 +258,11 @@ def maximum_flow(network: FlowNetwork, caps: np.ndarray) -> tuple[int, Sequence[
     Up to ``PYTHON_FLOW_ARCS`` job arcs, or on Python int capacities,
     ``_dinic`` solves it; otherwise scipy does.  Both run Dinic's algorithm
     in the same order on the same layout, so they return the same flows.
+    The Python kernel's first phase is one greedy pass over the jobs in
+    source-row order, each filling its segments in row order: with every
+    reverse arc empty the first level graph is source, jobs, segments,
+    sink, and scipy's depth-first search with progress pointers pushes
+    exactly those paths on it (see ``_first_phase``).
     """
     indptr, indices = network.indptr, network.indices
     if network.arcs <= PYTHON_FLOW_ARCS or caps.dtype == object:
@@ -303,9 +309,15 @@ def _dinic(
 
     A transliteration of scipy's Dinic (``scipy/sparse/csgraph/_flow.pyx``),
     whose order fixes the flow: each phase levels the nodes by ``_levels``,
-    then augments one path at a time until none is left.
+    then augments one path at a time until none is left.  The first phase
+    runs in closed form, as ``_first_phase``: on a ``FlowNetwork`` layout
+    it pushes the paths scipy's first phase pushes, in the same order and
+    amounts.  When it saturates the source arcs the next levelling would
+    stop at the source, so the solve ends there.
     """
     sink = len(indptr) - 2
+    if not _first_phase(indptr, indices, reverse, residual):
+        return
     bound = sum(residual[: indptr[1]])  # the source arcs: no path carries more
     while True:
         levels = _levels(indptr, indices, residual)
@@ -314,6 +326,54 @@ def _dinic(
         progress = indptr[:-1]
         while _augment(indptr, indices, reverse, residual, levels, progress, bound):
             pass
+
+
+def _first_phase(
+    indptr: list[int], indices: list[int], reverse: list[int], residual: list[int]
+) -> int:
+    """Dinic's first phase on a ``FlowNetwork`` layout with every reverse
+    arc empty, as a greedy pass in job order; returns the room left on the
+    source arcs.
+
+    With no reverse arc to take, the first level graph is the source, the
+    jobs, the segments the jobs cover and the sink, and every arc of
+    positive capacity between consecutive levels is in it.  Its depth-first
+    search with progress pointers (see ``_augment``) therefore walks the
+    jobs in source-row order and each job's segments in row order, and on
+    each (job, segment) pair pushes the least of the job's room, the arc's
+    and the segment's drain (the last arc of its row).  An exhausted job, a
+    saturated arc and a segment whose drain is full are passed over and do
+    not come back within the phase.  If no drain has room the sink is out
+    of reach and the pass pushes nothing, as scipy's phase would.
+    """
+    unsent = 0
+    for ji in range(indptr[1]):
+        left = residual[ji]
+        if not left:
+            continue
+        job = indices[ji]
+        for e in range(indptr[job] + 1, indptr[job + 1]):
+            room = residual[e]
+            if not room:
+                continue
+            drain = indptr[indices[e] + 1] - 1
+            spare = residual[drain]
+            if not spare:
+                continue
+            push = left if left < room else room
+            if spare < push:
+                push = spare
+            residual[e] = room - push
+            residual[reverse[e]] += push
+            residual[drain] = spare - push
+            residual[reverse[drain]] += push
+            left -= push
+            if not left:
+                break
+        residual[reverse[ji]] += residual[ji] - left
+        residual[ji] = left
+        unsent += left
+    return unsent
 
 
 def _augment(

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -556,7 +557,11 @@ def straddling_instances(draw):
     from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
 
     large = draw(st.booleans())
-    n = draw(st.integers(25, 40) if large else st.integers(1, 10))
+    # the large side's networks have about n^2 / 2 job arcs, so from
+    # n > sqrt(3 * PYTHON_FLOW_ARCS) on nearly every draw clears the cutoff
+    # (all of 2,000 draws at each cutoff from 192 to 512)
+    least = math.isqrt(3 * PYTHON_FLOW_ARCS) + 1
+    n = draw(st.integers(least, least + 15) if large else st.integers(1, 10))
     jobs = []
     for i in range(n):
         r = draw(st.integers(0, 50))
@@ -613,6 +618,73 @@ def test_python_kernel_flows_equal_scipy(case):
             value, flow = optimum.maximum_flow(network, caps)
         assert value == reference.flow_value
         assert list(flow) == reference.flow.data.tolist()
+
+
+def reference_dinic(indptr, indices, reverse, residual):
+    """The reference for ``_dinic``: Dinic's algorithm with every phase,
+    the first included, levelled by ``_levels`` and augmented one path at a
+    time by ``_augment``, as scipy runs it."""
+    from machmin.optimum import _augment, _levels
+
+    sink = len(indptr) - 2
+    bound = sum(residual[: indptr[1]])
+    while True:
+        levels = _levels(indptr, indices, residual)
+        if levels[sink] < 0:
+            return
+        progress = indptr[:-1]
+        while _augment(indptr, indices, reverse, residual, levels, progress, bound):
+            pass
+
+
+@st.composite
+def flow_layouts(draw):
+    """A network and its capacities: windows drawn freely, in two groups
+    with a segment no job covers between them, or all alike (one
+    segment); at an integer or fractional machine count, or at 0 (every
+    drain empty); on int32 or, scaled past ``FLOW_WORK_LIMIT``, on Python
+    int capacities."""
+    from machmin.optimum import FlowNetwork
+
+    shape = draw(st.sampled_from(["free", "gap", "one-segment"]))
+    n = draw(st.integers(1, 14))
+    jobs = []
+    for i in range(n):
+        if shape == "one-segment":
+            r, w = 4, 6
+        else:
+            r, w = draw(st.integers(0, 20)), draw(st.integers(1, 12))
+            if shape == "gap" and i % 2:
+                r += 33  # after every even job's deadline: a bare segment between
+        jobs.append(Job(i, r, r + w, draw(st.integers(1, w))))
+    instance = Instance(jobs)
+    if draw(st.booleans()):
+        instance = _scaled_past_limit(instance, draw(st.integers(0, 2)))
+    m = draw(
+        st.integers(0, n)
+        | st.builds(Fraction, st.integers(1, 3 * n), st.integers(2, 7))
+    )
+    network = FlowNetwork.build(instance)
+    return network, network.capacities(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=flow_layouts())
+def test_dinic_first_phase_matches_the_reference(case):
+    # _dinic, whose first phase is the closed-form pass, ends on the
+    # reference's residual element by element; with every drain empty
+    # nothing leaves the source
+    from machmin.optimum import _dinic
+
+    network, caps = case
+    layout = network.indptr, network.indices, network.reverse
+    residual, expected = caps.tolist(), caps.tolist()
+    _dinic(*layout, residual)
+    reference_dinic(*layout, expected)
+    assert residual == expected
+    jobs = network.indptr[1]
+    if not caps[network.drains].any():
+        assert residual[:jobs] == caps[:jobs].tolist()
 
 
 def _scaled_past_limit(instance, offset):
