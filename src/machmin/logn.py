@@ -359,9 +359,9 @@ class LogNPolicy(OnlinePolicy):
     def select(self, t: int, active: Mapping[int, JobState]) -> set[int]:
         self._update_partition(t, active)
         self._monitor_laxity_floor(t, active)
-        chosen = edf_select(
-            (active[j] for j in self._safe if j in active), t, self._safe_budget
-        )
+        # once finished, never active again: drop finished safe jobs for good
+        self._safe &= active.keys()
+        chosen = edf_select(map(active.__getitem__, self._safe), t, self._safe_budget)
         for sub in self._subgroups:
             live = [active[j] for j in sub if j in active]
             if live:

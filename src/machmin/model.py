@@ -1,4 +1,4 @@
-"""Core data model: jobs, instances, schedules, classification, validation.
+"""Core data model: jobs, instances, schedules, validation, text formats.
 
 Time is discrete and integral throughout.  A job released at ``r`` may run in
 the unit slots ``[t, t+1)`` with ``r <= t < d``; a deadline ``d`` means the
@@ -6,15 +6,24 @@ last permitted slot is ``[d-1, d)``.  Rational constants (tightness
 thresholds and machine-budget factors) are exact ``Fraction`` values, and a
 test against one is an integer cross-multiplication on its numerator and
 denominator; feasibility logic never touches floating point.
+
+A schedule's size is its units of work, one trace row each.  Writing,
+reading and validating one does the per-unit work in builtins that loop in
+C (``str.join``, ``int`` over ``str.split``, ``frozenset``, ``Counter``,
+``dict(zip(...))``); their Python loops run once per slot or per job.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from itertools import chain, compress, count, repeat
+from operator import ne, sub
+from typing import Iterable, Iterator, Mapping, NoReturn
 
 __all__ = [
     "Job",
@@ -203,7 +212,7 @@ class PreemptiveSchedule:
 
     @property
     def machines_used(self) -> int:
-        return max((len(s) for s in self.assignments.values()), default=0)
+        return max(map(len, self.assignments.values()), default=0)
 
 
 @dataclass(frozen=True)
@@ -238,6 +247,10 @@ class JobDiagnostic:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """A validator's verdict.  ``diagnostics`` holds the failing jobs only,
+    in instance order; ``problems()`` gives one line per structural error
+    and per failing job."""
+
     feasible: bool
     machines_used: int
     diagnostics: tuple[JobDiagnostic, ...]
@@ -269,34 +282,55 @@ def validate_preemptive(
     containing it lies in ``[release, deadline)``, each job appears at most
     once per slot (guaranteed by the set representation), and no slot names
     an unknown job.
+
+    Every unit is read in bulk, with no Python step per unit: the job ids in
+    time order, counted per job, and each job's first and last slot, which
+    lie in the window iff all its slots do.  Only the jobs that fail are
+    walked slot by slot, to list their slots outside the window.
     """
-    structural: list[str] = []
-    assigned: dict[int, int] = {job.id: 0 for job in instance.jobs}
-    violations: dict[int, list[int]] = {job.id: [] for job in instance.jobs}
-    for t, ids in sorted(schedule.assignments.items()):
-        for job_id in sorted(ids):
-            job = instance.by_id.get(job_id)
-            if job is None:
-                structural.append(f"slot {t}: unknown job id {job_id}")
-                continue
-            assigned[job_id] += 1
-            if not job.release <= t < job.deadline:
-                violations[job_id].append(t)
-    diagnostics = tuple(
-        JobDiagnostic(
-            job_id=job.id,
-            required=job.processing,
-            assigned=assigned[job.id],
-            window_violations=tuple(violations[job.id]),
+    slots = schedule.assignments
+    order = sorted(slots)
+    sets = list(map(slots.__getitem__, order))
+    ids = list(chain.from_iterable(sets))
+    times = list(chain.from_iterable(map(repeat, order, map(len, sets))))
+    units = Counter(ids)
+    last = dict(zip(ids, times))
+    first = dict(zip(reversed(ids), reversed(times)))
+    by_id = instance.by_id
+    unknown = units.keys() - by_id.keys()
+    structural: tuple[str, ...] = ()
+    if unknown:
+        structural = tuple(
+            f"slot {t}: unknown job id {job_id}"
+            for t, slot in zip(order, sets)
+            for job_id in sorted(slot & unknown)
         )
+    failing = [
+        job
         for job in instance.jobs
-    )
-    feasible = not structural and all(d.ok for d in diagnostics)
+        if units[job.id] != job.processing
+        or not job.release <= first[job.id] <= last[job.id] < job.deadline
+    ]
+    outside: dict[int, list[int]] = {job.id: [] for job in failing if job.id in first}
+    if outside:
+        for t, slot in zip(order, sets):
+            for job_id in outside.keys() & slot:
+                job = by_id[job_id]
+                if not job.release <= t < job.deadline:
+                    outside[job_id].append(t)
     return ValidationReport(
-        feasible=feasible,
+        feasible=not structural and not failing,
         machines_used=schedule.machines_used,
-        diagnostics=diagnostics,
-        structural_errors=tuple(structural),
+        diagnostics=tuple(
+            JobDiagnostic(
+                job_id=job.id,
+                required=job.processing,
+                assigned=units[job.id],
+                window_violations=tuple(outside.get(job.id, ())),
+            )
+            for job in failing
+        ),
+        structural_errors=structural,
     )
 
 
@@ -306,17 +340,17 @@ def peak_overlap(intervals: Iterable[tuple[int, int]]) -> int:
     A concrete machine assignment at this count always exists by greedy
     interval coloring.
     """
-    events: list[tuple[int, int]] = []
+    begins: list[int] = []
+    ends: list[int] = []
     for a, b in intervals:
         if b > a:
-            events.append((a, 1))
-            events.append((b, -1))
-    events.sort()
-    peak = cur = 0
-    for _, delta in events:
-        cur += delta
-        peak = max(peak, cur)
-    return peak
+            begins.append(a)
+            ends.append(b)
+    begins.sort()
+    ends.sort()
+    # the load peaks just after a start: after the i-th in sorted order,
+    # i + 1 intervals have begun and those ending at or before it have ended
+    return max(map(sub, count(1), map(bisect_right, repeat(ends), begins)), default=0)
 
 
 def validate_nonpreemptive(
@@ -324,39 +358,34 @@ def validate_nonpreemptive(
 ) -> ValidationReport:
     """Check start-time assignments against the window constraint.
 
-    Feasible iff every job has a start with ``r <= s <= d - p``.  Reports the
-    maximum interval overlap as machines_used.
+    Feasible iff every job has a start with ``r <= s <= d - p``, in one pass
+    over the jobs.  Reports the maximum interval overlap as machines_used.
     """
-    structural = [
-        f"unknown job id {job_id}"
-        for job_id in sorted(schedule.starts)
-        if job_id not in instance.by_id
-    ]
-    diagnostics = []
+    starts = schedule.starts
+    unknown = starts.keys() - instance.by_id.keys()
+    structural = tuple(f"unknown job id {job_id}" for job_id in sorted(unknown))
+    failing = []
     intervals = []
     for job in instance.jobs:
-        start = schedule.starts.get(job.id)
+        start = starts.get(job.id)
         if start is None:
-            diagnostics.append(
-                JobDiagnostic(job.id, job.processing, 0, missing=True)
-            )
+            failing.append(JobDiagnostic(job.id, job.processing, 0, missing=True))
             continue
-        bad = not (job.release <= start <= job.deadline - job.processing)
-        diagnostics.append(
-            JobDiagnostic(
-                job_id=job.id,
-                required=job.processing,
-                assigned=job.processing,
-                window_violations=(start,) if bad else (),
-            )
-        )
         intervals.append((start, start + job.processing))
-    feasible = not structural and all(d.ok for d in diagnostics)
+        if not job.release <= start <= job.deadline - job.processing:
+            failing.append(
+                JobDiagnostic(
+                    job_id=job.id,
+                    required=job.processing,
+                    assigned=job.processing,
+                    window_violations=(start,),
+                )
+            )
     return ValidationReport(
-        feasible=feasible,
+        feasible=not structural and not failing,
         machines_used=peak_overlap(intervals),
-        diagnostics=tuple(diagnostics),
-        structural_errors=tuple(structural),
+        diagnostics=tuple(failing),
+        structural_errors=structural,
     )
 
 
@@ -377,6 +406,9 @@ _MAGIC = "machmin v1"
 _TRACE_HEADER = r"trace (preemptive|nonpreemptive)(?: scale ([1-9][0-9]*))?"
 # int() alone would also take "+1", "1_0", a tab or a non-ASCII digit.
 _ROW_CHARS = re.compile(r"[-0-9 \r\n]*")
+# A trace's text after its header line: rows "<int> <int>", each after a line
+# end (LF, CRLF or CR, as str.splitlines splits them), then an optional end.
+_TRACE_BODY = re.compile(r"(?:(?:\r\n?|\n)-?[0-9]+ -?[0-9]+)*+(?:\r\n?|\n)?")
 
 
 # characters of a refused field that its error message repeats
@@ -469,21 +501,28 @@ def serialize_instance(instance: Instance) -> str:
 def serialize_trace(
     schedule: PreemptiveSchedule | NonpreemptiveSchedule,
 ) -> str:
+    """The trace text of a schedule: slots in time order and each slot's
+    jobs by id, or starts by job id.  One ``join`` writes a slot's rows."""
     kind = "preemptive" if isinstance(schedule, PreemptiveSchedule) else "nonpreemptive"
     scale = f" scale {schedule.scale}" if schedule.scale != 1 else ""
     rows = [f"trace {kind}{scale}"]
     if isinstance(schedule, PreemptiveSchedule):
-        for t in sorted(schedule.assignments):
-            rows.extend(f"{t} {job_id}" for job_id in sorted(schedule.assignments[t]))
+        slots = schedule.assignments
+        for t in sorted(slots):
+            rows.append(f"{t} " + f"\n{t} ".join(map(str, sorted(slots[t]))))
     else:
-        rows.extend(
-            f"{job_id} {schedule.starts[job_id]}"
-            for job_id in sorted(schedule.starts)
-        )
+        starts = schedule.starts
+        ids = sorted(starts)
+        rows.extend(map("{} {}".format, ids, map(starts.__getitem__, ids)))
     return "\n".join(rows) + "\n"
 
 
 def parse_trace(text: str) -> PreemptiveSchedule | NonpreemptiveSchedule:
+    """Read a trace.  The rows after the header are checked by one pattern
+    and converted by one ``int`` pass; a preemptive slot's set is built from
+    its run of rows, and a slot that recurs later in the text is merged into
+    its first.  A text refused in bulk is read again row by row, only to
+    raise the error of its first bad row."""
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty input")
@@ -494,34 +533,73 @@ def parse_trace(text: str) -> PreemptiveSchedule | NonpreemptiveSchedule:
         kind, scale = header[1], int(header[2] or 1)
     except ValueError:
         raise _field_error(1, [header[2]]) from None
-    _check_row_chars(text, lines)
     preemptive = kind == "preemptive"
+    schedule = _read_rows(text[len(lines[0]) :], preemptive, scale)
+    if schedule is None:
+        _raise_row_error(text, lines, preemptive)
+    return schedule
+
+
+def _read_rows(
+    body: str, preemptive: bool, scale: int
+) -> PreemptiveSchedule | NonpreemptiveSchedule | None:
+    """The schedule of a trace's text after its header line, or None when
+    some row is bad."""
+    if not _TRACE_BODY.fullmatch(body):
+        return None
+    try:
+        values = list(map(int, body.split()))
+    except ValueError:  # a field past int()'s digit limit
+        return None
+    firsts, seconds = values[0::2], values[1::2]
+    if preemptive:
+        slots = _slot_sets(firsts, seconds)
+        return None if slots is None else PreemptiveSchedule(slots, scale)
+    starts = dict(zip(firsts, seconds))
+    return NonpreemptiveSchedule(starts, scale) if len(starts) == len(firsts) else None
+
+
+def _slot_sets(times: list[int], ids: list[int]) -> dict[int, frozenset[int]] | None:
+    """Each slot's job set from the rows' times and ids, or None when a job
+    appears twice in one slot.  Rows of one slot are mostly adjacent: each
+    run of equal times becomes one set, merged into the slot's set when the
+    slot recurs."""
+    cuts = list(compress(count(), map(ne, times, [None, *times])))
+    cuts.append(len(times))
+    slots: dict[int, frozenset[int]] = {}
+    for a, b in zip(cuts, cuts[1:]):
+        held = slots.get(times[a], frozenset())
+        slot = held.union(ids[a:b])
+        if len(slot) != len(held) + b - a:
+            return None
+        slots[times[a]] = slot
+    return slots
+
+
+def _raise_row_error(text: str, lines: list[str], preemptive: bool) -> NoReturn:
+    """Raise the ParseError of the first bad row of a trace body that
+    ``parse_trace`` refused in bulk."""
+    _check_row_chars(text, lines)
     slots: dict[int, set[int]] = {}
-    starts: dict[int, int] = {}
+    starts: set[int] = set()
     for lineno, row in enumerate(lines[1:], start=2):
         fields = row.split(" ")
         if len(fields) != 2:
             raise ParseError(lineno, f"expected 2 fields, found {len(fields)}")
         try:
-            pair = int(fields[0]), int(fields[1])
+            first, second = int(fields[0]), int(fields[1])
         except ValueError:
             raise _field_error(lineno, fields) from None
         if preemptive:
-            t, job_id = pair
-            slot = slots.get(t)
-            if slot is None:
-                slot = slots[t] = set()
-            elif job_id in slot:
-                raise ParseError(lineno, f"job {job_id} appears twice in slot {t}")
-            slot.add(job_id)
+            slot = slots.setdefault(first, set())
+            if second in slot:
+                raise ParseError(lineno, f"job {second} appears twice in slot {first}")
+            slot.add(second)
         else:
-            job_id, start = pair
-            if job_id in starts:
-                raise ParseError(lineno, f"duplicate start for job {job_id}")
-            starts[job_id] = start
-    if preemptive:
-        return PreemptiveSchedule(slots, scale)
-    return NonpreemptiveSchedule(starts, scale)
+            if first in starts:
+                raise ParseError(lineno, f"duplicate start for job {first}")
+            starts.add(first)
+    raise RuntimeError("a trace refused in bulk has no bad row")
 
 
 def scale_instance(instance: Instance, factor: int) -> Instance:

@@ -2,7 +2,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from machmin.model import (
     Instance,
@@ -361,4 +361,311 @@ def test_serialize_parse_roundtrip_property(raw):
 )
 def test_trace_roundtrip_property(slots):
     sched = PreemptiveSchedule(slots)
-    assert parse_trace(serialize_trace(sched)).assignments == sched.assignments
+    text = serialize_trace(sched)
+    assert parse_trace(text).assignments == sched.assignments
+    # the bytes of one row per unit, slots in time order and ids sorted
+    rows = [f"{t} {job_id}" for t in sorted(slots) for job_id in sorted(slots[t])]
+    assert text == "\n".join(["trace preemptive", *rows]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The bulk trace reader and validators against the row-by-row loops they
+# replaced, kept here as the references.
+# ---------------------------------------------------------------------------
+
+
+def reference_parse_trace(text):
+    """The reference for ``parse_trace``: the header, the character check,
+    then one Python step per row."""
+    import re
+
+    from machmin.model import _TRACE_HEADER, _check_row_chars, _field_error
+
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(1, "empty input")
+    header = re.fullmatch(_TRACE_HEADER, lines[0])
+    if header is None:
+        raise ParseError(1, "expected 'trace preemptive' or 'trace nonpreemptive'")
+    try:
+        kind, scale = header[1], int(header[2] or 1)
+    except ValueError:
+        raise _field_error(1, [header[2]]) from None
+    _check_row_chars(text, lines)
+    preemptive = kind == "preemptive"
+    slots = {}
+    starts = {}
+    for lineno, row in enumerate(lines[1:], start=2):
+        fields = row.split(" ")
+        if len(fields) != 2:
+            raise ParseError(lineno, f"expected 2 fields, found {len(fields)}")
+        try:
+            pair = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise _field_error(lineno, fields) from None
+        if preemptive:
+            t, job_id = pair
+            slot = slots.get(t)
+            if slot is None:
+                slot = slots[t] = set()
+            elif job_id in slot:
+                raise ParseError(lineno, f"job {job_id} appears twice in slot {t}")
+            slot.add(job_id)
+        else:
+            job_id, start = pair
+            if job_id in starts:
+                raise ParseError(lineno, f"duplicate start for job {job_id}")
+            starts[job_id] = start
+    if preemptive:
+        return PreemptiveSchedule(slots, scale)
+    return NonpreemptiveSchedule(starts, scale)
+
+
+def reference_peak_overlap(intervals):
+    """The reference for ``peak_overlap``: a sweep over sorted events, ends
+    before starts at equal times."""
+    events = []
+    for a, b in intervals:
+        if b > a:
+            events.append((a, 1))
+            events.append((b, -1))
+    events.sort()
+    peak = cur = 0
+    for _, delta in events:
+        cur += delta
+        peak = max(peak, cur)
+    return peak
+
+
+def reference_validate_preemptive(instance, schedule):
+    """The reference for ``validate_preemptive``: one Python step per unit,
+    and a diagnostic for every job, passing or not."""
+    from machmin.model import JobDiagnostic, ValidationReport
+
+    structural = []
+    assigned = {job.id: 0 for job in instance.jobs}
+    violations = {job.id: [] for job in instance.jobs}
+    for t, ids in sorted(schedule.assignments.items()):
+        for job_id in sorted(ids):
+            job = instance.by_id.get(job_id)
+            if job is None:
+                structural.append(f"slot {t}: unknown job id {job_id}")
+                continue
+            assigned[job_id] += 1
+            if not job.release <= t < job.deadline:
+                violations[job_id].append(t)
+    diagnostics = tuple(
+        JobDiagnostic(
+            job_id=job.id,
+            required=job.processing,
+            assigned=assigned[job.id],
+            window_violations=tuple(violations[job.id]),
+        )
+        for job in instance.jobs
+    )
+    return ValidationReport(
+        feasible=not structural and all(d.ok for d in diagnostics),
+        machines_used=schedule.machines_used,
+        diagnostics=diagnostics,
+        structural_errors=tuple(structural),
+    )
+
+
+def reference_validate_nonpreemptive(instance, schedule):
+    """The reference for ``validate_nonpreemptive``: a diagnostic for every
+    job, passing or not."""
+    from machmin.model import JobDiagnostic, ValidationReport
+
+    structural = [
+        f"unknown job id {job_id}"
+        for job_id in sorted(schedule.starts)
+        if job_id not in instance.by_id
+    ]
+    diagnostics = []
+    intervals = []
+    for job in instance.jobs:
+        start = schedule.starts.get(job.id)
+        if start is None:
+            diagnostics.append(JobDiagnostic(job.id, job.processing, 0, missing=True))
+            continue
+        bad = not (job.release <= start <= job.deadline - job.processing)
+        diagnostics.append(
+            JobDiagnostic(
+                job_id=job.id,
+                required=job.processing,
+                assigned=job.processing,
+                window_violations=(start,) if bad else (),
+            )
+        )
+        intervals.append((start, start + job.processing))
+    return ValidationReport(
+        feasible=not structural and all(d.ok for d in diagnostics),
+        machines_used=reference_peak_overlap(intervals),
+        diagnostics=tuple(diagnostics),
+        structural_errors=tuple(structural),
+    )
+
+
+def parse_outcome(parse, text):
+    """A parser's schedule, or the line and message of its ParseError."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.line, exc.message
+
+
+PAST_LIMIT = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "trace preemptive\r\n0 1\r\n0 2\r\n3 1\r\n",
+        "trace preemptive\r0 1\r0 2\r3 1\r",
+        "trace preemptive\n0 1\r\n0 2\r3 1",
+        "trace nonpreemptive\r\n1 0\r2 4",
+        "trace preemptive\n0 1\n0 2",
+        "trace preemptive",
+        "trace preemptive\r",
+        "trace preemptive\r\n",
+        "",
+        "\n",
+        "trace preemptive\n0  1\n",
+        "trace preemptive\n 0 1\n",
+        "trace preemptive\n0 1 \n",
+        "trace nonpreemptive\n0 1\n\n1 2\n",
+        "trace preemptive\n\n",
+        "trace preemptive\n0 1\n\r\n",
+        "trace preemptive\n0 1\r\r\n",
+        "trace preemptive\n0 1\n1 1\n0 2\n2 1\n0 3\n",
+        "trace preemptive\n0 1\n1 1\n0 2\n2 1\n0 1\n",
+        "trace preemptive\n0 1\n0 2\n0 1\n",
+        "trace preemptive\n0 1\n1 1\n00 2\n-0 3\n",
+        "trace preemptive\n0 1\n1 1\n00 2\n-0 1\n",
+        "trace nonpreemptive\n1 0\n01 4\n",
+        "trace preemptive\n0 1_0\n",
+        "trace nonpreemptive\n1 0\n2 \u0663\n",
+        "trace preemptive\n\u0661 0\n",
+        f"trace preemptive\n0 1\n{PAST_LIMIT} 1\n",
+        f"trace nonpreemptive\n0 -{PAST_LIMIT}\n",
+        f"trace preemptive\n0 1\n0 1\n{PAST_LIMIT} 1\n",
+        f"trace preemptive\n0 {PAST_LIMIT}\n0 1\n0 1\n",
+        "trace preemptive\n0 1\n0 x\n0 1 2\n",
+        "trace preemptive\n0 1\n0 1 2\n0 x\n",
+        "trace preemptive\n0 1\x0b1 1\n",
+        "trace preemptive\u20280 1\n",
+        "trace preemptive scale 3\n0 1\n",
+    ],
+    ids=[
+        "crlf", "lone-cr", "mixed-ends", "np-mixed-ends-no-final", "no-final-newline",
+        "header-only", "header-cr", "header-crlf", "empty", "blank-header",
+        "double-space", "leading-space", "trailing-space", "empty-row",
+        "only-empty-row", "empty-crlf-row", "cr-then-crlf",
+        "split-slot", "split-slot-repeat", "adjacent-repeat",
+        "split-slot-spellings", "split-slot-spellings-repeat", "np-repeat-spelling",
+        "underscore", "non-ascii-digit", "non-ascii-time", "past-digit-limit",
+        "negative-past-digit-limit", "repeat-before-limit", "limit-before-repeat",
+        "bad-field-before-count", "bad-count-before-field", "vertical-tab",
+        "line-separator", "scale",
+    ],
+)
+def test_parse_trace_matches_the_reference_on_edge_cases(text):
+    assert parse_outcome(parse_trace, text) == parse_outcome(reference_parse_trace, text)
+
+
+# well-formed fields, with spellings of one number that int() reads alike
+TRACE_FIELDS = st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["00", "-0", "03"]))
+TRACE_ROWS = st.tuples(TRACE_FIELDS, TRACE_FIELDS).map(" ".join)
+BAD_TRACE_ROWS = st.lists(
+    st.one_of(
+        TRACE_FIELDS,
+        st.sampled_from(["1_0", "+1", "-", "", "\u0663", "x", "\t1", "1\x0b", PAST_LIMIT]),
+    ),
+    max_size=3,
+).flatmap(lambda fields: st.sampled_from([" ", "  "]).map(lambda sep: sep.join(fields)))
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    header=st.sampled_from(["trace preemptive", "trace nonpreemptive", "trace preemptive scale 2"]),
+    rows=st.lists(st.tuples(LINE_ENDS, TRACE_ROWS), max_size=12),
+    bad=st.none() | st.tuples(st.integers(0, 12), LINE_ENDS, BAD_TRACE_ROWS),
+    end=st.sampled_from(["", "\n", "\r\n", "\r", "\n\n", "\x0c"]),
+)
+def test_parse_trace_matches_the_reference(header, rows, bad, end):
+    # valid traces, repeats of a slot or a job near or far apart, and at
+    # most one malformed row among them
+    if bad is not None:
+        rows.insert(bad[0], bad[1:])
+    text = header + "".join(eol + row for eol, row in rows) + end
+    assert parse_outcome(parse_trace, text) == parse_outcome(reference_parse_trace, text)
+
+
+def assert_same_report(report, reference):
+    """Equal verdicts; the report lists the reference's failing jobs only."""
+    assert report.feasible == reference.feasible
+    assert report.machines_used == reference.machines_used
+    assert report.structural_errors == reference.structural_errors
+    assert report.diagnostics == tuple(d for d in reference.diagnostics if not d.ok)
+    assert report.problems() == reference.problems()
+
+
+VALIDATION_JOBS = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(1, 6), st.integers(1, 4)).map(
+        lambda t: (t[0], max(t[1], t[2]), t[2])
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda raw: Instance(Job(i, r, r + w, p) for i, (r, w, p) in enumerate(raw)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inst=VALIDATION_JOBS,
+    edits=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 8), st.integers(-1, 14)), max_size=8
+    ),
+)
+def test_validate_preemptive_matches_the_reference(inst, edits):
+    # a feasible schedule, then units dropped or added at any slot, for
+    # known and unknown ids: volume short or over, slots outside windows
+    slots = {}
+    for job in inst.jobs:
+        for t in range(job.release, job.release + job.processing):
+            slots.setdefault(t, set()).add(job.id)
+    for add, job_id, t in edits:
+        if add:
+            slots.setdefault(t, set()).add(job_id)
+        else:
+            slots.get(t, set()).discard(job_id)
+    schedule = PreemptiveSchedule(slots)
+    assert_same_report(
+        validate_preemptive(inst, schedule), reference_validate_preemptive(inst, schedule)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inst=VALIDATION_JOBS,
+    edits=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 8), st.integers(-1, 14)), max_size=6
+    ),
+)
+def test_validate_nonpreemptive_matches_the_reference(inst, edits):
+    starts = {job.id: job.release for job in inst.jobs}
+    for put, job_id, start in edits:
+        if put:
+            starts[job_id] = start
+        else:
+            starts.pop(job_id, None)
+    schedule = NonpreemptiveSchedule(starts)
+    assert_same_report(
+        validate_nonpreemptive(inst, schedule),
+        reference_validate_nonpreemptive(inst, schedule),
+    )
+
+
+@given(st.lists(st.tuples(st.integers(-3, 8), st.integers(-3, 8)), max_size=10))
+def test_peak_overlap_matches_the_reference(intervals):
+    assert peak_overlap(intervals) == reference_peak_overlap(intervals)

@@ -13,9 +13,11 @@ search for the optimum makes (only the first when the optimum is 1); per
 network and kernel the time is the median of ``ROUNDS`` timings of
 ``SOLVES`` rounds of those solves, the kernels alternating which goes
 first.  A row gives the median over its networks, per solve, with
-``capacities`` and, for scipy, its sparse set-up included.  The last line
-names the largest bin bound up to which the Python kernel is faster in
-every bin.
+``capacities`` and, for scipy, its sparse set-up included, and the median
+over its networks of the Python/scipy time ratio.  The absolute times move
+with the machine's speed between runs; the two kernels of a ratio are timed
+in turn on one network, so the ratio does not.  The last line names the
+largest bin bound up to which the ratio is below 1 in every bin.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def per_solve_ms(network: optimum.FlowNetwork, counts: list[int], cutoff: int) -
 
 def main() -> None:
     saved = optimum.PYTHON_FLOW_ARCS
-    print(f"{'job arcs':>10} {'networks':>8} {'python ms':>10} {'scipy ms':>9}")
+    print(f"{'job arcs':>10} {'networks':>8} {'python ms':>10} {'scipy ms':>9} {'ratio':>6}")
     cutoff = None
     try:
         for top, held in networks().items():
@@ -85,12 +87,19 @@ def main() -> None:
                 for name in order:
                     ms[name].append(per_solve_ms(network, counts, KERNELS[name]))
             python, scipy = (statistics.median(ms[name]) for name in KERNELS)
-            print(f"{top - WIDTH + 1:>4}-{top:<5} {len(held):>8} {python:>10.3f} {scipy:>9.3f}")
-            if python > scipy and cutoff is None:
+            ratio = statistics.median(p / s for p, s in zip(ms["python"], ms["scipy"]))
+            print(
+                f"{top - WIDTH + 1:>4}-{top:<5} {len(held):>8} {python:>10.3f} "
+                f"{scipy:>9.3f} {ratio:>6.2f}"
+            )
+            if ratio >= 1 and cutoff is None:
                 cutoff = top - WIDTH
     finally:
         optimum.PYTHON_FLOW_ARCS = saved
-    print(f"python is faster in every bin up to {TOP if cutoff is None else cutoff} job arcs")
+    print(
+        f"python/scipy is below 1 in every bin up to "
+        f"{TOP if cutoff is None else cutoff} job arcs"
+    )
 
 
 if __name__ == "__main__":
