@@ -9,20 +9,19 @@ denominator; feasibility logic never touches floating point.
 
 A schedule's size is its units of work, one trace row each.  Writing,
 reading and validating one does the per-unit work in builtins that loop in
-C (``str.join``, ``int`` over ``str.split``, ``frozenset``, ``Counter``,
+C (``str.join``, ``int`` over ``str.split``, ``set.update``, ``Counter``,
 ``dict(zip(...))``); their Python loops run once per slot or per job.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count, repeat
-from operator import ne, sub
+from operator import ne
 from typing import Iterable, Iterator, Mapping, NoReturn
 
 __all__ = [
@@ -340,17 +339,17 @@ def peak_overlap(intervals: Iterable[tuple[int, int]]) -> int:
     A concrete machine assignment at this count always exists by greedy
     interval coloring.
     """
-    begins: list[int] = []
-    ends: list[int] = []
+    events: list[tuple[int, int]] = []
     for a, b in intervals:
         if b > a:
-            begins.append(a)
-            ends.append(b)
-    begins.sort()
-    ends.sort()
-    # the load peaks just after a start: after the i-th in sorted order,
-    # i + 1 intervals have begun and those ending at or before it have ended
-    return max(map(sub, count(1), map(bisect_right, repeat(ends), begins)), default=0)
+            events.append((a, 1))
+            events.append((b, -1))
+    events.sort()
+    peak = cur = 0
+    for _, delta in events:
+        cur += delta
+        peak = max(peak, cur)
+    return peak
 
 
 def validate_nonpreemptive(
@@ -406,9 +405,9 @@ _MAGIC = "machmin v1"
 _TRACE_HEADER = r"trace (preemptive|nonpreemptive)(?: scale ([1-9][0-9]*))?"
 # int() alone would also take "+1", "1_0", a tab or a non-ASCII digit.
 _ROW_CHARS = re.compile(r"[-0-9 \r\n]*")
-# A trace's text after its header line: rows "<int> <int>", each after a line
-# end (LF, CRLF or CR, as str.splitlines splits them), then an optional end.
-_TRACE_BODY = re.compile(r"(?:(?:\r\n?|\n)-?[0-9]+ -?[0-9]+)*+(?:\r\n?|\n)?")
+# One trace row with the line end before it: LF, CRLF or CR, as
+# str.splitlines splits them.
+_TRACE_ROW = re.compile(r"(?:\r\n?|\n)-?[0-9]+ -?[0-9]+")
 
 
 # characters of a refused field that its error message repeats
@@ -519,10 +518,11 @@ def serialize_trace(
 
 def parse_trace(text: str) -> PreemptiveSchedule | NonpreemptiveSchedule:
     """Read a trace.  The rows after the header are checked by one pattern
-    and converted by one ``int`` pass; a preemptive slot's set is built from
-    its run of rows, and a slot that recurs later in the text is merged into
-    its first.  A text refused in bulk is read again row by row, only to
-    raise the error of its first bad row."""
+    substitution that cuts them all out, and converted by one ``int`` pass;
+    each run of rows of one preemptive slot is added to that slot's set in
+    one ``update``, wherever in the text the slot recurs.  A text refused in
+    bulk is read again row by row, only to raise the error of its first bad
+    row."""
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty input")
@@ -545,7 +545,9 @@ def _read_rows(
 ) -> PreemptiveSchedule | NonpreemptiveSchedule | None:
     """The schedule of a trace's text after its header line, or None when
     some row is bad."""
-    if not _TRACE_BODY.fullmatch(body):
+    # with every row cut out, at most the line end that closes the text is left
+    rest = _TRACE_ROW.sub("", body)
+    if rest not in ("", "\n", "\r", "\r\n") or not body.endswith(rest):
         return None
     try:
         values = list(map(int, body.split()))
@@ -559,20 +561,20 @@ def _read_rows(
     return NonpreemptiveSchedule(starts, scale) if len(starts) == len(firsts) else None
 
 
-def _slot_sets(times: list[int], ids: list[int]) -> dict[int, frozenset[int]] | None:
+def _slot_sets(times: list[int], ids: list[int]) -> dict[int, set[int]] | None:
     """Each slot's job set from the rows' times and ids, or None when a job
-    appears twice in one slot.  Rows of one slot are mostly adjacent: each
-    run of equal times becomes one set, merged into the slot's set when the
-    slot recurs."""
+    appears twice in one slot.  Each run of rows with equal times is added
+    to its slot's set in one ``update``, so a slot that recurs later in the
+    text costs only its new rows."""
     cuts = list(compress(count(), map(ne, times, [None, *times])))
     cuts.append(len(times))
-    slots: dict[int, frozenset[int]] = {}
+    slots: dict[int, set[int]] = {}
     for a, b in zip(cuts, cuts[1:]):
-        held = slots.get(times[a], frozenset())
-        slot = held.union(ids[a:b])
-        if len(slot) != len(held) + b - a:
+        slot = slots.setdefault(times[a], set())
+        held = len(slot)
+        slot.update(ids[a:b])
+        if len(slot) != held + b - a:
             return None
-        slots[times[a]] = slot
     return slots
 
 

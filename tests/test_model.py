@@ -421,22 +421,6 @@ def reference_parse_trace(text):
     return NonpreemptiveSchedule(starts, scale)
 
 
-def reference_peak_overlap(intervals):
-    """The reference for ``peak_overlap``: a sweep over sorted events, ends
-    before starts at equal times."""
-    events = []
-    for a, b in intervals:
-        if b > a:
-            events.append((a, 1))
-            events.append((b, -1))
-    events.sort()
-    peak = cur = 0
-    for _, delta in events:
-        cur += delta
-        peak = max(peak, cur)
-    return peak
-
-
 def reference_validate_preemptive(instance, schedule):
     """The reference for ``validate_preemptive``: one Python step per unit,
     and a diagnostic for every job, passing or not."""
@@ -500,7 +484,7 @@ def reference_validate_nonpreemptive(instance, schedule):
         intervals.append((start, start + job.processing))
     return ValidationReport(
         feasible=not structural and all(d.ok for d in diagnostics),
-        machines_used=reference_peak_overlap(intervals),
+        machines_used=peak_overlap(intervals),
         diagnostics=tuple(diagnostics),
         structural_errors=tuple(structural),
     )
@@ -533,8 +517,10 @@ PAST_LIMIT = "9" * (sys.get_int_max_str_digits() + 1)
         "trace preemptive\n0  1\n",
         "trace preemptive\n 0 1\n",
         "trace preemptive\n0 1 \n",
+        "trace preemptive\n 0\n 1\n",
         "trace nonpreemptive\n0 1\n\n1 2\n",
         "trace preemptive\n\n",
+        "trace preemptive\n\n0 1",
         "trace preemptive\n0 1\n\r\n",
         "trace preemptive\n0 1\r\r\n",
         "trace preemptive\n0 1\n1 1\n0 2\n2 1\n0 3\n",
@@ -559,8 +545,8 @@ PAST_LIMIT = "9" * (sys.get_int_max_str_digits() + 1)
     ids=[
         "crlf", "lone-cr", "mixed-ends", "np-mixed-ends-no-final", "no-final-newline",
         "header-only", "header-cr", "header-crlf", "empty", "blank-header",
-        "double-space", "leading-space", "trailing-space", "empty-row",
-        "only-empty-row", "empty-crlf-row", "cr-then-crlf",
+        "double-space", "leading-space", "trailing-space", "one-field-rows", "empty-row",
+        "only-empty-row", "empty-first-row", "empty-crlf-row", "cr-then-crlf",
         "split-slot", "split-slot-repeat", "adjacent-repeat",
         "split-slot-spellings", "split-slot-spellings-repeat", "np-repeat-spelling",
         "underscore", "non-ascii-digit", "non-ascii-time", "past-digit-limit",
@@ -571,6 +557,19 @@ PAST_LIMIT = "9" * (sys.get_int_max_str_digits() + 1)
 )
 def test_parse_trace_matches_the_reference_on_edge_cases(text):
     assert parse_outcome(parse_trace, text) == parse_outcome(reference_parse_trace, text)
+
+
+def test_parse_trace_reads_a_job_ordered_trace():
+    # rows written job by job, as another tool may write them: every slot
+    # recurs once per machine, never in adjacent rows
+    rows = "".join(f"\n{t} {j}" for j in range(300) for t in range(40))
+    schedule = parse_trace("trace preemptive" + rows + "\n")
+    assert schedule == PreemptiveSchedule({t: range(300) for t in range(40)})
+    assert schedule == reference_parse_trace("trace preemptive" + rows + "\n")
+    repeated = "trace preemptive" + rows + "\n7 123\n"
+    assert parse_outcome(parse_trace, repeated) == (
+        300 * 40 + 2, "job 123 appears twice in slot 7"
+    )
 
 
 # well-formed fields, with spellings of one number that int() reads alike
@@ -668,4 +667,6 @@ def test_validate_nonpreemptive_matches_the_reference(inst, edits):
 
 @given(st.lists(st.tuples(st.integers(-3, 8), st.integers(-3, 8)), max_size=10))
 def test_peak_overlap_matches_the_reference(intervals):
-    assert peak_overlap(intervals) == reference_peak_overlap(intervals)
+    # every interval lies in [-3, 8], so the load peaks at one of its points
+    covering = (sum(a <= x < b for a, b in intervals) for x in range(-3, 9))
+    assert peak_overlap(intervals) == max(covering)
