@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Protocol, Sequence
 
 from .engine import (
     EDF,
@@ -32,9 +32,9 @@ from .engine import (
 )
 from .model import Instance, Job, JobState, NonpreemptiveSchedule, is_loose
 from .optimum import (
+    RunningOptimum,
     ceil_frac,
     density_equal_p,
-    min_machines,
     optimum_nonpreemptive_exact,
     optimum_preemptive,
 )
@@ -166,9 +166,17 @@ class DoubleEpoch:
     block: int  # machines opened with this epoch: ceil(2 * factor * m_at_start)
 
 
-# (released prefix, previous value) -> running optimum.  The optimum of a
-# growing prefix is monotone, so the previous value is a valid lower bound.
-PrefixOracle = Callable[[tuple[Job, ...], int], int]
+class RunningOracle(Protocol):
+    """The running optimum of a released prefix: ``add(jobs, lower)`` adds
+    the jobs released now and returns the least m >= lower on which the
+    whole prefix fits.  The optimum of a growing prefix is monotone, so the
+    previous value is a valid lower bound."""
+
+    def add(self, jobs: Sequence[Job], lower: int) -> int: ...
+
+
+# One fresh running optimum per run.
+PrefixOracle = Callable[[], RunningOracle]
 
 
 class Double(SplitScheduler):
@@ -185,20 +193,18 @@ class Double(SplitScheduler):
         self,
         factory: Callable[[int], OnlinePolicy],
         factor: Fraction | int,
-        oracle: PrefixOracle = min_machines,
+        oracle: PrefixOracle = RunningOptimum,
         name: str | None = None,
     ):
         super().__init__(lambda job: len(self.epochs) - 1, {}, name=name)
         self._factory = factory
         self.factor = Fraction(factor)
-        self._oracle = oracle
-        self._released: list[Job] = []
+        self._optimum = oracle()
         self._last_m = 0
         self.epochs: list[DoubleEpoch] = []
 
     def on_release(self, jobs: Sequence[Job], t: int) -> None:
-        self._released.extend(jobs)
-        m_t = self._oracle(tuple(self._released), self._last_m)
+        m_t = self._optimum.add(jobs, self._last_m)
         self._last_m = m_t
         if not self.epochs or m_t > 2 * self.epochs[-1].m_at_start:
             epoch = DoubleEpoch(
@@ -236,7 +242,7 @@ def double_wrap(
     instance: Instance,
     factory: Callable[[int], OnlinePolicy],
     factor: Fraction | int,
-    oracle: PrefixOracle = min_machines,
+    oracle: PrefixOracle = RunningOptimum,
     name: str = "double",
 ) -> SimulationRun:
     """Run a semi-online subroutine factory through the doubling reduction."""
@@ -427,11 +433,18 @@ def _build(pools: Pools, m: int) -> dict[Hashable, OnlinePolicy]:
     }
 
 
-def _exact_prefix(jobs: tuple[Job, ...], lower: int) -> int:
+class _ExactPrefix:
     """Exact non-preemptive running optimum of a released prefix, searched
-    upward from ``lower``.  The solver is a module global looked up at call
-    time, so that a wrapper put on it after import sees every solve."""
-    return optimum_nonpreemptive_exact(Instance(jobs), lower=lower)
+    upward from ``lower`` on the whole prefix.  The solver is a module
+    global looked up at call time, so that a wrapper put on it after import
+    sees every solve."""
+
+    def __init__(self) -> None:
+        self._jobs: list[Job] = []
+
+    def add(self, jobs: Sequence[Job], lower: int) -> int:
+        self._jobs += jobs
+        return optimum_nonpreemptive_exact(Instance(self._jobs), lower=lower)
 
 
 @dataclass(frozen=True)
@@ -447,7 +460,7 @@ class Composite:
     semi_alpha: Fraction | None = None
     online_alpha: Fraction | None = None
     scale: int = 1
-    oracle: PrefixOracle = min_machines
+    oracle: PrefixOracle = RunningOptimum
 
     def _parts(
         self, instance: Instance, alpha: Fraction | None, default: Fraction | None
@@ -528,16 +541,16 @@ COMPOSITES: dict[str, Composite] = {
         # 9m at alpha = 1/2 / 16m online at alpha = 1/3
         Composite(
             "agreeable-np", _agreeable_np, Fraction(1, 2), Fraction(1, 3),
-            scale=2, oracle=_exact_prefix,
+            scale=2, oracle=_ExactPrefix,
         ),
         # 4m / 10m online
-        Composite("equalp-semi", _equal_p_parts, oracle=_exact_prefix),
+        Composite("equalp-semi", _equal_p_parts, oracle=_ExactPrefix),
         # m: LLF is 1-competitive on uniform deadlines
         Composite("uniform-p", _uniform_p),
         # 5.25m at alpha = 1/3 / 11 1/9 m online at alpha = 1/4
         Composite(
             "uniform-np", _uniform_np, Fraction(1, 3), Fraction(1, 4),
-            oracle=_exact_prefix,
+            oracle=_ExactPrefix,
         ),
     )
 }

@@ -16,19 +16,13 @@ on ``alpha``'s numerator and denominator, and the pool budget an integer
 ceiling division, with the same exact semantics as the rational forms; a
 ``Fraction`` is built only for a value that is reported.
 
-The pool's optimum m(L) is kept without a flow solve while it cannot
-change.  The policy holds the future part of a feasible schedule of the
-pool on m(L) machines as ``[a, b, load]`` segments: a load fits a segment
-when it is at most m(L)·(b - a) and no job has more than b - a of it, so
-McNaughton's wrap-around rule packs it.  At an admission the segments are
-cut at t and at each new deadline (``cut_load``), and the new residues, in
-(deadline, id) order, fill the earliest segments first, each taking at
-most b - a of a segment.  If all of them fit, the pool is feasible on m(L)
-machines, and m(L) cannot fall as the pool grows, so it stands.  Otherwise
-the flow search finds the new m(L), and the flow of its own solve at m(L)
-gives the segments again, from the flow on the segment-to-sink arcs; only
-when the search settled m(L) without a solve there (m(L) >= the pool's job
-count) does the witness take a solve of its own.
+The pool's optimum m(L) is that of every residue admitted so far, with its
+window from its admission on, and the residues only accumulate.  An
+``optimum.RunningOptimum`` holds them with one feasible flow on m(L)
+machines and grows it at each admission: the segments are cut at the new
+breakpoints, the new residues fill the earliest segments with room, and
+what does not fit is pushed along augmenting paths, with m(L) raised when
+no path is left.  No network is built and no search is run for the pool.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from typing import Mapping, Sequence
 
 from .engine import OnlinePolicy, SimulationRun, edf_key, edf_select, simulate
 from .model import Instance, Job, JobState, is_loose
-from .optimum import FlowNetwork, min_machines, min_machines_flow
+from .optimum import RunningOptimum, min_machines
 
 __all__ = [
     "LAXITY_FLOOR",
@@ -50,7 +44,6 @@ __all__ = [
     "reclassify",
     "build_groups",
     "split_group",
-    "cut_load",
     "LogNPolicy",
     "logn_schedule",
     "TransformKind",
@@ -162,16 +155,6 @@ def _lower_ratio(best: Fraction | None, left: int, laxity: int) -> Fraction | No
     return best
 
 
-def cut_load(a: int, b: int, load: int, c: int) -> int:
-    """The part of a segment ``[a, b)``'s load that falls in ``[a, c)`` when
-    McNaughton's wrap-around rule packs it from ``a``: with
-    ``(q, r) = divmod(load, b - a)`` the first r slots hold q + 1 units and
-    the others q.  No job holds two units of one slot, so each part is a
-    segment load in its own right."""
-    q, r = divmod(load, b - a)
-    return q * (c - a) + min(r, c - a)
-
-
 class LogNPolicy(OnlinePolicy):
     """The O(log n) scheduler: an EDF pool of safe residues on
     ``ceil(m(L) / (1 - alpha)^2)`` machines at the largest m(L) so far, plus
@@ -182,8 +165,7 @@ class LogNPolicy(OnlinePolicy):
     of the critical residues when it certifies the group bound
     ``h <= 1 + (2 + 2/alpha)·m_hat``, else their flow optimum;
     ``extras["monitor_solves"]`` counts the rebuilds that needed the
-    latter, and ``extras["witness_solves"]`` the pool witnesses that could
-    not reuse the search's flow and took a solve of their own.
+    latter.
     """
 
     name = "logn"
@@ -201,11 +183,9 @@ class LogNPolicy(OnlinePolicy):
         self._released = 0
         self._critical: set[int] = set()
         self._safe: set[int] = set()
-        self._residues: list[Job] = []
+        # every residue admitted, with a feasible flow of them on m_L machines
+        self._pool = RunningOptimum()
         self._m_L = 0
-        # [a, b, load] segments from the last admission on of a feasible
-        # schedule of the pool on m_L machines
-        self._witness: list[list[int]] = []
         self._safe_budget = 0
         self._subgroups: list[list[int]] = []
         self._h = 0
@@ -213,7 +193,6 @@ class LogNPolicy(OnlinePolicy):
         self._alloc_critical = 0
         self._rebuilds: list[tuple[int, int, int, int]] = []
         self._monitor_solves = 0
-        self._witness_solves = 0
         self._min_critical_ratio: Fraction | None = None
         self._min_entry_ratio: Fraction | None = None
 
@@ -228,67 +207,12 @@ class LogNPolicy(OnlinePolicy):
             self._min_entry_ratio, job.deadline - t - remaining, job.laxity
         )
 
-    def _admit_safe(self, residues: Sequence[Job], t: int) -> None:
-        for residue in residues:
-            self._safe.add(residue.id)
-            self._residues.append(residue)
-        if not self._certify(residues, t):
-            self._m_L, network, flow = min_machines_flow(self._residues, self._m_L)
-            self._witness = self._flow_witness(t, network, flow)
+    def _admit_safe(self, residues: Sequence[Job]) -> None:
+        self._safe.update(residue.id for residue in residues)
+        self._m_L = self._pool.add(residues)
         self._safe_budget = max(
             self._safe_budget, -(-self._m_L * self._grow // self._shrink)
         )
-
-    def _certify(self, residues: Sequence[Job], t: int) -> bool:
-        """Fit the residues released at t into the witness on m_L machines."""
-        cuts = {t} | {r.deadline for r in residues}
-        segments = self._witness
-        start = max(segments[-1][1] if segments else t, t)
-        horizon = max(cuts)
-        if horizon > start:
-            segments.append([start, horizon, 0])
-        cut: list[list[int]] = []
-        for a, b, load in segments:
-            for point in sorted(p for p in cuts if a < p < b):
-                left = cut_load(a, b, load, point)
-                if point > t:
-                    cut.append([a, point, left])
-                a, load = point, load - left
-            if b > t:
-                cut.append([a, b, load])
-        self._witness = cut
-        m = self._m_L
-        for residue in sorted(residues, key=lambda r: (r.deadline, r.id)):
-            left = residue.processing
-            for segment in cut:
-                a, b, load = segment
-                if a >= residue.deadline:
-                    break
-                f = min(b - a, m * (b - a) - load, left)
-                segment[2] += f
-                left -= f
-                if not left:
-                    break
-            if left:
-                return False
-        return True
-
-    def _flow_witness(
-        self, t: int, network: FlowNetwork | None, flow: Sequence[int] | None
-    ) -> list[list[int]]:
-        """Segments from t on of a maximum flow of the pool on m_L machines:
-        the search's ``flow`` on ``network``, or, when it is None, one solve."""
-        if flow is None:
-            if network is None:
-                network = FlowNetwork.build(Instance(self._residues))
-            _, flow = network.solve(self._m_L)
-            self._witness_solves += 1
-        # the segment-to-sink flows; t is a breakpoint, since residues are
-        # released at t
-        loads = [int(flow[p]) for p in network.drains]
-        return [
-            [a, b, load] for (a, b), load in zip(network.segments, loads) if b > t
-        ]
 
     def _update_partition(self, t: int, active: Mapping[int, JobState]) -> None:
         arrivals, self._arrivals = self._arrivals, []
@@ -309,7 +233,7 @@ class LogNPolicy(OnlinePolicy):
                 self._critical.add(job.id)
         new_residues = residues + fresh_safe
         if new_residues:
-            self._admit_safe(new_residues, t)
+            self._admit_safe(new_residues)
         if arrivals:
             self._rebuild(t, active)
         else:
@@ -381,7 +305,6 @@ class LogNPolicy(OnlinePolicy):
         return {
             "rebuilds": self._rebuilds,
             "monitor_solves": self._monitor_solves,
-            "witness_solves": self._witness_solves,
             "min_critical_laxity_ratio": self._min_critical_ratio,
             "min_safe_entry_ratio": self._min_entry_ratio,
             "safe_budget": self._safe_budget,

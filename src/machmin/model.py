@@ -432,7 +432,9 @@ def _field_error(lineno: int, fields: list[str]) -> ParseError:
     length instead."""
     import sys
 
-    limit = sys.get_int_max_str_digits()
+    # Python before 3.10.7 has neither the limit nor this function; 0 is
+    # what the function returns when the limit is off
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     for position, field in enumerate(fields, start=1):
         if not re.fullmatch("-?[0-9]+", field):
             echo = repr(field[:_ECHO])

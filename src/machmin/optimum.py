@@ -3,8 +3,9 @@
 The preemptive optimum is computed by max-flow feasibility (jobs feed work
 into time segments, segments drain into the sink at the machine count), one
 network per job set, and a galloping search over the machine count from the
-load bound, which hands back the flow of its solve at the optimum.  A
-network is held once, as the residual CSR layout that Dinic's algorithm
+load bound.  A job set that only grows keeps its optimum in a
+``RunningOptimum`` instead, one feasible flow augmented at each addition,
+with no network and no search.  A network is held once, as the residual CSR layout that Dinic's algorithm
 solves; a Python kernel solves small networks on it and scipy large ones,
 with the same flows.  The
 strong density comes from the same network: at a fractional machine count
@@ -40,7 +41,7 @@ __all__ = [
     "is_feasible_preemptive",
     "optimum_preemptive",
     "min_machines",
-    "min_machines_flow",
+    "RunningOptimum",
     "optimal_witness",
     "contribution",
     "strong_density_exact",
@@ -499,21 +500,14 @@ def feasible_preemptive(instance: Instance, m: int) -> FeasibilityResult:
     return FeasibilityResult(True, PreemptiveSchedule(assignments))
 
 
-def min_machines_flow(
-    jobs: Sequence[Job], lower: int
-) -> tuple[int, FlowNetwork | None, Sequence[int] | None]:
+def min_machines(jobs: Sequence[Job], lower: int) -> int:
     """Smallest m >= max(lower, 1) on which ``jobs`` are preemptively
-    feasible, with the jobs' network and a maximum flow on m machines.
+    feasible.
 
     The search starts at the larger of ``lower`` and the load bound
     ``ceil(W / (d_max - r_min))``, gallops upward (lo, lo+1, lo+3, lo+7, ...)
     until a count fits, then bisects the last gap.  Any m >= n fits, one job
     per machine, without a solve; every solve reuses one network.
-
-    Returns ``(m, network, flow)``.  ``flow`` is the search's own solve at
-    m, the last feasible one; it is None when m >= n settled m without a
-    solve at it.  ``network`` is None when the lower bound alone reached n,
-    before any network was built.
     """
     instance = Instance(jobs)
     n, lo = instance.n, max(lower, 1)
@@ -521,34 +515,316 @@ def min_machines_flow(
         span = instance.d_max - min(j.release for j in instance.jobs)
         lo = max(lo, -(-instance.total_work // span))
     if lo >= n:
-        return lo, None, None
+        return lo
     network = FlowNetwork.build(instance)
 
-    def fits(m: int) -> tuple[bool, Sequence[int] | None]:
-        if m >= n:
-            return True, None
-        value, flow = network.solve(m)
-        return value == network.work, flow
+    def fits(m: int) -> bool:
+        return m >= n or network.solve(m)[0] == network.work
 
     bad, good = lo - 1, lo
-    ok, flow = fits(good)
-    while not ok:
+    while not fits(good):
         bad, good = good, min(2 * good - lo + 1, n)
-        ok, flow = fits(good)
     while good - bad > 1:
         mid = (bad + good) // 2
-        ok, mid_flow = fits(mid)
-        if ok:
-            good, flow = mid, mid_flow
+        if fits(mid):
+            good = mid
         else:
             bad = mid
-    return good, network, flow
+    return good
 
 
-def min_machines(jobs: Sequence[Job], lower: int) -> int:
-    """Smallest m >= max(lower, 1) on which ``jobs`` are preemptively
-    feasible: the count alone of ``min_machines_flow``."""
-    return min_machines_flow(jobs, lower)[0]
+def _cut_shares(
+    a: int, b: int, shares: dict[int, int], c: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Split the per-job units of segment ``[a, b)`` at ``a < c < b`` as
+    McNaughton's wrap-around rule packs them (see ``_spread_segment``): each
+    job takes the slots that follow the previous job's, in ``shares``'
+    order, wrapping from ``b`` back to ``a``.  Returns the units of each job
+    in ``[a, c)`` and in ``[c, b)``, jobs with none left out.  No share
+    exceeds ``b - a``, so a job's slots are distinct and each part's share
+    fits the part; slot loads differ by at most one, so a load of at most
+    ``m (b - a)`` leaves at most m times each part's length in it."""
+    width, k = b - a, c - a
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    pos = 0
+    for job, units in shares.items():
+        end = pos + units
+        # the slots pos..end-1, those from width on wrapped back to 0
+        inside = max(0, min(end, k) - pos) + max(0, min(end - width, k))
+        if inside:
+            left[job] = inside
+        if units > inside:
+            right[job] = units - inside
+        pos = end - width if end >= width else end
+    return left, right
+
+
+class RunningOptimum:
+    """The preemptive optimum of a job set that only grows, kept with one
+    feasible flow of the set on ``m`` machines (Horn's formulation): the
+    segments between the windows' breakpoints, and in each the units of
+    every job that has some there.  A flow is feasible when each job's units
+    sum to its processing time, no job has more units in a segment than the
+    segment's length, and no segment more than ``m`` times its length.
+
+    ``add`` admits jobs and returns the new optimum.  A segment that a new
+    breakpoint falls in is cut by ``_cut_shares``, which keeps the flow
+    feasible.  Each new job, in (deadline, admission) order, then fills its
+    earliest segments that have room.  Any work left over is pushed along
+    augmenting paths, job, segment, (a job with units there, another of its
+    segments)*, a segment with room, in Dinic's phases from all jobs with
+    work left at once.  When no path is left, the reachable jobs and
+    segments form a minimum cut, whose capacity gives a lower bound on any
+    count that fits, above ``m``; ``m`` rises to it, which keeps the flow
+    feasible, since capacities only grow.  Adding to a maximum flow and
+    augmenting from it gives a maximum flow of the larger set, so ``m`` is
+    always the exact optimum, as ``min_machines`` computes it anew.
+    """
+
+    def __init__(self) -> None:
+        self.m = 0
+        self._jobs: list[tuple[int, int, int]] = []  # (release, deadline, p)
+        # breakpoints; segment s is [points[s], points[s + 1])
+        self._points: list[int] = []
+        self._lengths: list[int] = []  # per segment: its length
+        self._units: list[dict[int, int]] = []  # per segment: job -> units
+        self._loads: list[int] = []  # per segment: the sum of its units
+
+    def add(self, jobs: Iterable[Job], lower: int = 1) -> int:
+        """Admit ``jobs`` and return the least m >= max(lower, m, 1) on
+        which every job admitted so far fits."""
+        m = max(lower, self.m, 1)
+        first = len(self._jobs)
+        self._jobs += [(j.release, j.deadline, j.processing) for j in jobs]
+        fresh = self._jobs[first:]
+        for point in sorted({p for r, d, _ in fresh for p in (r, d)}):
+            self._cut(point)
+        left = self._fill(first, m)
+        while left:
+            m = self._augment(left, m)
+        self.m = m
+        return m
+
+    def flow(self) -> list[tuple[int, int, dict[int, int]]]:
+        """The flow as ``(a, b, units)`` per segment ``[a, b)``, ``units``
+        mapping the admission index of each job with some there to them."""
+        points = self._points
+        return [
+            (points[s], points[s + 1], dict(units))
+            for s, units in enumerate(self._units)
+        ]
+
+    def _cut(self, point: int) -> None:
+        """Make ``point`` a breakpoint, cutting the segment it falls in."""
+        points = self._points
+        s = bisect.bisect_left(points, point)
+        if s < len(points) and points[s] == point:
+            return
+        points.insert(s, point)
+        if len(points) == 1:
+            return
+        if s == 0 or s == len(points) - 1:
+            # an empty segment before the first breakpoint or after the last
+            s = min(s, len(points) - 2)
+            self._lengths.insert(s, points[s + 1] - points[s])
+            self._units.insert(s, {})
+            self._loads.insert(s, 0)
+            return
+        a, b = points[s - 1], points[s + 1]
+        left, right = _cut_shares(a, b, self._units[s - 1], point)
+        self._lengths[s - 1 : s] = [point - a, b - point]
+        self._units[s - 1 : s] = [left, right]
+        load = sum(left.values())
+        self._loads[s - 1 : s] = [load, self._loads[s - 1] - load]
+
+    def _fill(self, first: int, m: int) -> dict[int, int]:
+        """Fill the jobs from admission index ``first`` on into their
+        earliest segments with room; returns the work each has left, if any."""
+        points, lengths, units, loads = self._points, self._lengths, self._units, self._loads
+        jobs = self._jobs
+        left: dict[int, int] = {}
+        for job in sorted(range(first, len(jobs)), key=lambda i: (jobs[i][1], i)):
+            release, deadline, rest = jobs[job]
+            for s in range(
+                bisect.bisect_left(points, release), bisect.bisect_left(points, deadline)
+            ):
+                length = lengths[s]
+                room = m * length - loads[s]
+                if room > 0:
+                    f = min(length, room, rest)
+                    units[s][job] = f
+                    loads[s] += f
+                    rest -= f
+                    if not rest:
+                        break
+            if rest:
+                left[job] = rest
+        return left
+
+    def _augment(self, left: dict[int, int], m: int) -> int:
+        """Push the work ``left`` (job -> units, emptied as it is placed)
+        along augmenting paths on ``m`` machines, in Dinic's phases.
+
+        Returns ``m`` when all of it is placed.  Otherwise it stops when no
+        path is left and returns the least count that the minimum cut
+        allows: with R the jobs and segments reachable from the jobs with
+        work left, any count m' that fits has m'·|R's segments| at least
+        the work of R's jobs less what they place, one unit per slot, in
+        segments outside R, where none has room left.
+        """
+        points, lengths, units, loads = self._points, self._lengths, self._units, self._loads
+        jobs = self._jobs
+        windows: dict[int, range] = {}  # job -> its segments
+        while left:
+            # levels: the jobs with work left are 0, the segments they can
+            # take more units in 1, the other jobs with units there 2, ...;
+            # 0 marks a segment not reached
+            job_level = dict.fromkeys(left, 0)
+            seg_level = [0] * len(lengths)
+            frontier = list(left)
+            level = 1
+            top = 0
+            while frontier:
+                reached = []
+                for job in frontier:
+                    window = windows.get(job)
+                    if window is None:
+                        release, deadline, _ = jobs[job]
+                        window = windows[job] = range(
+                            bisect.bisect_left(points, release),
+                            bisect.bisect_left(points, deadline),
+                        )
+                    for s in [
+                        s for s in window
+                        if not seg_level[s] and units[s].get(job, 0) < lengths[s]
+                    ]:
+                        seg_level[s] = level
+                        reached.append(s)
+                for s in reached:
+                    if loads[s] < m * lengths[s]:
+                        top = level
+                        break
+                if top:
+                    break
+                frontier = []
+                for s in reached:
+                    for job in units[s]:
+                        if job not in job_level:
+                            job_level[job] = level + 1
+                            frontier.append(job)
+                level += 2
+            if not top:
+                return self._cut_bound(job_level, seg_level, windows)
+            self._blocking_flow(left, m, windows, job_level, seg_level, top)
+        return m
+
+    def _blocking_flow(
+        self,
+        left: dict[int, int],
+        m: int,
+        windows: dict[int, range],
+        job_level: dict[int, int],
+        seg_level: list[int],
+        top: int,
+    ) -> None:
+        """Augment along the paths of one level graph until none is left:
+        a depth-first search from each job with work left, each node
+        resuming where it stopped, and a node with no way on dropped from
+        its level."""
+        lengths, units, loads = self._lengths, self._units, self._loads
+        job_next: dict[int, int] = {}  # job -> the next segment to try
+        seg_next: dict[int, list[int]] = {}  # segment -> jobs still to try
+        for start in list(left):
+            path = [start]  # job, segment, job, segment, ...
+            while path:
+                node = path[-1]
+                if len(path) % 2:  # a job
+                    job, level = node, job_level[node] + 1
+                    window = windows[job]
+                    s, end = job_next.get(job, window.start), window.stop
+                    while s < end and not (
+                        seg_level[s] == level and units[s].get(job, 0) < lengths[s]
+                    ):
+                        s += 1
+                    job_next[job] = s
+                    if s < end:
+                        path.append(s)
+                        continue
+                    job_level[job] = -1
+                    path.pop()
+                    continue
+                s, level = node, seg_level[node]
+                if level == top:
+                    room = m * lengths[s] - loads[s]
+                    if room > 0:
+                        self._push(path, left, room)
+                        if start not in left:
+                            break
+                        path = [start]
+                        continue
+                else:
+                    todo = seg_next.get(s)
+                    if todo is None:
+                        todo = [k for k in units[s] if job_level[k] == level + 1]
+                        todo.reverse()
+                        seg_next[s] = todo
+                    here = units[s]
+                    while todo and not (
+                        job_level[todo[-1]] == level + 1 and todo[-1] in here
+                    ):
+                        todo.pop()
+                    if todo:
+                        path.append(todo[-1])
+                        continue
+                seg_level[s] = -1
+                path.pop()
+
+    def _push(
+        self, path: list[int], left: dict[int, int], room: int
+    ) -> None:
+        """Push the most the path allows: the start's work left, each job's
+        room in the segment it moves into, the units it moves out of the
+        segment before, and the last segment's ``room``."""
+        lengths, units = self._lengths, self._units
+        start = path[0]
+        f = min(left[start], room)
+        for i in range(1, len(path), 2):
+            s = path[i]
+            f = min(f, lengths[s] - units[s].get(path[i - 1], 0))
+            if i + 1 < len(path):
+                f = min(f, units[s][path[i + 1]])
+        for i in range(1, len(path), 2):
+            s, job = path[i], path[i - 1]
+            here = units[s]
+            here[job] = here.get(job, 0) + f
+            if i + 1 < len(path):
+                out = path[i + 1]
+                if here[out] == f:
+                    del here[out]
+                else:
+                    here[out] -= f
+        self._loads[path[-1]] += f
+        if left[start] == f:
+            del left[start]
+        else:
+            left[start] -= f
+
+    def _cut_bound(
+        self,
+        job_level: dict[int, int],
+        seg_level: list[int],
+        windows: dict[int, range],
+    ) -> int:
+        """The least count the minimum cut of the reachable jobs and
+        segments allows (see ``_augment``)."""
+        lengths = self._lengths
+        need = 0
+        for job in job_level:
+            release, deadline, p = self._jobs[job]
+            need += p - (deadline - release)
+            need += sum(lengths[s] for s in windows[job] if seg_level[s])
+        return -(-need // sum(l for l, level in zip(lengths, seg_level) if level))
 
 
 def optimum_preemptive(instance: Instance) -> int:

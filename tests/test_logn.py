@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from machmin import logn
 from machmin.adversary import gen_random
 from machmin.engine import Simulation
 from machmin.logn import (
@@ -13,7 +12,6 @@ from machmin.logn import (
     TransformKind,
     build_groups,
     choose_mu,
-    cut_load,
     logn_schedule,
     reclassify,
     required_scale,
@@ -23,10 +21,8 @@ from machmin.logn import (
 from machmin.model import Instance, Job, JobState, scale_instance
 from machmin.optimum import (
     FlowNetwork,
-    _spread_segment,
     ceil_frac,
     min_machines,
-    min_machines_flow,
     optimum_preemptive,
 )
 
@@ -233,71 +229,41 @@ def test_laxity_drop_bound_smoke():
             assert m1 <= ceil_frac(Fraction(4 * m0) / beta)
 
 
-def _fresh_witness(residues, m, t):
-    """The pool's segments from t on, read from a solve of a freshly built
-    network at m: the flow on each segment-to-sink arc, found on the layout
-    by the arc's tail row and head column."""
-    network = FlowNetwork.build(Instance(residues))
-    _, flow = network.solve(m)
-    indptr, indices = network.indptr, network.indices
-    sink = len(indptr) - 2
-    first = sink - len(network.segments)
-    loads = [
-        int(flow[p])
-        for v in range(first, sink)
-        for p in range(indptr[v], indptr[v + 1])
-        if indices[p] == sink
-    ]
-    return [[a, b, load] for (a, b), load in zip(network.segments, loads) if b > t]
-
-
 @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 4)], ids=str)
 def test_pool_optimum_is_exact_at_every_admission(monkeypatch, alpha):
-    # m_L after each admission is the flow optimum of the whole pool, whether
-    # the witness certified it or the search ran; both paths are taken.  A
-    # searched admission reads its witness from the search's own flow: it
-    # makes no solve beyond the search's, unless the search settled m_L
-    # without one, and the witness equals a fresh solve's at m_L
+    # m_L after each admission is the flow optimum of every residue admitted
+    # so far, and the admission itself builds and solves no flow network;
+    # admissions that raise m_L and ones that keep it are both taken
     admit = LogNPolicy._admit_safe
-    solve = FlowNetwork.solve
-    searched = 0
-    admissions = 0
-    solves = 0
-    search = None  # (solves the search made, its flow) in this admission
+    build, solve = FlowNetwork.build.__func__, FlowNetwork.solve
+    calls = 0
+    admissions = raised = 0
+    pools: dict[int, list[Job]] = {}
+
+    def counting_build(cls, instance):
+        nonlocal calls
+        calls += 1
+        return build(cls, instance)
 
     def counting_solve(network, m):
-        nonlocal solves
-        solves += 1
+        nonlocal calls
+        calls += 1
         return solve(network, m)
 
-    def checked(self, residues, t):
-        nonlocal admissions, search
+    def checked(self, residues):
+        nonlocal admissions, raised
         admissions += 1
-        search = None
-        before, witness_solves = solves, self._witness_solves
-        admit(self, residues, t)
-        made = solves - before
-        extra = self._witness_solves - witness_solves
-        if search is None:
-            assert made == 0 and extra == 0, t
-        else:
-            own, flow = search
-            assert extra == (flow is None), t
-            assert made == own + extra, t
-            assert self._witness == _fresh_witness(self._residues, self._m_L, t), t
-        assert self._m_L == min_machines(self._residues, 1), (t, self._m_L)
+        before, m_before = calls, self._m_L
+        admit(self, residues)
+        assert calls == before, residues
+        raised += self._m_L > m_before
+        pool = pools.setdefault(id(self), [])
+        pool += residues
+        assert self._m_L == min_machines(pool, 1), (residues, self._m_L)
 
-    def counted(jobs, lower):
-        nonlocal searched, search
-        searched += 1
-        before = solves
-        result = min_machines_flow(jobs, lower)
-        search = (solves - before, result[2])
-        return result
-
+    monkeypatch.setattr(FlowNetwork, "build", classmethod(counting_build))
     monkeypatch.setattr(FlowNetwork, "solve", counting_solve)
     monkeypatch.setattr(LogNPolicy, "_admit_safe", checked)
-    monkeypatch.setattr(logn, "min_machines_flow", counted)
     for seed, n in enumerate((20, 45, 70, 120)):
         for profile, kw in (
             ("general", {"horizon": n, "max_len": max(6, n // 3)}),
@@ -306,79 +272,22 @@ def test_pool_optimum_is_exact_at_every_admission(monkeypatch, alpha):
             g = gen_random(profile, n, seed, **kw)
             run = logn_schedule(g.instance, g.m_opt, alpha)
             assert run.first_miss is None
-    assert 0 < searched < admissions
+    assert 0 < raised < admissions
 
 
-def test_witness_takes_one_solve_when_the_search_made_none():
-    # one loose job: m_L = 1 >= n settles the search without a network, so
-    # the witness builds and solves once, and holds the job's whole work
+def test_one_residue_is_admitted_without_a_network(monkeypatch):
+    # one loose job: m_L = 1, and the pool's flow holds the job's whole work
+    # in its window, with no network built
+    def refuse(*args):
+        raise AssertionError("a flow network was built")
+
+    monkeypatch.setattr(FlowNetwork, "build", refuse)
     policy = LogNPolicy(1)
     sim = Simulation(policy)
     sim.add_jobs([Job(0, 0, 4, 1)])
     sim.run_until(1)
     assert policy._m_L == 1
-    assert policy.extras()["witness_solves"] == 1
-    assert policy._witness == _fresh_witness([Job(0, 0, 4, 1)], 1, 0) == [[0, 4, 1]]
-
-
-def test_search_returns_its_flow_at_the_optimum(monkeypatch):
-    # the flow is the search's solve at m, also when its last probe was
-    # below m; it is None only when m >= n settled m, and there is no
-    # network only when the lower bound alone did
-    solve = FlowNetwork.solve
-    probes = []
-
-    def recording_solve(network, m):
-        probes.append(m)
-        return solve(network, m)
-
-    monkeypatch.setattr(FlowNetwork, "solve", recording_solve)
-    # four unit jobs due at 1 and a long one: the search probes 1, 2, 4
-    # and, last, 3, which does not fit
-    spike = [Job(i, 0, 1, 1) for i in range(4)] + [Job(4, 0, 100, 1)]
-    probed_below = 0
-    for jobs in [spike] + [
-        gen_random("general", 3 + seed % 9, seed).instance.jobs for seed in range(40)
-    ]:
-        for lower in (1, 2, 4):
-            probes.clear()
-            m, network, flow = min_machines_flow(jobs, lower)
-            if flow is None:
-                assert m >= len(jobs)
-                continue
-            probed_below += probes[-1] < m
-            value, expected = solve(network, m)
-            assert value == network.work
-            assert list(flow) == list(expected), (jobs, lower)
-            if m > max(lower, 1):
-                assert solve(network, m - 1)[0] < network.work
-    assert probed_below
-    assert min_machines_flow(spike, 5) == (5, None, None)
-
-
-@given(
-    a=st.integers(0, 50),
-    width=st.integers(1, 30),
-    m=st.integers(1, 6),
-    data=st.data(),
-)
-def test_cut_load_follows_wrap_around_packing(a, width, m, data):
-    b = a + width
-    load = data.draw(st.integers(0, m * width))
-    c = data.draw(st.integers(a + 1, b))
-    left = cut_load(a, b, load, c)
-    right = load - left
-    assert 0 <= left <= m * (c - a) and 0 <= right <= m * (b - c)
-    # any split of the load into per-job shares of at most b - a packs to
-    # the same slot loads
-    amounts = []
-    rest = load
-    while rest:
-        share = data.draw(st.integers(1, min(width, rest)))
-        amounts.append((len(amounts), share))
-        rest -= share
-    slots = _spread_segment(a, b, amounts)
-    assert left == sum(len(ids) for s, ids in slots.items() if s < c)
+    assert policy._pool.flow() == [(0, 4, {0: 1})]
 
 
 def test_monitor_solves_when_the_load_bound_does_not_certify():
@@ -404,30 +313,38 @@ def test_monitor_records_the_load_bound_when_it_certifies():
 @pytest.mark.parametrize("second_release", [0, 1])
 def test_pool_at_the_flow_limit_admits(second_release):
     # two loose jobs whose pool work reaches 2^31, admitted together or
-    # apart: the admission that reaches it keeps m(L) = 1 and a witness of
-    # the whole pool work, less the unit the witness placed in [0, 1) when
-    # it is cut at t = 1; only the slots up to that admission run, since
-    # the simulator steps every slot up to the horizon
+    # apart: the admission that reaches it keeps m(L) = 1 and a flow of the
+    # whole pool work, no segment holding more than its length; only the
+    # slots up to that admission run, since the simulator steps every slot
+    # up to the horizon
     policy = LogNPolicy(1)
     sim = Simulation(policy)
     sim.add_jobs([Job(0, 0, 2**32, 2**30), Job(1, second_release, 2**32, 2**30)])
     sim.run_until(second_release + 1)
     assert policy._m_L == 1
     assert policy._safe_budget == 4
-    assert sum(load for _, _, load in policy._witness) == 2**31 - second_release
-    assert all(load <= b - a for a, b, load in policy._witness)
+    flow = policy._pool.flow()
+    assert sum(sum(units.values()) for _, _, units in flow) == 2**31
+    assert all(sum(units.values()) <= b - a for a, b, units in flow)
 
 
 def test_certificate_caps_each_share_at_the_segment_length():
-    # on two machines the witness has two spare units in [0, 1) and none
-    # after: a new residue may take only one of them, so it does not fit
-    policy = LogNPolicy(2)
-    policy._m_L = 2
-    policy._witness = [[0, 1, 0], [1, 4, 6]]
-    assert not policy._certify([Job(9, 0, 4, 2)], 0)
-    policy._witness = [[0, 1, 0], [1, 4, 6]]
-    assert policy._certify([Job(8, 0, 4, 1), Job(9, 0, 4, 1)], 0)
-    assert policy._witness == [[0, 1, 2], [1, 4, 6]]
+    # on two machines the pool has two spare units in [0, 1) and none
+    # after: a new residue may take only one of them, so m(L) rises to 3,
+    # while two residues of one unit each take both and keep it
+    def two_machine_pool():
+        policy = LogNPolicy(2)
+        policy._admit_safe([Job(0, 1, 4, 3), Job(1, 1, 4, 3)])
+        assert policy._m_L == 2
+        return policy
+
+    policy = two_machine_pool()
+    policy._admit_safe([Job(9, 0, 4, 2)])
+    assert policy._m_L == 3
+    policy = two_machine_pool()
+    policy._admit_safe([Job(8, 0, 4, 1), Job(9, 0, 4, 1)])
+    assert policy._m_L == 2
+    assert policy._pool.flow()[0] == (0, 1, {2: 1, 3: 1})
 
 
 def test_logn_all_loose_uses_only_safe_pool():

@@ -274,6 +274,17 @@ def test_non_integer_fields_are_named_and_cut(parse, text, line, message):
     assert (info.value.line, info.value.message) == (line, message)
 
 
+def test_refused_fields_are_named_without_the_digit_limit(monkeypatch):
+    # Python before 3.10.7 has no get_int_max_str_digits: a refused field
+    # is still a ParseError, with no digit limit to name
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    with pytest.raises(ParseError) as info:
+        parse_trace("trace preemptive\n0 x\n")
+    assert (info.value.line, info.value.message) == (
+        2, "field 2 is not an integer: 'x'"
+    )
+
+
 def test_trace_roundtrip():
     sched = PreemptiveSchedule({0: {1, 0}, 2: {1}})
     text = serialize_trace(sched)

@@ -10,6 +10,8 @@ from machmin.adversary import gen_random
 from machmin.model import Instance, Job, scale_instance, validate_preemptive
 from machmin.optimum import (
     FLOW_WORK_LIMIT,
+    RunningOptimum,
+    _cut_shares,
     _spread_segment,
     EnumerationCapExceeded,
     IntervalSet,
@@ -236,6 +238,80 @@ def test_total_work_at_the_flow_limit_raises():
     with pytest.raises(EnumerationCapExceeded, match="32 bits"):
         feasible_preemptive(fits, 1)
 
+
+@given(
+    a=st.integers(0, 50),
+    width=st.integers(2, 30),
+    m=st.integers(1, 6),
+    data=st.data(),
+)
+def test_cut_shares_follow_wrap_around_packing(a, width, m, data):
+    # a cut splits each job's units as _spread_segment packs them: every
+    # share fits its part, and every part's load fits m machines
+    b = a + width
+    c = data.draw(st.integers(a + 1, b - 1))
+    load = data.draw(st.integers(0, m * width))
+    shares = {}
+    while load:
+        units = data.draw(st.integers(1, min(width, load)))
+        shares[len(shares)] = units
+        load -= units
+    left, right = _cut_shares(a, b, shares, c)
+    slots = _spread_segment(a, b, list(shares.items()))
+    for job, units in shares.items():
+        inside = sum(job in ids for s, ids in slots.items() if s < c)
+        assert left.get(job, 0) == inside and right.get(job, 0) == units - inside
+        assert 0 not in (left.get(job), right.get(job))
+    assert max(left.values(), default=0) <= c - a
+    assert max(right.values(), default=0) <= b - c
+    assert sum(left.values()) <= m * (c - a) and sum(right.values()) <= m * (b - c)
+
+
+@st.composite
+def growing_job_sets(draw):
+    """Batches of jobs with a lower bound each: windows up to 8 slots, or
+    anywhere below 2^62; some jobs of zero laxity; the batches in release
+    order, each released at one time, or in any order."""
+    huge = draw(st.booleans())
+    ordered = draw(st.booleans())
+    horizon = 2**62 if huge else 12
+    batches, lower, t, n = [], 0, 0, 0
+    for _ in range(draw(st.integers(1, 6))):
+        batch = []
+        for _ in range(draw(st.integers(0, 4))):
+            r = t if ordered else draw(st.integers(0, horizon))
+            w = draw(st.integers(1, 2**61 if huge else 8))
+            p = w if draw(st.integers(0, 3)) == 0 else draw(st.integers(1, w))
+            batch.append(Job(n, r, r + w, p))
+            n += 1
+        if ordered:
+            t += draw(st.integers(0, 2**60 if huge else 3))
+        lower = draw(st.sampled_from([lower, lower + 1, lower + 4]))
+        batches.append((batch, lower))
+    return batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches=growing_job_sets())
+def test_running_optimum_matches_min_machines_at_every_addition(batches):
+    # each addition returns what min_machines finds anew on every job added
+    # so far, and leaves a feasible flow of them on that many machines: each
+    # job's units sum to its processing time, inside its window, no share
+    # above its segment's length and no load above m times that length
+    running = RunningOptimum()
+    jobs, m = [], 0
+    for batch, lower in batches:
+        jobs += batch
+        m = running.add(batch, lower)
+        assert m == min_machines(jobs, lower)
+        placed = [0] * len(jobs)
+        for a, b, units in running.flow():
+            assert a < b and sum(units.values()) <= m * (b - a)
+            for job, share in units.items():
+                assert 0 < share <= b - a
+                assert jobs[job].release <= a and b <= jobs[job].deadline
+                placed[job] += share
+        assert placed == [job.processing for job in jobs]
 
 # ---------------------------------------------------------------------------
 # Contribution and strong density.
