@@ -5,10 +5,10 @@ into time segments, segments drain into the sink at the machine count), one
 network per job set, and a galloping search over the machine count from the
 load bound.  A job set that only grows keeps its optimum in a
 ``RunningOptimum`` instead, one feasible flow augmented at each addition,
-with no network and no search.  A network is held once, as the residual CSR layout that Dinic's algorithm
-solves; a Python kernel solves small networks on it and scipy large ones,
-with the same flows.  The
-strong density comes from the same network: at a fractional machine count
+with no network and no search.  A network is held once, as the residual
+CSR layout that Dinic's algorithm solves; a Python kernel solves small
+networks on it and scipy large ones, with the same flows.  The strong
+density comes from the same network: at a fractional machine count
 its min cut picks the set of time segments that most exceeds that count,
 and Dinkelbach's method raises the count to the best ratio.  The
 two searches must agree via ``ceil(strong density) == preemptive optimum``;

@@ -238,7 +238,7 @@ def test_pool_optimum_is_exact_at_every_admission(monkeypatch, alpha):
     build, solve = FlowNetwork.build.__func__, FlowNetwork.solve
     calls = 0
     admissions = raised = 0
-    pools: dict[int, list[Job]] = {}
+    pools: dict[LogNPolicy, list[Job]] = {}  # each policy's residues so far
 
     def counting_build(cls, instance):
         nonlocal calls
@@ -257,7 +257,7 @@ def test_pool_optimum_is_exact_at_every_admission(monkeypatch, alpha):
         admit(self, residues)
         assert calls == before, residues
         raised += self._m_L > m_before
-        pool = pools.setdefault(id(self), [])
+        pool = pools.setdefault(self, [])
         pool += residues
         assert self._m_L == min_machines(pool, 1), (residues, self._m_L)
 

@@ -269,9 +269,10 @@ def test_cut_shares_follow_wrap_around_packing(a, width, m, data):
 
 @st.composite
 def growing_job_sets(draw):
-    """Batches of jobs with a lower bound each: windows up to 8 slots, or
-    anywhere below 2^62; some jobs of zero laxity; the batches in release
-    order, each released at one time, or in any order."""
+    """Batches of jobs with a lower bound each, the bounds rising: windows
+    of up to 8 slots, or times up to about 2^62; some jobs of zero laxity;
+    the batches in release order, each released at one time, or in any
+    order."""
     huge = draw(st.booleans())
     ordered = draw(st.booleans())
     horizon = 2**62 if huge else 12
@@ -299,7 +300,7 @@ def test_running_optimum_matches_min_machines_at_every_addition(batches):
     # job's units sum to its processing time, inside its window, no share
     # above its segment's length and no load above m times that length
     running = RunningOptimum()
-    jobs, m = [], 0
+    jobs = []
     for batch, lower in batches:
         jobs += batch
         m = running.add(batch, lower)
@@ -312,6 +313,7 @@ def test_running_optimum_matches_min_machines_at_every_addition(batches):
                 assert jobs[job].release <= a and b <= jobs[job].deadline
                 placed[job] += share
         assert placed == [job.processing for job in jobs]
+
 
 # ---------------------------------------------------------------------------
 # Contribution and strong density.
