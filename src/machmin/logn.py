@@ -10,6 +10,16 @@ nest inside each other's laxity, and each group is split round-robin over
 enough machines that no critical job ever loses more than a constant
 fraction of its original laxity.
 
+The partition is kept from slot to slot, and only the critical jobs that
+the last slot ran are tested for looseness again: a critical job that did
+not run kept its remaining work while its window shrank by one, so it is
+still tight.  A job that ran lost one unit of work and one slot of window,
+so its laxity, and its ratio to the original laxity, did not move, and the
+laxity floor is taken over the others.  Members only leave a subgroup, and
+a subgroup is cut from its group in EDF order, so its head is the first
+member still critical.  The groups are packed and split again only at a
+slot with arrivals.
+
 Every rational test here (the loose test, the subgroup count mu, the
 laxity-ratio minima and the group bound) is an integer cross-multiplication
 on ``alpha``'s numerator and denominator, and the pool budget an integer
@@ -110,23 +120,30 @@ def build_groups(states: Sequence[JobState], t: int) -> list[list[int]]:
     Jobs are scanned in decreasing-deadline order; each goes to the
     lowest-indexed group whose earliest-deadline member still has laxity at
     least the job's remaining window length, else it opens a new group.
+    Both sides of that test lose ``t``: the job fits when its deadline is at
+    most the member's latest start, deadline less remaining work.
     """
     ordered = sorted(
         states, key=lambda s: (-s.job.deadline, s.job.release, s.job.id)
     )
     groups: list[list[int]] = []
-    anchors: list[JobState] = []  # earliest-deadline member per group
+    anchors: list[tuple[int, int, int]] = []  # edf_key of each group's anchor
+    starts: list[int] = []  # the anchor's latest start
     for state in ordered:
-        window = state.job.deadline - t
-        for i, anchor in enumerate(anchors):
-            if window <= anchor.job.deadline - t - anchor.remaining:
-                groups[i].append(state.job.id)
-                if edf_key(state) < edf_key(anchor):
-                    anchors[i] = state
+        job = state.job
+        deadline = job.deadline
+        for i, start in enumerate(starts):
+            if deadline <= start:
+                groups[i].append(job.id)
+                key = (deadline, job.release, job.id)
+                if key < anchors[i]:
+                    anchors[i] = key
+                    starts[i] = deadline - state.remaining
                 break
         else:
-            groups.append([state.job.id])
-            anchors.append(state)
+            groups.append([job.id])
+            anchors.append((deadline, job.release, job.id))
+            starts.append(deadline - state.remaining)
     return groups
 
 
@@ -187,7 +204,10 @@ class LogNPolicy(OnlinePolicy):
         self._pool = RunningOptimum()
         self._m_L = 0
         self._safe_budget = 0
+        # each subgroup in reverse EDF order, so that its head is last
         self._subgroups: list[list[int]] = []
+        # the critical jobs that the last slot ran
+        self._ran: set[int] = set()
         self._h = 0
         self._mu = 1
         self._alloc_critical = 0
@@ -216,52 +236,52 @@ class LogNPolicy(OnlinePolicy):
 
     def _update_partition(self, t: int, active: Mapping[int, JobState]) -> None:
         arrivals, self._arrivals = self._arrivals, []
-        # once safe, always safe: only the still-critical jobs are re-tested
+        # once safe, always safe; and a critical job that did not run in the
+        # last slot kept its work while its window shrank, so it is still
+        # tight: only the critical jobs that ran are tested again
         self._critical &= active.keys()
-        live = {j: active[j] for j in self._critical}
-        still, residues = reclassify(live, t, self.alpha)
+        critical = self._critical
+        ran = {j: active[j] for j in self._ran if j in critical}
+        _, residues = reclassify(ran, t, self.alpha)
         for residue in residues:
+            critical.discard(residue.id)
             original = active[residue.id].job
             self._note_entry_ratio(original, residue.processing, t)
-        self._critical = still
         fresh_safe: list[Job] = []
         for job in arrivals:
             if is_loose(job.processing, job.deadline - t, self.alpha):
                 fresh_safe.append(Job(job.id, t, job.deadline, job.processing))
                 self._note_entry_ratio(job, job.processing, t)
             else:
-                self._critical.add(job.id)
+                critical.add(job.id)
         new_residues = residues + fresh_safe
         if new_residues:
             self._admit_safe(new_residues)
         if arrivals:
             self._rebuild(t, active)
-        else:
-            # carry the partition over, minus jobs that finished or went safe
-            self._subgroups = [
-                [j for j in sub if j in self._critical and j in active]
-                for sub in self._subgroups
-            ]
-            self._subgroups = [s for s in self._subgroups if s]
 
     def _rebuild(self, t: int, active: Mapping[int, JobState]) -> None:
-        states = [active[j] for j in sorted(self._critical)]
+        states = [active[j] for j in self._critical]
         groups = build_groups(states, t)
-        self._mu = choose_mu(max(self._released, 1), self.alpha)
+        self._mu = mu = choose_mu(max(self._released, 1), self.alpha)
         self._h = len(groups)
-        by_id = {s.job.id: s for s in states}
-        self._subgroups = []
-        for group in groups:
-            self._subgroups.extend(split_group(group, by_id, self._mu))
-        self._alloc_critical = max(self._alloc_critical, self._h * self._mu)
-        if self._critical:
-            residues = [
-                Job(j, t, active[j].job.deadline, active[j].remaining)
-                for j in sorted(self._critical)
-            ]
-            span = max(r.deadline for r in residues) - t
-            m_t_hat = -(-sum(r.processing for r in residues) // span)
+        # an active job has work left, so a job that joins a group has its
+        # deadline before the latest start of the member that joined last,
+        # and takes over as the anchor: each group's deadlines fall strictly
+        # in joining order.  The group reversed is in EDF order, and each of
+        # split_group's subgroups is one slice of it, with its EDF head last
+        self._subgroups = [
+            group[i::mu] for group in groups for i in range(min(mu, len(group)))
+        ]
+        self._alloc_critical = max(self._alloc_critical, self._h * mu)
+        if states:
+            span = max(s.job.deadline for s in states) - t
+            m_t_hat = -(-sum(s.remaining for s in states) // span)
             if self._h > 1 + self._group_factor * m_t_hat:
+                residues = [
+                    Job(j, t, active[j].job.deadline, active[j].remaining)
+                    for j in sorted(self._critical)
+                ]
                 m_t_hat = min_machines(residues, m_t_hat)
                 self._monitor_solves += 1
         else:
@@ -271,8 +291,10 @@ class LogNPolicy(OnlinePolicy):
     def _monitor_laxity_floor(
         self, t: int, active: Mapping[int, JobState]
     ) -> None:
+        # a job that ran lost one slot of window and one unit of work, so
+        # its ratio is the one taken at the slot before
         best = self._min_critical_ratio
-        for j in self._critical:
+        for j in self._critical - self._ran:
             state = active[j]
             job = state.job
             best = _lower_ratio(best, job.deadline - t - state.remaining, job.laxity)
@@ -286,10 +308,16 @@ class LogNPolicy(OnlinePolicy):
         # once finished, never active again: drop finished safe jobs for good
         self._safe &= active.keys()
         chosen = edf_select(map(active.__getitem__, self._safe), t, self._safe_budget)
+        # members only ever leave a subgroup, so its head is its last
+        # member still critical
+        critical, ran = self._critical, set()
         for sub in self._subgroups:
-            live = [active[j] for j in sub if j in active]
-            if live:
-                chosen.add(min(live, key=edf_key).job.id)
+            while sub and sub[-1] not in critical:
+                sub.pop()
+            if sub:
+                ran.add(sub[-1])
+        self._ran = ran
+        chosen |= ran
         return chosen
 
     def machines_used(self) -> int:

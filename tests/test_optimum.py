@@ -797,6 +797,66 @@ def test_scaling_keeps_verdicts_below_the_flow_limit(case, offset, k):
                 feasible_preemptive(scaled, m)
 
 
+def reference_min_machines(jobs, lower):
+    """The reference for ``min_machines``: from the larger of ``lower`` and
+    the load bound, gallop upward (lo, lo+1, lo+3, lo+7, ...) until a count
+    fits, then bisect the last gap, with a cold solve at every count."""
+    from machmin.optimum import FlowNetwork
+
+    instance = Instance(jobs)
+    n, lo = instance.n, max(lower, 1)
+    if lo < n:
+        span = instance.d_max - min(j.release for j in instance.jobs)
+        lo = max(lo, -(-instance.total_work // span))
+    if lo >= n:
+        return lo
+    network = FlowNetwork.build(instance)
+
+    def fits(m):
+        return m >= n or network.solve(m)[0] == network.work
+
+    bad, good = lo - 1, lo
+    while not fits(good):
+        bad, good = good, min(2 * good - lo + 1, n)
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        if fits(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=straddling_instances(),
+    offset=st.none() | st.integers(-1, 2),
+    above=st.integers(1, 4),
+)
+def test_min_machines_matches_the_galloping_search(case, offset, above):
+    # on either side of the kernel cutoff, each kernel also forced, so that
+    # the climb continues the failing flow in Python or solves anew in
+    # scipy; from below the optimum, from above it and from past n; and
+    # scaled to a total work just short of FLOW_WORK_LIMIT or past it,
+    # where the capacities are Python ints
+    from unittest import mock
+
+    from machmin import optimum
+
+    instance, _ = case
+    if offset is not None:
+        instance = _scaled_past_limit(instance, offset)
+    jobs = instance.jobs
+    m = reference_min_machines(jobs, 1)
+    for lower in sorted({-1, 1, max(1, m - 1), m, m + above, instance.n + above}):
+        expected = reference_min_machines(jobs, lower)
+        assert expected == max(lower, m)
+        assert min_machines(jobs, lower) == expected
+        for cutoff in (0, 10**9):
+            with mock.patch.object(optimum, "PYTHON_FLOW_ARCS", cutoff):
+                assert min_machines(jobs, lower) == expected
+
+
 @pytest.mark.parametrize("jobs", [3, 30], ids=["python-kernel", "scipy-kernel"])
 def test_opt_scaled_past_the_flow_limit(tmp_path, jobs, capsys):
     from machmin.cli import main
