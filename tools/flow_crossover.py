@@ -7,19 +7,17 @@ Run it from anywhere in a checkout: it imports machmin from the checkout's
 ``src``.  The networks are ``FlowNetwork``s of ``gen_random`` instances
 drawn at fixed seeds over every profile, n in [2, 110] and windows of up
 to 40 slots, kept until each 64-arc bin up to ``TOP`` job arcs holds
-``PER_BIN`` of them.  Each network is searched as ``min_machines`` searches
-it (``optimum._climb``) from one machine below its preemptive optimum: a
-failing solve there, then the feasible one at the optimum, which on the
-Python kernel continues the failing flow with the drains raised and on
-scipy solves anew (only the feasible solve when the optimum is 1).  Per
+``PER_BIN`` of them.  Each network is solved at its preemptive optimum and
+one machine below it, the feasible and the failing solve that every
+search for the optimum makes (only the first when the optimum is 1); per
 network and kernel the time is the median of ``ROUNDS`` timings of
-``SEARCHES`` searches, the kernels alternating which goes first.  A row
-gives the median over its networks, per search, with ``capacities`` and,
-for scipy, its sparse set-up included, and the median over its networks of
-the Python/scipy time ratio.  The absolute times move with the machine's
-speed between runs; the two kernels of a ratio are timed in turn on one
-network, so the ratio does not.  The last line names the largest bin bound
-up to which the ratio is below 1 in every bin.
+``SOLVES`` rounds of those solves, the kernels alternating which goes
+first.  A row gives the median over its networks, per solve, with
+``capacities`` and, for scipy, its sparse set-up included, and the median
+over its networks of the Python/scipy time ratio.  The absolute times move
+with the machine's speed between runs; the two kernels of a ratio are timed
+in turn on one network, so the ratio does not.  The last line names the
+largest bin bound up to which the ratio is below 1 in every bin.
 """
 
 from __future__ import annotations
@@ -40,13 +38,13 @@ WIDTH = 64
 TOP = 1024
 PER_BIN = 24
 ROUNDS = 7
-SEARCHES = 5
+SOLVES = 5
 KERNELS = {"python": TOP, "scipy": 0}  # the PYTHON_FLOW_ARCS that forces each
 
 
-def networks() -> dict[int, list[tuple[optimum.FlowNetwork, int]]]:
-    """``PER_BIN`` (network, first machine count) pairs per bin, keyed by
-    the bin's upper bound of job arcs."""
+def networks() -> dict[int, list[tuple[optimum.FlowNetwork, list[int]]]]:
+    """``PER_BIN`` (network, machine counts) pairs per bin, keyed by the
+    bin's upper bound of job arcs."""
     rng = random.Random(SEED)
     bins: dict[int, list] = {top: [] for top in range(WIDTH, TOP + 1, WIDTH)}
     for attempt in range(100 * PER_BIN * len(bins)):
@@ -60,18 +58,20 @@ def networks() -> dict[int, list[tuple[optimum.FlowNetwork, int]]]:
         network = optimum.FlowNetwork.build(generated.instance)
         held = bins.get(-(-network.arcs // WIDTH) * WIDTH)
         if held is not None and len(held) < PER_BIN:
-            held.append((network, max(generated.m_opt - 1, 1)))
+            m = generated.m_opt
+            held.append((network, [m, m - 1] if m > 1 else [m]))
     return bins
 
 
-def per_search_ms(network: optimum.FlowNetwork, first: int, cutoff: int) -> float:
+def per_solve_ms(network: optimum.FlowNetwork, counts: list[int], cutoff: int) -> float:
     optimum.PYTHON_FLOW_ARCS = cutoff
     times = []
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        for _ in range(SEARCHES):
-            optimum._climb(network, first)
-        times.append((time.perf_counter() - start) / SEARCHES)
+        for _ in range(SOLVES):
+            for m in counts:
+                network.solve(m)
+        times.append((time.perf_counter() - start) / (SOLVES * len(counts)))
     return 1000 * statistics.median(times)
 
 
@@ -82,10 +82,10 @@ def main() -> None:
     try:
         for top, held in networks().items():
             ms: dict[str, list[float]] = {name: [] for name in KERNELS}
-            for i, (network, first) in enumerate(held):
+            for i, (network, counts) in enumerate(held):
                 order = list(KERNELS) if i % 2 == 0 else list(KERNELS)[::-1]
                 for name in order:
-                    ms[name].append(per_search_ms(network, first, KERNELS[name]))
+                    ms[name].append(per_solve_ms(network, counts, KERNELS[name]))
             python, scipy = (statistics.median(ms[name]) for name in KERNELS)
             ratio = statistics.median(p / s for p, s in zip(ms["python"], ms["scipy"]))
             print(
