@@ -439,7 +439,7 @@ class Simulation:
             machines_used=machines if machines is not None else self.peak_concurrency,
             peak_concurrency=self.peak_concurrency,
             peak_budget=self.peak_budget,
-            starts=dict(starts) if starts else None,
+            starts=dict(starts) if starts is not None else None,
             extras=self.policy.extras(),
             scale=scale,
         )

@@ -1,15 +1,17 @@
 """Exact offline optima and the strong-density characterization.
 
 The preemptive optimum is computed by max-flow feasibility (jobs feed work
-into time segments, segments drain into the sink at the machine count), one
-network per job set, solved at the load bound, and a climb by minimum cuts:
-while the flow falls short, the machine count rises to the bound of the cut
-that the residual's source side forms, and the network is solved there.  A
-job set that only grows keeps its optimum in a ``RunningOptimum`` instead,
-one feasible flow augmented at each addition, with no network and no
-search.  A network is held once, as the residual CSR layout that Dinic's
-algorithm solves; a Python kernel solves small networks on it and scipy
-large ones, with the same flows.  The strong density comes from the same
+into time segments, segments drain into the sink at the machine count),
+Horn's formulation, on one of two solvers.  A small job set is admitted
+into a fresh ``RunningOptimum``, which keeps one feasible flow of a job set
+that only grows and augments it at each addition, with no network and no
+search; logn's pool and Double's prefix keep theirs across additions.  A
+larger one gets one network, solved at the load bound, and a climb by
+minimum cuts: while the flow falls short, the machine count rises to the
+bound of the cut that the residual's source side forms, and the network is
+solved there.  A network is held once, as the residual CSR layout that
+Dinic's algorithm solves; a Python kernel solves small networks on it and
+scipy large ones, with the same flows.  The strong density comes from the same
 network: at a fractional machine count its min cut picks the set of time
 segments that most exceeds that count, and Dinkelbach's method raises the
 count to the best ratio.  The two searches must agree via ``ceil(strong
@@ -129,16 +131,34 @@ def contribution(job: Job, iset: IntervalSet) -> int:
 # witness holds one entry per unit.
 FLOW_WORK_LIMIT = 2**31
 
-# Networks with at most this many job arcs are solved by ``_dinic`` in
-# Python, larger ones by scipy, whose maximum_flow spends 0.3-0.4 ms on
-# sparse-matrix set-up per call whatever the size.  Median time per solve,
-# at a network's optimum and one machine below it, on a 2-core Xeon VM
-# (Python 3.11, scipy 1.17.1), Python against scipy, 24 random networks per
-# 64-arc bin (tools/flow_crossover.py, BENCH_flow_first_phase.json): 1-64
-# job arcs 0.04 against 0.36 ms; 129-192 0.17 against 0.29; 193-256 0.24
-# against 0.33; 257-320 0.39 against 0.46; 321-384 0.51 against 0.41;
-# 385-448 0.57 against 0.49; 577-640 0.65 against 0.34.
+# Job sets with at most this many job arcs are solved in Python, larger
+# ones by scipy, whose maximum_flow spends 0.3-0.4 ms on sparse-matrix
+# set-up per call whatever the size.  The cutoff makes two decisions:
+# ``maximum_flow`` solves a network of at most this many job arcs with
+# ``_dinic``, and ``min_machines`` computes the optimum of a set with at
+# most this many on a ``RunningOptimum``, with no network.  Median time per
+# solve, at a network's optimum and one machine below it, on a 2-core Xeon
+# VM (Python 3.11, scipy 1.17.1), Python against scipy, 24 random networks
+# per 64-arc bin (tools/flow_crossover.py, BENCH_flow_first_phase.json):
+# 1-64 job arcs 0.04 against 0.36 ms; 129-192 0.17 against 0.29; 193-256
+# 0.24 against 0.33; 257-320 0.39 against 0.46; 321-384 0.51 against 0.41;
+# 385-448 0.57 against 0.49; 577-640 0.65 against 0.34.  Median time per
+# ``min_machines`` call, running flow against network and scipy, on the
+# same machine (the same tool, BENCH_running_route.json): 1-64 job arcs
+# 0.07 against 0.52 ms; 257-320 0.42 against 0.85; 897-960 1.08 against
+# 1.19.  The running flow wins in every bin up to 1024 job arcs, but is
+# 1.2-1.5 times slower on gen_random("general", n) at n = 200-400
+# (11,000-46,000 job arcs); one cutoff, the kernels', serves both.
 PYTHON_FLOW_ARCS = 320
+
+
+def _breakpoints(jobs: Sequence[Job]) -> tuple[list[int], list[tuple[int, int]]]:
+    """The windows' breakpoints, ascending, and each job's window as the
+    indices ``(lo, hi)`` of its release and its deadline among them: it
+    covers segments ``lo`` to ``hi - 1``, with one job arc each."""
+    points = sorted({p for j in jobs for p in (j.release, j.deadline)})
+    index = {p: i for i, p in enumerate(points)}
+    return points, [(index[j.release], index[j.deadline]) for j in jobs]
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,12 +206,10 @@ class FlowNetwork:
     @classmethod
     def build(cls, instance: Instance) -> "FlowNetwork":
         jobs, n, work = instance.jobs, instance.n, instance.total_work
-        points = sorted({p for j in jobs for p in (j.release, j.deadline)})
-        index = {p: i for i, p in enumerate(points)}
+        points, spans = _breakpoints(jobs)
         segments = tuple(zip(points, points[1:]))
         k = len(segments)
         first, sink = 1 + n, 1 + n + k
-        spans = [(index[j.release], index[j.deadline]) for j in jobs]
         # the jobs covering each segment, summed from where spans open and close
         opened = [0] * (k + 1)
         for lo, hi in spans:
@@ -506,9 +524,13 @@ def min_machines(jobs: Sequence[Job], lower: int) -> int:
     """Smallest m >= max(lower, 1) on which ``jobs`` are preemptively
     feasible.
 
-    Any m >= n fits, one job per machine, without a solve.  Below n the
-    search builds one network, solves it at the larger of ``lower`` and the
-    load bound ``ceil(W / (d_max - r_min))``, and climbs by minimum cuts.
+    Any m >= n fits, one job per machine, without a solve.  Below n, m
+    is raised to the load bound ``ceil(W / (d_max - r_min))``, and returned
+    if that reaches n.  Otherwise a set of at most ``PYTHON_FLOW_ARCS`` job
+    arcs (over the jobs, the segments between breakpoints that each window
+    covers) is admitted at m into a fresh ``RunningOptimum``, which returns
+    the optimum with no network.  A larger set gets one network, solved at
+    m, and a climb by minimum cuts.
     While the flow falls short of W, the jobs and segments that the
     residual reaches from the source form a minimum cut, whose capacity is
     the flow; no arc it cuts is clamped to W, as it would then carry W.
@@ -526,6 +548,8 @@ def min_machines(jobs: Sequence[Job], lower: int) -> int:
         m = max(m, -(-instance.total_work // span))
     if m >= n:
         return m
+    if sum(hi - lo for lo, hi in _breakpoints(instance.jobs)[1]) <= PYTHON_FLOW_ARCS:
+        return RunningOptimum().add(instance.jobs, m)
     network = FlowNetwork.build(instance)
     indptr, indices = network.indptr, network.indices
     first = indptr[1] + 1  # the node of segment 0, after the source and the jobs
@@ -588,7 +612,7 @@ class RunningOptimum:
     count that fits, above ``m``; ``m`` rises to it, which keeps the flow
     feasible, since capacities only grow.  Adding to a maximum flow and
     augmenting from it gives a maximum flow of the larger set, so ``m`` is
-    always the exact optimum, as ``min_machines`` computes it anew.
+    always the exact optimum, as a network's climb computes it anew.
     """
 
     def __init__(self) -> None:
@@ -602,13 +626,21 @@ class RunningOptimum:
 
     def add(self, jobs: Iterable[Job], lower: int = 1) -> int:
         """Admit ``jobs`` and return the least m >= max(lower, m, 1) on
-        which every job admitted so far fits."""
+        which every job admitted so far fits.  The first jobs lay out their
+        breakpoints in one sorted pass; later ones cut the segments their
+        breakpoints fall in."""
         m = max(lower, self.m, 1)
         first = len(self._jobs)
         self._jobs += [(j.release, j.deadline, j.processing) for j in jobs]
-        fresh = self._jobs[first:]
-        for point in sorted({p for r, d, _ in fresh for p in (r, d)}):
-            self._cut(point)
+        points = sorted({p for r, d, _ in self._jobs[first:] for p in (r, d)})
+        if self._points:
+            for point in points:
+                self._cut(point)
+        else:
+            self._points = points
+            self._lengths = [b - a for a, b in zip(points, points[1:])]
+            self._units = [{} for _ in self._lengths]
+            self._loads = [0] * len(self._lengths)
         left = self._fill(first, m)
         while left:
             m = self._augment(left, m)
@@ -631,8 +663,6 @@ class RunningOptimum:
         if s < len(points) and points[s] == point:
             return
         points.insert(s, point)
-        if len(points) == 1:
-            return
         if s == 0 or s == len(points) - 1:
             # an empty segment before the first breakpoint or after the last
             s = min(s, len(points) - 2)
@@ -883,14 +913,12 @@ def strong_density_witness(instance: Instance) -> tuple[Fraction, IntervalSet]:
     while True:
         iset = IntervalSet(network.segments[si] for si in chosen)
         rho = Fraction(sum(contribution(j, iset) for j in instance.jobs), iset.length)
-        caps = network.capacities(rho)
-        value, flow = maximum_flow(network, caps)
+        value, flow = network.solve(rho)
         if value == network.work * rho.denominator:
             return rho, iset
-        residual = [c - int(f) for c, f in zip(caps.tolist(), flow)]
         # the sink is unreachable at a maximum flow, so the search reaches
         # the source side of the minimum cut, the same for every such flow
-        levels = _levels(indptr, indices, residual)
+        levels = _levels(indptr, indices, (network.capacities(rho) - flow).tolist())
         chosen = {v - first for v in range(first, len(levels) - 1) if levels[v] >= 0}
 
 

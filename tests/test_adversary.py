@@ -203,14 +203,21 @@ def test_gen_random_deterministic():
 
 
 def test_gen_random_solves_no_flow_until_m_opt_is_read(monkeypatch):
+    # a flow is either a network's maximum flow or a running optimum's,
+    # which min_machines takes for small job sets: both are counted
     solves = []
-    real = optimum.maximum_flow
 
-    def counted(*args):
-        solves.append(args)
-        return real(*args)
+    def counting(real):
+        def counted(*args):
+            solves.append(args)
+            return real(*args)
 
-    monkeypatch.setattr(optimum, "maximum_flow", counted)
+        return counted
+
+    monkeypatch.setattr(optimum, "maximum_flow", counting(optimum.maximum_flow))
+    monkeypatch.setattr(
+        optimum.RunningOptimum, "add", counting(optimum.RunningOptimum.add)
+    )
     generated = gen_random("general", 12, 3)
     assert solves == []
     assert generated.m_opt == optimum_preemptive(generated.instance)

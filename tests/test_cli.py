@@ -240,6 +240,19 @@ def test_run_on_zero_machines_is_a_miss(policy, feasible_file, capsys):
     assert captured.err == f"{policy}: first miss (0, 3), machines_used=0\n"
 
 
+@pytest.mark.parametrize(
+    "policy, kind", [("edf", "preemptive"), ("edf-np", "nonpreemptive")]
+)
+def test_run_on_zero_machines_keeps_the_trace_kind(policy, kind, tmp_path, capsys):
+    # a policy that commits starts writes a non-preemptive trace even when
+    # it committed none
+    path = tmp_path / "one.txt"
+    path.write_text("machmin v1 1\n0 0 4 2\n")
+    assert main(["run", "--policy", policy, "--machines", "0", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"trace {kind}\n"
+
+
 @pytest.mark.parametrize("alpha", ["0", "1", "3/2"])
 @pytest.mark.parametrize(
     "argv",

@@ -295,16 +295,18 @@ def growing_job_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(batches=growing_job_sets())
 def test_running_optimum_matches_min_machines_at_every_addition(batches):
-    # each addition returns what min_machines finds anew on every job added
-    # so far, and leaves a feasible flow of them on that many machines: each
-    # job's units sum to its processing time, inside its window, no share
-    # above its segment's length and no load above m times that length
+    # each addition returns what the galloping network search finds anew on
+    # every job added so far (min_machines would take a running optimum of
+    # its own on these small sets), and leaves a feasible flow of them on
+    # that many machines: each job's units sum to its processing time,
+    # inside its window, no share above its segment's length and no load
+    # above m times that length
     running = RunningOptimum()
     jobs = []
     for batch, lower in batches:
         jobs += batch
         m = running.add(batch, lower)
-        assert m == min_machines(jobs, lower)
+        assert m == reference_min_machines(jobs, lower)
         placed = [0] * len(jobs)
         for a, b, units in running.flow():
             assert a < b and sum(units.values()) <= m * (b - a)
@@ -855,6 +857,49 @@ def test_min_machines_matches_the_galloping_search(case, offset, above):
         for cutoff in (0, 10**9):
             with mock.patch.object(optimum, "PYTHON_FLOW_ARCS", cutoff):
                 assert min_machines(jobs, lower) == expected
+
+
+def _jobs_with_arcs(arcs):
+    """Unit jobs of zero laxity on the slots of [0, 32), then unit jobs from
+    0 over all 32 segments, and over fewer for the last: ``arcs`` job arcs."""
+    jobs = [Job(i, i, i + 1, 1) for i in range(32)]
+    rest = arcs - 32
+    while rest:
+        jobs.append(Job(len(jobs), 0, min(rest, 32), 1))
+        rest -= min(rest, 32)
+    return jobs
+
+
+@pytest.mark.parametrize("offset", [None, 0, 33], ids=["small", "at-limit", "past-limit"])
+@pytest.mark.parametrize("above", [0, 1], ids=["at-cutoff", "past-cutoff"])
+def test_min_machines_builds_a_network_only_past_the_cutoff(monkeypatch, above, offset):
+    # up to PYTHON_FLOW_ARCS job arcs min_machines takes a running optimum
+    # and builds no network; past them it builds exactly one and no running
+    # optimum, whatever the total work: below FLOW_WORK_LIMIT and past it
+    from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
+
+    instance = Instance(_jobs_with_arcs(PYTHON_FLOW_ARCS + above))
+    assert FlowNetwork.build(instance).arcs == PYTHON_FLOW_ARCS + above
+    if offset is not None:
+        instance = _scaled_past_limit(instance, offset)
+        assert instance.total_work >= FLOW_WORK_LIMIT
+    expected = reference_min_machines(instance.jobs, 1)
+    assert expected < instance.n  # past the n and load-bound exits
+    calls = {"build": 0, "add": 0}
+    build, add = FlowNetwork.build.__func__, RunningOptimum.add
+
+    def counting_build(cls, instance):
+        calls["build"] += 1
+        return build(cls, instance)
+
+    def counting_add(self, jobs, lower=1):
+        calls["add"] += 1
+        return add(self, jobs, lower)
+
+    monkeypatch.setattr(FlowNetwork, "build", classmethod(counting_build))
+    monkeypatch.setattr(RunningOptimum, "add", counting_add)
+    assert min_machines(instance.jobs, 1) == expected
+    assert calls == ({"build": 1, "add": 0} if above else {"build": 0, "add": 1})
 
 
 @pytest.mark.parametrize("jobs", [3, 30], ids=["python-kernel", "scipy-kernel"])
