@@ -11,7 +11,10 @@ minimum cuts: while the flow falls short, the machine count rises to the
 bound of the cut that the residual's source side forms, and the network is
 solved there.  A network is held once, as the residual CSR layout that
 Dinic's algorithm solves; a Python kernel solves small networks on it and
-scipy large ones, with the same flows.  The strong density comes from the same
+scipy large ones, with the same flows.  numpy and scipy are imported where
+they are used, not with the module: numpy when a network is built, scipy at
+the first solve past the kernel cutoff in a process, so a run that builds
+no network loads neither.  The strong density comes from the same
 network: at a fractional machine count its min cut picks the set of time
 segments that most exceeds that count, and Dinkelbach's method raises the
 count to the best ratio.  The two searches must agree via ``ceil(strong
@@ -28,13 +31,13 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .model import Instance, Job, PreemptiveSchedule, peak_overlap
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EnumerationCapExceeded",
@@ -148,7 +151,10 @@ FLOW_WORK_LIMIT = 2**31
 # 0.07 against 0.52 ms; 257-320 0.42 against 0.85; 897-960 1.08 against
 # 1.19.  The running flow wins in every bin up to 1024 job arcs, but is
 # 1.2-1.5 times slower on gen_random("general", n) at n = 200-400
-# (11,000-46,000 job arcs); one cutoff, the kernels', serves both.
+# (11,000-46,000 job arcs); one cutoff, the kernels', serves both.  These
+# per-call times leave out the one-time import of scipy.sparse and its
+# csgraph, which the first scipy solve in a process pays: 0.28-0.36 s on
+# that machine (python -X importtime, 5 runs).
 PYTHON_FLOW_ARCS = 320
 
 
@@ -189,6 +195,8 @@ class FlowNetwork:
     position; the package allows scipy 1.10 on, but no other version was
     checked, and ``test_python_kernel_flows_equal_scipy`` (scipy on the
     forward arcs alone as the reference) guards it on the installed one.
+    ``scipy_index`` holds the int32 copies scipy takes, made at the
+    network's first scipy solve.
     """
 
     segments: tuple[tuple[int, int], ...]
@@ -205,6 +213,8 @@ class FlowNetwork:
 
     @classmethod
     def build(cls, instance: Instance) -> "FlowNetwork":
+        import numpy as np
+
         jobs, n, work = instance.jobs, instance.n, instance.total_work
         points, spans = _breakpoints(jobs)
         segments = tuple(zip(points, points[1:]))
@@ -259,6 +269,8 @@ class FlowNetwork:
         """The arc capacities on ``m`` machines, in layout order, scaled by
         ``m``'s denominator: int32 below a flow bound of ``FLOW_WORK_LIMIT``,
         Python ints in an object array from it on."""
+        import numpy as np
+
         num, den = m.numerator, m.denominator
         limit = self.work * den
         dtype = np.int32 if limit < FLOW_WORK_LIMIT else object
@@ -269,6 +281,14 @@ class FlowNetwork:
     def solve(self, m: int | Fraction) -> tuple[int, Sequence[int]]:
         """Max flow value on ``m`` machines and the arc flows on the layout."""
         return maximum_flow(self, self.capacities(m))
+
+    @cached_property
+    def scipy_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``indices`` and ``indptr`` as the int32 arrays of scipy's CSR
+        matrices, made once per network."""
+        import numpy as np
+
+        return np.array(self.indices, dtype=np.int32), np.array(self.indptr, dtype=np.int32)
 
 
 def maximum_flow(network: FlowNetwork, caps: np.ndarray) -> tuple[int, Sequence[int]]:
@@ -292,11 +312,11 @@ def maximum_flow(network: FlowNetwork, caps: np.ndarray) -> tuple[int, Sequence[
         _dinic(indptr, indices, network.reverse, residual)
         flows = [c - r for c, r in zip(placed, residual)]
         return sum(flows[: indptr[1]]), flows
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
+
     nodes = len(indptr) - 1
-    graph = csr_matrix(
-        (caps, np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-        shape=(nodes, nodes),
-    )
+    graph = csr_matrix((caps, *network.scipy_index), shape=(nodes, nodes))
     result = scipy_maximum_flow(graph, 0, nodes - 1)
     return int(result.flow_value), result.flow.data
 

@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from test_optimum import reference_min_machines
 
 from machmin import harness
 from machmin.cli import main
 from machmin.model import parse_instance, parse_trace
+from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -412,3 +420,75 @@ def test_gen_keeps_general_at_alpha_zero(capsys):
     expected = capsys.readouterr().out
     assert main([*argv, "--alpha", "0"]) == 0
     assert capsys.readouterr().out == expected
+
+
+# Runs each argv through ``main`` in one interpreter, writing the stdout of
+# the i-th to ``i.out`` in the working directory; its last line of stdout
+# gives the exit codes and which numeric libraries were imported by then.
+FRESH_CLI = """
+import contextlib, json, sys
+from machmin.cli import main
+codes = []
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    with open(f"{i}.out", "w") as out, contextlib.redirect_stdout(out):
+        codes.append(main(argv))
+print(json.dumps([codes, sorted({"numpy", "scipy"} & sys.modules.keys())]))
+"""
+
+
+def fresh_cli(cwd, *argvs):
+    """Exit codes and the numeric libraries loaded after running ``argvs``
+    through the CLI, in that order, in a fresh interpreter in ``cwd``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_CLI, json.dumps(argvs)],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_small_runs_load_neither_numpy_nor_scipy(tmp_path):
+    codes, loaded = fresh_cli(
+        tmp_path,
+        ["gen", "--family", "random", "--profile", "general", "--n", "8",
+         "--seed", "3", "-o", "inst.txt"],
+        ["run", "--policy", "edf", "--machines", "2", "inst.txt"],
+        ["verify", "inst.txt", "1.out"],
+        ["opt", "--preemptive", "inst.txt"],
+    )
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
+    instance = parse_instance((tmp_path / "inst.txt").read_text())
+    assert FlowNetwork.build(instance).arcs <= PYTHON_FLOW_ARCS
+    # below n, so the optimum was computed, not read off the job count
+    assert (tmp_path / "3.out").read_text() == "2\n" and instance.n == 8
+
+
+def test_opt_past_the_cutoff_loads_scipy(tmp_path):
+    codes, loaded = fresh_cli(
+        tmp_path,
+        ["gen", "--family", "random", "--profile", "general", "--n", "40",
+         "--seed", "3", "-o", "inst.txt"],
+        ["opt", "--preemptive", "inst.txt"],
+    )
+    assert codes == [0, 0]
+    assert loaded == ["numpy", "scipy"]
+    instance = parse_instance((tmp_path / "inst.txt").read_text())
+    assert FlowNetwork.build(instance).arcs > PYTHON_FLOW_ARCS
+    expected = reference_min_machines(instance.jobs, 1)
+    assert (tmp_path / "1.out").read_text() == f"{expected}\n" and expected < instance.n
+
+
+def test_python_dash_m_runs_the_cli(feasible_file):
+    proc = subprocess.run(
+        [sys.executable, "-m", "machmin", "opt", "--preemptive", feasible_file],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")

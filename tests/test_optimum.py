@@ -700,6 +700,25 @@ def test_python_kernel_flows_equal_scipy(case):
         assert list(flow) == reference.flow.data.tolist()
 
 
+def test_scipy_solves_share_one_index_copy():
+    # a climb solves one network at several counts; every scipy solve reads
+    # the int32 copies made at the first, which no solve writes to
+    from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
+
+    generated = gen_random("general", 40, 3)
+    network = FlowNetwork.build(generated.instance)
+    assert network.arcs > PYTHON_FLOW_ARCS
+    assert "scipy_index" not in vars(network)
+    m = generated.m_opt
+    first = [network.solve(k) for k in (m, m - 1)]
+    held = network.scipy_index
+    again = [network.solve(k) for k in (m, m - 1)]
+    assert network.scipy_index is held
+    assert [held[0].tolist(), held[1].tolist()] == [network.indices, network.indptr]
+    assert [(v, list(f)) for v, f in first] == [(v, list(f)) for v, f in again]
+    assert first[0][0] == network.work > first[1][0]
+
+
 def reference_dinic(indptr, indices, reverse, residual):
     """The reference for ``_dinic``: Dinic's algorithm with every phase,
     the first included, levelled by ``_levels`` and augmented one path at a
