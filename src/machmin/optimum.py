@@ -2,22 +2,23 @@
 
 The preemptive optimum is computed by max-flow feasibility (jobs feed work
 into time segments, segments drain into the sink at the machine count),
-Horn's formulation, on one of two solvers.  A small job set is admitted
-into a fresh ``RunningOptimum``, which keeps one feasible flow of a job set
-that only grows and augments it at each addition, with no network and no
-search; logn's pool and Double's prefix keep theirs across additions.  A
-larger one gets one network, solved at the load bound, and a climb by
-minimum cuts: while the flow falls short, the machine count rises to the
-bound of the cut that the residual's source side forms, and the network is
-solved there.  A network is held once, as the residual CSR layout that
-Dinic's algorithm solves; a Python kernel solves small networks on it and
-scipy large ones, with the same flows.  numpy and scipy are imported where
-they are used, not with the module: numpy when a network is built, scipy at
-the first solve past the kernel cutoff in a process, so a run that builds
-no network loads neither.  The strong density comes from the same
-network: at a fractional machine count its min cut picks the set of time
-segments that most exceeds that count, and Dinkelbach's method raises the
-count to the best ratio.  The two searches must agree via ``ceil(strong
+Horn's formulation.  The one max-flow code in Python is ``RunningOptimum``,
+which keeps one feasible flow of a job set that only grows and augments it
+at each addition in Dinic's phases, with no network and no search; logn's
+pool and Double's prefix keep theirs across additions, a small one-shot
+optimum and every feasibility verdict and witness take a fresh one.  A set
+of more than ``PYTHON_FLOW_ARCS`` job arcs gets one ``FlowNetwork``, solved
+at the load bound, and a climb by minimum cuts: while the flow falls short,
+the machine count rises to the bound of the cut that the residual's source
+side forms, and the network is solved there.  A network's solve returns its
+value and that source side's segments: from scipy on a network past the
+cutoff whose flow bound fits int32, and otherwise from a fixed-count solve
+of a fresh ``RunningOptimum``.  numpy and scipy are imported only on the
+scipy route, at its first solve in a process, so a run that solves no
+network past the cutoff loads neither.  The strong density comes from the
+same solves: at a fractional machine count the min cut picks the set of
+time segments that most exceeds that count, and Dinkelbach's method raises
+the count to the best ratio.  The two searches must agree via ``ceil(strong
 density) == preemptive optimum``; the tests check both against
 enumerations.  The non-preemptive optimum is a search over machine
 assignments from the preemptive optimum upward, each machine's job set
@@ -125,36 +126,31 @@ def contribution(job: Job, iset: IntervalSet) -> int:
 # Max-flow feasibility.
 # ---------------------------------------------------------------------------
 
-# The flow bound W·den below which a solve runs on int32 capacities, as
-# scipy's maximum_flow takes them: no arc carries more than that bound, as
-# ``capacities`` clamps each sink arc to it (``base`` holds none of them,
-# since they depend on the machine count).  From it on the capacities are
-# exact Python ints and ``_dinic`` solves them, whatever the network's
-# size.  It also bounds the total work of ``feasible_preemptive``, whose
-# witness holds one entry per unit.
+# The flow bound W·den below which a network may go to scipy, whose
+# maximum_flow takes int32 capacities: no arc carries more than that bound,
+# as ``_scipy_flow`` clamps each arc to it.  From it on the running flow
+# solves, exact on Python ints, whatever the network's size.  It also bounds
+# the total work of ``feasible_preemptive``, whose witness holds one entry
+# per unit.
 FLOW_WORK_LIMIT = 2**31
 
-# Job sets with at most this many job arcs are solved in Python, larger
-# ones by scipy, whose maximum_flow spends 0.3-0.4 ms on sparse-matrix
-# set-up per call whatever the size.  The cutoff makes two decisions:
-# ``maximum_flow`` solves a network of at most this many job arcs with
-# ``_dinic``, and ``min_machines`` computes the optimum of a set with at
-# most this many on a ``RunningOptimum``, with no network.  Median time per
-# solve, at a network's optimum and one machine below it, on a 2-core Xeon
-# VM (Python 3.11, scipy 1.17.1), Python against scipy, 24 random networks
-# per 64-arc bin (tools/flow_crossover.py, BENCH_flow_first_phase.json):
-# 1-64 job arcs 0.04 against 0.36 ms; 129-192 0.17 against 0.29; 193-256
-# 0.24 against 0.33; 257-320 0.39 against 0.46; 321-384 0.51 against 0.41;
-# 385-448 0.57 against 0.49; 577-640 0.65 against 0.34.  Median time per
-# ``min_machines`` call, running flow against network and scipy, on the
-# same machine (the same tool, BENCH_running_route.json): 1-64 job arcs
-# 0.07 against 0.52 ms; 257-320 0.42 against 0.85; 897-960 1.08 against
-# 1.19.  The running flow wins in every bin up to 1024 job arcs, but is
-# 1.2-1.5 times slower on gen_random("general", n) at n = 200-400
-# (11,000-46,000 job arcs); one cutoff, the kernels', serves both.  These
-# per-call times leave out the one-time import of scipy.sparse and its
-# csgraph, which the first scipy solve in a process pays: 0.28-0.36 s on
-# that machine (python -X importtime, 5 runs).
+# Job sets with at most this many job arcs are solved on the running flow,
+# larger ones by scipy, whose maximum_flow spends 0.2-0.3 ms on sparse-matrix
+# set-up per call whatever the size.  The cutoff routes both a network's
+# solve (``maximum_flow``) and ``min_machines``, which computes the optimum
+# of a set with at most this many on a ``RunningOptimum`` with no network.
+# Median time, running flow against scipy, on a 2-core Xeon VM (Python
+# 3.11.7, scipy 1.17.1), 24 random job sets per 64-arc bin
+# (tools/flow_crossover.py), per solve at a set's optimum and one machine
+# below it: 1-64 job arcs 0.03 against 0.20 ms; 257-320 0.21 against 0.25;
+# 449-512 0.26 against 0.30; 513-576 0.38 against 0.30; 641-704 0.55
+# against 0.37.  Per ``min_machines`` call: 1-64 0.04 against 0.26 ms;
+# 257-320 0.47 against 1.09; 961-1024 1.56 against 2.04.  The running flow
+# wins both up to 512 job arcs; the cutoff stays at 320, where the
+# benchmark's flow-solve counts were recorded.  These per-call times leave
+# out the one-time import of numpy, scipy.sparse and its csgraph, which the
+# first scipy solve in a process pays: 0.28-0.36 s on that machine (python
+# -X importtime, 5 runs).
 PYTHON_FLOW_ARCS = 320
 
 
@@ -171,167 +167,140 @@ def _breakpoints(jobs: Sequence[Job]) -> tuple[list[int], list[tuple[int, int]]]
 class FlowNetwork:
     """Job → time-segment network of one job set, solvable at any machine count.
 
-    Node layout: 0 is the source, ``1..n`` the jobs (in instance order),
-    then one node per segment, then the sink.  Segments are the maximal
-    runs between window breakpoints, so only slots intersecting some job
-    window get a node (coordinate compression).  A segment of length L
-    stands for L unit slots: a job feeds it up to L units, it drains
-    ``m * L`` to the sink.  Only those sink arcs depend on ``m``, which may
-    be a fraction: at ``m = num / den`` every capacity is scaled by ``den``,
-    so the flow saturates at ``work * den``.
+    Segments are the maximal runs between window breakpoints, so only slots
+    intersecting some job window get a node (coordinate compression), and
+    job ``ji`` covers segments ``spans[ji][0]`` to ``spans[ji][1] - 1``, with
+    one job arc each.  A segment of length L stands for L unit slots: a job
+    feeds it up to L units, it drains ``m * L`` to the sink.  Only those
+    sink arcs depend on ``m``, which may be a fraction: at ``m = num / den``
+    every capacity is scaled by ``den``, so the flow saturates at ``work *
+    den``.  ``solve`` goes through ``maximum_flow``, which picks the solver.
 
-    The arcs are held once, in the residual layout that Dinic's algorithm
-    solves: CSR rows ``indptr``/``indices`` in ascending column order, with
-    a reverse arc of capacity 0 beside every arc, as Python lists, which the
-    Python kernel indexes and scipy takes as int32.  Row by row: the source,
-    as its jobs; each job, as the source and then its segments; each
-    segment, as the jobs that cover it and then the sink; the sink, as
-    every segment.  So job arc ``i`` of job ``ji`` sits at ``n + 1 + ji +
-    i``, and the sink's row is the last ``k`` positions.  ``reverse[p]`` is
-    the position of the reverse of the arc at ``p``, and ``drains[si]`` the
-    position of segment ``si``'s sink arc.  Both kernels solve this layout
-    as it is, and a flow is the sequence of arc flows on it.  scipy 1.17.1
-    was checked to add no arc to it and to return its flows position for
-    position; the package allows scipy 1.10 on, but no other version was
-    checked, and ``test_python_kernel_flows_equal_scipy`` (scipy on the
-    forward arcs alone as the reference) guards it on the installed one.
-    ``scipy_index`` holds the int32 copies scipy takes, made at the
-    network's first scipy solve.
+    ``csr`` holds the residual CSR layout that scipy solves, made at the
+    network's first scipy solve: rows ``indptr``/``indices`` in ascending
+    column order, with a reverse arc of capacity 0 beside every arc.  Row by
+    row: the source, as its jobs; each job, as the source and then its
+    segments; each segment, as the jobs that cover it and then the sink;
+    the sink, as every segment.  scipy 1.17.1 was checked to add no arc to
+    it and to return its flows position for position; the package allows
+    scipy 1.10 on, and ``test_running_and_scipy_routes_agree`` guards it on
+    the installed one.
     """
 
+    jobs: tuple[Job, ...]
+    spans: list[tuple[int, int]]
     segments: tuple[tuple[int, int], ...]
     work: int
-    arcs: int  # the job-arc count, which picks the kernel
-    indptr: list[int]
-    indices: list[int]
-    reverse: list[int]
-    # the capacities at m = 1 of the arcs that do not depend on m, each
-    # clamped to W; 0 on the sink arcs and on every reverse arc.  int32
-    # below W = FLOW_WORK_LIMIT, Python ints from it on
-    base: np.ndarray
-    drains: np.ndarray
+    arcs: int  # the job-arc count, which picks the solver
 
     @classmethod
     def build(cls, instance: Instance) -> "FlowNetwork":
+        points, spans = _breakpoints(instance.jobs)
+        return cls(
+            instance.jobs,
+            spans,
+            tuple(zip(points, points[1:])),
+            instance.total_work,
+            sum(hi - lo for lo, hi in spans),
+        )
+
+    def solve(self, m: int | Fraction) -> tuple[int, list[int]]:
+        """Max flow value on ``m`` machines, scaled by its denominator, and
+        the segments on the source side of the minimum cut (see
+        ``maximum_flow``)."""
+        return maximum_flow(self, m)
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The layout's ``indptr`` and ``indices``, the capacities at m = 1
+        of the arcs that do not depend on m, each clamped to W (0 on the
+        sink arcs and on every reverse arc), all int32, and the positions of
+        the sink arcs, one per segment."""
         import numpy as np
 
-        jobs, n, work = instance.jobs, instance.n, instance.total_work
-        points, spans = _breakpoints(jobs)
-        segments = tuple(zip(points, points[1:]))
-        k = len(segments)
+        jobs, spans, work = self.jobs, self.spans, self.work
+        n, k = len(jobs), len(self.segments)
         first, sink = 1 + n, 1 + n + k
         # the jobs covering each segment, summed from where spans open and close
         opened = [0] * (k + 1)
         for lo, hi in spans:
             opened[lo] += 1
             opened[hi] -= 1
-        covers = list(itertools.accumulate(opened[:k]))
+        covers = itertools.accumulate(opened[:k])
         rows = [n, *(1 + hi - lo for lo, hi in spans), *(c + 1 for c in covers), k]
         indptr = list(itertools.accumulate(rows, initial=0))
         size = indptr[-1]
-        indices, reverse, base = [0] * size, [0] * size, [0] * size
+        indices, base = [0] * size, [0] * size
         indices[:n] = range(1, first)
         base[:n] = [j.processing for j in jobs]
-        feeds = [min(b - a, work) for a, b in segments]
+        feeds = [min(b - a, work) for a, b in self.segments]
         # the next free position in each segment's row: the jobs fill it in
         # ascending order, which leaves it at the segment's sink arc
         fill = indptr[first:sink]
         for ji, (lo, hi) in enumerate(spans):
-            p = indptr[1 + ji]
-            reverse[ji], reverse[p] = p, ji
-            p += 1
+            p = indptr[1 + ji] + 1
             indices[p : p + hi - lo] = range(first + lo, first + hi)
             base[p : p + hi - lo] = feeds[lo:hi]
             for si in range(lo, hi):
-                q = fill[si]
-                fill[si] = q + 1
-                indices[q] = 1 + ji
-                reverse[p], reverse[q] = q, p
-                p += 1
-        last = indptr[sink]
-        indices[last:] = range(first, sink)
-        for si, q in enumerate(fill):
+                indices[fill[si]] = 1 + ji
+                fill[si] += 1
+        indices[indptr[sink] :] = range(first, sink)
+        for q in fill:
             indices[q] = sink
-            reverse[q], reverse[last + si] = last + si, q
-        dtype = np.int32 if work < FLOW_WORK_LIMIT else object
-        return cls(
-            segments,
-            work,
-            sum(covers),
-            indptr,
-            indices,
-            reverse,
-            np.array(base, dtype=dtype),
+        return (
+            np.array(indptr, dtype=np.int32),
+            np.array(indices, dtype=np.int32),
+            np.array(base, dtype=np.int32),
             np.array(fill, dtype=np.intp),
         )
 
-    def capacities(self, m: int | Fraction) -> np.ndarray:
-        """The arc capacities on ``m`` machines, in layout order, scaled by
-        ``m``'s denominator: int32 below a flow bound of ``FLOW_WORK_LIMIT``,
-        Python ints in an object array from it on."""
-        import numpy as np
 
-        num, den = m.numerator, m.denominator
-        limit = self.work * den
-        dtype = np.int32 if limit < FLOW_WORK_LIMIT else object
-        caps = self.base.astype(dtype, copy=False) * den
-        caps[self.drains] = [min(num * (b - a), limit) for a, b in self.segments]
-        return caps
+def maximum_flow(network: FlowNetwork, m: int | Fraction) -> tuple[int, list[int]]:
+    """Maximum flow of ``network`` on ``m = num / den`` machines, scaled by
+    ``den``, and the segments, ascending, that the residual reaches from the
+    source: none at a flow of ``work * den``, and otherwise a minimum cut's
+    source side, the same for every maximum flow.
 
-    def solve(self, m: int | Fraction) -> tuple[int, Sequence[int]]:
-        """Max flow value on ``m`` machines and the arc flows on the layout."""
-        return maximum_flow(self, self.capacities(m))
-
-    @cached_property
-    def scipy_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """``indices`` and ``indptr`` as the int32 arrays of scipy's CSR
-        matrices, made once per network."""
-        import numpy as np
-
-        return np.array(self.indices, dtype=np.int32), np.array(self.indptr, dtype=np.int32)
-
-
-def maximum_flow(network: FlowNetwork, caps: np.ndarray) -> tuple[int, Sequence[int]]:
-    """Maximum flow from the source to the sink of ``network`` under the
-    arc capacities ``caps``: its value and the arc flows on the layout (a
-    reverse arc carries minus its arc's flow).
-
-    Up to ``PYTHON_FLOW_ARCS`` job arcs, or on Python int capacities,
-    ``_dinic`` solves it; otherwise scipy does.  Both run Dinic's algorithm
-    in the same order on the same layout, so they return the same flows.
-    The Python kernel's first phase is one greedy pass over the jobs in
-    source-row order, each filling its segments in row order: with every
-    reverse arc empty the first level graph is source, jobs, segments,
-    sink, and scipy's depth-first search with progress pointers pushes
-    exactly those paths on it (see ``_first_phase``).
+    A network of more than ``PYTHON_FLOW_ARCS`` job arcs whose flow bound
+    ``work * den`` is below ``FLOW_WORK_LIMIT`` goes to scipy
+    (``_scipy_flow``); any other is solved anew on a ``RunningOptimum``
+    (``RunningOptimum.max_flow``).
     """
-    indptr, indices = network.indptr, network.indices
-    if network.arcs <= PYTHON_FLOW_ARCS or caps.dtype == object:
-        placed = caps.tolist()
-        residual = placed[:]
-        _dinic(indptr, indices, network.reverse, residual)
-        flows = [c - r for c, r in zip(placed, residual)]
-        return sum(flows[: indptr[1]]), flows
+    if network.arcs > PYTHON_FLOW_ARCS and network.work * m.denominator < FLOW_WORK_LIMIT:
+        return _scipy_flow(network, m)
+    return RunningOptimum.max_flow(network.jobs, m)
+
+
+def _scipy_flow(network: FlowNetwork, m: int | Fraction) -> tuple[int, list[int]]:
+    """``maximum_flow`` by scipy's, on the network's CSR layout; the reached
+    segments come from ``_levels`` on the residual, the capacities less the
+    flows position for position."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 
+    indptr, indices, base, drains = network.csr
+    num, den = m.numerator, m.denominator
+    limit = network.work * den
+    caps = base * den
+    caps[drains] = [min(num * (b - a), limit) for a, b in network.segments]
     nodes = len(indptr) - 1
-    graph = csr_matrix((caps, *network.scipy_index), shape=(nodes, nodes))
+    graph = csr_matrix((caps, indices, indptr), shape=(nodes, nodes))
     result = scipy_maximum_flow(graph, 0, nodes - 1)
-    return int(result.flow_value), result.flow.data
+    value = int(result.flow_value)
+    if value == limit:
+        return value, []
+    levels = _levels(indptr.tolist(), indices.tolist(), (caps - result.flow.data).tolist())
+    first = 1 + len(network.jobs)  # the node of segment 0
+    return value, [si for si, level in enumerate(levels[first:-1]) if level >= 0]
 
 
 def _levels(indptr: list[int], indices: list[int], residual: list[int]) -> list[int]:
     """Breadth-first distances from the source (node 0) over the arcs of
-    positive residual capacity, -1 where unreached; as in scipy, the search
-    stops when it takes the sink (the last node) off the queue."""
-    sink = len(indptr) - 2
-    levels = [-1] * (sink + 1)
+    positive residual capacity, -1 where unreached."""
+    levels = [-1] * (len(indptr) - 1)
     levels[0] = 0
     queue = [0]
     for node in queue:
-        if node == sink:
-            break
         level = levels[node] + 1
         for e in range(indptr[node], indptr[node + 1]):
             v = indices[e]
@@ -339,129 +308,6 @@ def _levels(indptr: list[int], indices: list[int], residual: list[int]) -> list[
                 levels[v] = level
                 queue.append(v)
     return levels
-
-
-def _dinic(
-    indptr: list[int], indices: list[int], reverse: list[int], residual: list[int]
-) -> None:
-    """Push a maximum flow from the source (node 0) to the sink (the last
-    node) into ``residual``, the residual capacities of a layout on which
-    the arc at ``p`` has its reverse at ``reverse[p]``.
-
-    A transliteration of scipy's Dinic (``scipy/sparse/csgraph/_flow.pyx``),
-    whose order fixes the flow: each phase levels the nodes by ``_levels``,
-    then augments one path at a time until none is left.  The first phase
-    runs in closed form, as ``_first_phase``: on a ``FlowNetwork`` layout
-    it pushes the paths scipy's first phase pushes, in the same order and
-    amounts.  When it saturates the source arcs the next levelling would
-    stop at the source, so the solve ends there.
-    """
-    sink = len(indptr) - 2
-    if not _first_phase(indptr, indices, reverse, residual):
-        return
-    bound = sum(residual[: indptr[1]])  # the source arcs: no path carries more
-    while True:
-        levels = _levels(indptr, indices, residual)
-        if levels[sink] < 0:
-            return
-        progress = indptr[:-1]
-        while _augment(indptr, indices, reverse, residual, levels, progress, bound):
-            pass
-
-
-def _first_phase(
-    indptr: list[int], indices: list[int], reverse: list[int], residual: list[int]
-) -> int:
-    """Dinic's first phase on a ``FlowNetwork`` layout with every reverse
-    arc empty, as a greedy pass in job order; returns the room left on the
-    source arcs.
-
-    With no reverse arc to take, the first level graph is the source, the
-    jobs, the segments the jobs cover and the sink, and every arc of
-    positive capacity between consecutive levels is in it.  Its depth-first
-    search with progress pointers (see ``_augment``) therefore walks the
-    jobs in source-row order and each job's segments in row order, and on
-    each (job, segment) pair pushes the least of the job's room, the arc's
-    and the segment's drain (the last arc of its row).  An exhausted job, a
-    saturated arc and a segment whose drain is full are passed over and do
-    not come back within the phase.  If no drain has room the sink is out
-    of reach and the pass pushes nothing, as scipy's phase would.
-    """
-    unsent = 0
-    for ji in range(indptr[1]):
-        left = residual[ji]
-        if not left:
-            continue
-        job = indices[ji]
-        for e in range(indptr[job] + 1, indptr[job + 1]):
-            room = residual[e]
-            if not room:
-                continue
-            drain = indptr[indices[e] + 1] - 1
-            spare = residual[drain]
-            if not spare:
-                continue
-            push = left if left < room else room
-            if spare < push:
-                push = spare
-            residual[e] = room - push
-            residual[reverse[e]] += push
-            residual[drain] = spare - push
-            residual[reverse[drain]] += push
-            left -= push
-            if not left:
-                break
-        residual[reverse[ji]] += residual[ji] - left
-        residual[ji] = left
-        unsent += left
-    return unsent
-
-
-def _augment(
-    indptr: list[int],
-    indices: list[int],
-    reverse: list[int],
-    residual: list[int],
-    levels: list[int],
-    progress: list[int],
-    bound: int,
-) -> bool:
-    """One augmenting path of a Dinic phase, or False when none is left.
-
-    The depth-first search restarts from the source with ``bound`` as its
-    flow (no source arc exceeds it, so each bottleneck is the one scipy
-    finds from its int32 maximum), and each node resumes at its own
-    progress pointer.  An arc is followed when it has residual capacity and climbs one level;
-    a node whose last arc fails is abandoned, and its parent's pointer
-    moves on.
-    """
-    sink = len(indptr) - 2
-    node, limit = 0, bound
-    path, limits = [node], [limit]
-    while True:
-        e = progress[node]
-        v = indices[e]
-        left = residual[e]
-        if left > 0 and levels[v] == levels[node] + 1:
-            if left < limit:
-                limit = left
-            if v == sink:
-                for u in path:
-                    e = progress[u]
-                    residual[e] -= limit
-                    residual[reverse[e]] += limit
-                return True
-            node = v
-            path.append(node)
-            limits.append(limit)
-            continue
-        while progress[node] == indptr[node + 1] - 1:
-            path.pop()
-            limits.pop()
-            if not path:
-                return False
-            node, limit = path[-1], limits[-1]
-        progress[node] += 1
 
 
 @dataclass(frozen=True)
@@ -496,47 +342,33 @@ def is_feasible_preemptive(instance: Instance, m: int) -> bool:
     """Feasibility without the witness decomposition (cheaper)."""
     if m < 1:
         raise ValueError("machine count must be positive")
-    if instance.n == 0:
-        return True
-    network = FlowNetwork.build(instance)
-    return network.solve(m)[0] == network.work
+    return RunningOptimum().add(instance.jobs, m) == m
 
 
 def feasible_preemptive(instance: Instance, m: int) -> FeasibilityResult:
     """True iff the instance fits on ``m`` preemptive machines.
 
-    When feasible, the flow decomposes into a slot-level witness schedule;
-    jobs are packed into segment slots in id order, so the witness is a
-    deterministic function of the instance and ``m``.
+    When feasible, the running optimum's flow on ``m`` machines decomposes
+    into a slot-level witness schedule: each segment packs its jobs' units
+    in id order by ``_spread_segment``, so the witness is a deterministic
+    function of the instance and ``m``.
     """
     if m < 1:
         raise ValueError("machine count must be positive")
-    if instance.n == 0:
-        return FeasibilityResult(True, PreemptiveSchedule({}))
     work = instance.total_work
     if work >= FLOW_WORK_LIMIT:
         raise EnumerationCapExceeded(
             f"total work {work} needs {work.bit_length()} bits; a witness "
             "holds one entry per unit of work and is built only below 2^31"
         )
-    network = FlowNetwork.build(instance)
-    value, flow = network.solve(m)
-    if value < network.work:
+    running = RunningOptimum()
+    if running.add(instance.jobs, m) > m:
         return FeasibilityResult(False, None)
-    indptr, indices = network.indptr, network.indices
-    first = 1 + instance.n  # the node of segment 0
-    # a job's row is the source, then its job arcs; entries are (segment,
-    # job id, amount), so each segment packs its jobs in id order
-    entries = sorted(
-        (indices[p] - first, job.id, int(flow[p]))
-        for ji, job in enumerate(instance.jobs)
-        for p in range(indptr[1 + ji] + 1, indptr[2 + ji])
-        if flow[p]
-    )
+    ids = [job.id for job in instance.jobs]
     assignments: dict[int, set[int]] = {}
-    for si, group in itertools.groupby(entries, key=lambda e: e[0]):
-        a, b = network.segments[si]
-        assignments.update(_spread_segment(a, b, [(j, f) for _, j, f in group]))
+    for a, b, units in running.flow():
+        amounts = sorted((ids[job], f) for job, f in units.items())
+        assignments.update(_spread_segment(a, b, amounts))
     return FeasibilityResult(True, PreemptiveSchedule(assignments))
 
 
@@ -571,18 +403,14 @@ def min_machines(jobs: Sequence[Job], lower: int) -> int:
     if sum(hi - lo for lo, hi in _breakpoints(instance.jobs)[1]) <= PYTHON_FLOW_ARCS:
         return RunningOptimum().add(instance.jobs, m)
     network = FlowNetwork.build(instance)
-    indptr, indices = network.indptr, network.indices
-    first = indptr[1] + 1  # the node of segment 0, after the source and the jobs
-    value, flow = network.solve(m)
+    segments = network.segments
+    value, reached = network.solve(m)
     while value < network.work:
-        levels = _levels(indptr, indices, (network.capacities(m) - flow).tolist())
-        reached = sum(
-            b - a for (a, b), level in zip(network.segments, levels[first:]) if level >= 0
-        )
-        m += -(-(network.work - value) // reached)
+        length = sum(segments[si][1] - segments[si][0] for si in reached)
+        m += -(-(network.work - value) // length)
         if m >= n:
             return n
-        value, flow = network.solve(m)
+        value, reached = network.solve(m)
     return m
 
 
@@ -633,39 +461,54 @@ class RunningOptimum:
     feasible, since capacities only grow.  Adding to a maximum flow and
     augmenting from it gives a maximum flow of the larger set, so ``m`` is
     always the exact optimum, as a network's climb computes it anew.
+
+    ``max_flow`` solves a fresh job set at one count ``num / den`` instead,
+    on the same fill and phases with every capacity scaled by ``den``: a
+    job needs ``den`` times its processing time and takes at most ``den``
+    times a segment's length there, and a segment holds at most ``num``
+    times its length.
     """
 
     def __init__(self) -> None:
         self.m = 0
-        self._jobs: list[tuple[int, int, int]] = []  # (release, deadline, p)
+        self._jobs: list[tuple[int, int, int]] = []  # (release, deadline, units needed)
         # breakpoints; segment s is [points[s], points[s + 1])
         self._points: list[int] = []
         self._lengths: list[int] = []  # per segment: its length
+        # per segment: the most units one job may hold there; the list
+        # ``_lengths`` itself, which ``_cut`` keeps, except in ``max_flow``
+        self._caps = self._lengths
         self._units: list[dict[int, int]] = []  # per segment: job -> units
         self._loads: list[int] = []  # per segment: the sum of its units
 
     def add(self, jobs: Iterable[Job], lower: int = 1) -> int:
         """Admit ``jobs`` and return the least m >= max(lower, m, 1) on
-        which every job admitted so far fits.  The first jobs lay out their
-        breakpoints in one sorted pass; later ones cut the segments their
-        breakpoints fall in."""
+        which every job admitted so far fits."""
         m = max(lower, self.m, 1)
         first = len(self._jobs)
-        self._jobs += [(j.release, j.deadline, j.processing) for j in jobs]
-        points = sorted({p for r, d, _ in self._jobs[first:] for p in (r, d)})
-        if self._points:
-            for point in points:
-                self._cut(point)
-        else:
-            self._points = points
-            self._lengths = [b - a for a, b in zip(points, points[1:])]
-            self._units = [{} for _ in self._lengths]
-            self._loads = [0] * len(self._lengths)
+        self._admit(jobs, 1)
         left = self._fill(first, m)
+        windows: dict[int, range] = {}
         while left:
-            m = self._augment(left, m)
+            cut = self._augment(left, m, windows)
+            if cut:
+                m = self._cut_bound(*cut, windows)
         self.m = m
         return m
+
+    @classmethod
+    def max_flow(cls, jobs: Iterable[Job], count: int | Fraction) -> tuple[int, list[int]]:
+        """A maximum flow of ``jobs`` on ``count = num / den`` machines, with
+        every capacity scaled by ``den``: its value and the segments,
+        ascending, that the jobs with work left reach, which form a minimum
+        cut's source side (none when every job is placed)."""
+        num, den = count.numerator, count.denominator
+        running = cls()
+        running._admit(jobs, den)
+        left = running._fill(0, num)
+        cut = running._augment(left, num, {})
+        value = sum(need for _, _, need in running._jobs) - sum(left.values())
+        return value, [s for s, level in enumerate(cut[1]) if level] if cut else []
 
     def flow(self) -> list[tuple[int, int, dict[int, int]]]:
         """The flow as ``(a, b, units)`` per segment ``[a, b)``, ``units``
@@ -675,6 +518,24 @@ class RunningOptimum:
             (points[s], points[s + 1], dict(units))
             for s, units in enumerate(self._units)
         ]
+
+    def _admit(self, jobs: Iterable[Job], den: int) -> None:
+        """Append ``jobs``, each needing ``den`` units per unit of work.
+        The first jobs lay out their breakpoints in one sorted pass, with
+        job capacities ``den`` times the lengths; later ones, only at ``den
+        = 1``, cut the segments their breakpoints fall in."""
+        first = len(self._jobs)
+        self._jobs += [(j.release, j.deadline, den * j.processing) for j in jobs]
+        points = sorted({p for r, d, _ in self._jobs[first:] for p in (r, d)})
+        if self._points:
+            for point in points:
+                self._cut(point)
+        else:
+            self._points = points
+            self._lengths = [b - a for a, b in zip(points, points[1:])]
+            self._caps = self._lengths if den == 1 else [den * l for l in self._lengths]
+            self._units = [{} for _ in self._lengths]
+            self._loads = [0] * len(self._lengths)
 
     def _cut(self, point: int) -> None:
         """Make ``point`` a breakpoint, cutting the segment it falls in."""
@@ -700,18 +561,17 @@ class RunningOptimum:
     def _fill(self, first: int, m: int) -> dict[int, int]:
         """Fill the jobs from admission index ``first`` on into their
         earliest segments with room; returns the work each has left, if any."""
-        points, lengths, units, loads = self._points, self._lengths, self._units, self._loads
-        jobs = self._jobs
+        points, lengths, caps = self._points, self._lengths, self._caps
+        units, loads, jobs = self._units, self._loads, self._jobs
         left: dict[int, int] = {}
         for job in sorted(range(first, len(jobs)), key=lambda i: (jobs[i][1], i)):
             release, deadline, rest = jobs[job]
             for s in range(
                 bisect.bisect_left(points, release), bisect.bisect_left(points, deadline)
             ):
-                length = lengths[s]
-                room = m * length - loads[s]
+                room = m * lengths[s] - loads[s]
                 if room > 0:
-                    f = min(length, room, rest)
+                    f = min(caps[s], room, rest)
                     units[s][job] = f
                     loads[s] += f
                     rest -= f
@@ -721,20 +581,21 @@ class RunningOptimum:
                 left[job] = rest
         return left
 
-    def _augment(self, left: dict[int, int], m: int) -> int:
+    def _augment(
+        self, left: dict[int, int], m: int, windows: dict[int, range]
+    ) -> tuple[dict[int, int], list[int]] | None:
         """Push the work ``left`` (job -> units, emptied as it is placed)
-        along augmenting paths on ``m`` machines, in Dinic's phases.
+        along augmenting paths on ``m`` machines, in Dinic's phases;
+        ``windows`` caches each job's segments.
 
-        Returns ``m`` when all of it is placed.  Otherwise it stops when no
-        path is left and returns the least count that the minimum cut
-        allows: with R the jobs and segments reachable from the jobs with
-        work left, any count m' that fits has m'·|R's segments| at least
-        the work of R's jobs less what they place, one unit per slot, in
-        segments outside R, where none has room left.
+        Returns None when all of it is placed.  Otherwise it stops when no
+        path is left and returns the levels of the last search, each job's
+        and each segment's (0 for a segment not reached): the jobs and
+        segments reachable from the jobs with work left, a minimum cut's
+        source side.
         """
-        points, lengths, units, loads = self._points, self._lengths, self._units, self._loads
-        jobs = self._jobs
-        windows: dict[int, range] = {}  # job -> its segments
+        points, lengths, caps = self._points, self._lengths, self._caps
+        units, loads, jobs = self._units, self._loads, self._jobs
         while left:
             # levels: the jobs with work left are 0, the segments they can
             # take more units in 1, the other jobs with units there 2, ...;
@@ -756,7 +617,7 @@ class RunningOptimum:
                         )
                     for s in [
                         s for s in window
-                        if not seg_level[s] and units[s].get(job, 0) < lengths[s]
+                        if not seg_level[s] and units[s].get(job, 0) < caps[s]
                     ]:
                         seg_level[s] = level
                         reached.append(s)
@@ -774,9 +635,9 @@ class RunningOptimum:
                             frontier.append(job)
                 level += 2
             if not top:
-                return self._cut_bound(job_level, seg_level, windows)
+                return job_level, seg_level
             self._blocking_flow(left, m, windows, job_level, seg_level, top)
-        return m
+        return None
 
     def _blocking_flow(
         self,
@@ -791,7 +652,7 @@ class RunningOptimum:
         a depth-first search from each job with work left, each node
         resuming where it stopped, and a node with no way on dropped from
         its level."""
-        lengths, units, loads = self._lengths, self._units, self._loads
+        lengths, caps, units, loads = self._lengths, self._caps, self._units, self._loads
         job_next: dict[int, int] = {}  # job -> the next segment to try
         seg_next: dict[int, list[int]] = {}  # segment -> jobs still to try
         for start in list(left):
@@ -803,7 +664,7 @@ class RunningOptimum:
                     window = windows[job]
                     s, end = job_next.get(job, window.start), window.stop
                     while s < end and not (
-                        seg_level[s] == level and units[s].get(job, 0) < lengths[s]
+                        seg_level[s] == level and units[s].get(job, 0) < caps[s]
                     ):
                         s += 1
                     job_next[job] = s
@@ -845,12 +706,12 @@ class RunningOptimum:
         """Push the most the path allows: the start's work left, each job's
         room in the segment it moves into, the units it moves out of the
         segment before, and the last segment's ``room``."""
-        lengths, units = self._lengths, self._units
+        caps, units = self._caps, self._units
         start = path[0]
         f = min(left[start], room)
         for i in range(1, len(path), 2):
             s = path[i]
-            f = min(f, lengths[s] - units[s].get(path[i - 1], 0))
+            f = min(f, caps[s] - units[s].get(path[i - 1], 0))
             if i + 1 < len(path):
                 f = min(f, units[s][path[i + 1]])
         for i in range(1, len(path), 2):
@@ -875,8 +736,10 @@ class RunningOptimum:
         seg_level: list[int],
         windows: dict[int, range],
     ) -> int:
-        """The least count the minimum cut of the reachable jobs and
-        segments allows (see ``_augment``)."""
+        """The least count that the minimum cut of the reachable jobs and
+        segments allows: any count m' that fits has m'·|their segments| at
+        least the work of the jobs less what they place, one unit per slot,
+        in segments outside the cut, where none has room left."""
         lengths = self._lengths
         need = 0
         for job in job_level:
@@ -922,24 +785,15 @@ def strong_density_witness(instance: Instance) -> tuple[Fraction, IntervalSet]:
     if instance.n == 0:
         raise ValueError("instance is empty")
     network = FlowNetwork.build(instance)
-    indptr, indices = network.indptr, network.indices
-    first = 1 + instance.n  # the node of segment 0; segments precede the sink
-    # every segment whose row holds a job, that is, one arc besides the sink's
-    chosen = {
-        si
-        for si in range(len(network.segments))
-        if indptr[first + si + 1] - indptr[first + si] > 1
-    }
+    segments = network.segments
+    # every segment that some job's window covers
+    chosen = {si for lo, hi in network.spans for si in range(lo, hi)}
     while True:
-        iset = IntervalSet(network.segments[si] for si in chosen)
+        iset = IntervalSet(segments[si] for si in chosen)
         rho = Fraction(sum(contribution(j, iset) for j in instance.jobs), iset.length)
-        value, flow = network.solve(rho)
+        value, chosen = network.solve(rho)
         if value == network.work * rho.denominator:
             return rho, iset
-        # the sink is unreachable at a maximum flow, so the search reaches
-        # the source side of the minimum cut, the same for every such flow
-        levels = _levels(indptr, indices, (network.capacities(rho) - flow).tolist())
-        chosen = {v - first for v in range(first, len(levels) - 1) if levels[v] >= 0}
 
 
 def strong_density_exact(instance: Instance) -> Fraction:

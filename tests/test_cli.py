@@ -5,12 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_optimum import reference_min_machines
+from test_optimum import reference_min_machines, scipy_fits
 
 from machmin import harness
 from machmin.cli import main
 from machmin.model import parse_instance, parse_trace
-from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
+from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork, strong_density_exact
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -459,13 +459,21 @@ def test_small_runs_load_neither_numpy_nor_scipy(tmp_path):
         ["run", "--policy", "edf", "--machines", "2", "inst.txt"],
         ["verify", "inst.txt", "1.out"],
         ["opt", "--preemptive", "inst.txt"],
+        ["opt", "--strong-density", "inst.txt"],
+        ["adversary", "--policy", "edf", "--m", "4"],
+        ["gen", "--family", "dord", "--m", "2", "--n", "4", "--k", "1"],
     )
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0, 1, 0]  # 1: the adversary forced a miss
     assert loaded == []
     instance = parse_instance((tmp_path / "inst.txt").read_text())
     assert FlowNetwork.build(instance).arcs <= PYTHON_FLOW_ARCS
     # below n, so the optimum was computed, not read off the job count
     assert (tmp_path / "3.out").read_text() == "2\n" and instance.n == 8
+    assert (tmp_path / "4.out").read_text() == f"{strong_density_exact(instance)}\n"
+    # the adversary and the dord generator certified what they printed
+    assert "forced miss" in (tmp_path / "5.out").read_text()
+    dord = parse_instance((tmp_path / "6.out").read_text())
+    assert dord.n == 4 and scipy_fits(dord, 2)
 
 
 def test_opt_past_the_cutoff_loads_scipy(tmp_path):

@@ -139,13 +139,25 @@ def test_optimum_examples():
 
 
 def test_witness_always_validates():
+    # on sets on both sides of PYTHON_FLOW_ARCS: the witness at the optimum,
+    # which scipy gives, validates within m machines, and m - 1 is refused
+    from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
+
     rng = random.Random(7)
-    for _ in range(60):
-        inst = random_instance(rng, rng.randint(1, 6), rng.randint(3, 10))
+    small = [
+        random_instance(rng, rng.randint(1, 6), rng.randint(3, 10)) for _ in range(60)
+    ]
+    large = [gen_random("general", n, n).instance for n in range(36, 48)]
+    assert all(FlowNetwork.build(inst).arcs <= PYTHON_FLOW_ARCS for inst in small)
+    assert all(FlowNetwork.build(inst).arcs > PYTHON_FLOW_ARCS for inst in large)
+    for inst in small + large:
         m, witness = optimal_witness(inst)
+        assert m == reference_min_machines(inst.jobs, 1)
         report = validate_preemptive(inst, witness)
         assert report.feasible
         assert report.machines_used <= m
+        if m > 1:
+            assert not feasible_preemptive(inst, m - 1).feasible
 
 
 def test_optimum_matches_brute_force():
@@ -176,12 +188,16 @@ def job_lists(draw):
 @settings(max_examples=150, deadline=None)
 @given(jobs=job_lists(), lower=st.integers(-2, 12))
 def test_min_machines_is_first_feasible_count(jobs, lower):
-    # the reference: scan upward one machine count at a time
+    # the reference: scan upward one machine count at a time, each solved
+    # by scipy; the running flow's verdicts agree on both sides of the count
     instance = Instance(jobs)
     m = max(lower, 1)
-    while not is_feasible_preemptive(instance, m):
+    while not scipy_fits(instance, m):
         m += 1
     assert min_machines(jobs, lower) == m
+    assert is_feasible_preemptive(instance, m)
+    if m > max(lower, 1):
+        assert not is_feasible_preemptive(instance, m - 1)
 
 
 @pytest.mark.parametrize("bits", [30, 31, 40])
@@ -295,7 +311,7 @@ def growing_job_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(batches=growing_job_sets())
 def test_running_optimum_matches_min_machines_at_every_addition(batches):
-    # each addition returns what the galloping network search finds anew on
+    # each addition returns what the galloping scipy search finds anew on
     # every job added so far (min_machines would take a running optimum of
     # its own on these small sets), and leaves a feasible flow of them on
     # that many machines: each job's units sum to its processing time,
@@ -306,7 +322,15 @@ def test_running_optimum_matches_min_machines_at_every_addition(batches):
     for batch, lower in batches:
         jobs += batch
         m = running.add(batch, lower)
-        assert m == reference_min_machines(jobs, lower)
+        if Instance(jobs).total_work < FLOW_WORK_LIMIT:
+            assert m == reference_min_machines(jobs, lower)
+        else:
+            # past scipy's reach, a minimum-cut certificate: the flow below
+            # shows that m fits, and the strong density's interval set,
+            # checked by contributions, that no count below ceil(rho) does
+            rho, iset = strong_density_witness(Instance(jobs))
+            assert sum(contribution(j, iset) for j in jobs) == rho * iset.length
+            assert m == max(lower, ceil_frac(rho))
         placed = [0] * len(jobs)
         for a, b, units in running.flow():
             assert a < b and sum(units.values()) <= m * (b - a)
@@ -542,18 +566,20 @@ def test_flow_network_structure():
     net = FlowNetwork.build(inst)
     # segments are the maximal runs between window breakpoints
     assert net.segments == ((0, 1), (1, 3), (3, 5))
+    assert net.spans == [(0, 2), (1, 3)]
     # a job feeds exactly the segments inside its window, one unit of
     # capacity per covered slot: job ji's row is the source, then its arcs
-    first, indptr, indices = 1 + inst.n, net.indptr, net.indices
+    indptr, indices, base, _ = (a.tolist() for a in net.csr)
+    first = 1 + inst.n
     arcs = {
-        (ji, indices[p] - first): int(net.base[p])
+        (ji, indices[p] - first): base[p]
         for ji in range(inst.n)
         for p in range(indptr[1 + ji] + 1, indptr[2 + ji])
     }
     assert arcs == {(0, 0): 1, (0, 1): 2, (1, 1): 2, (1, 2): 2}
     assert net.arcs == 4
-    value, _flow = net.solve(2)
-    assert value == inst.total_work
+    value, reached = net.solve(2)
+    assert (value, reached) == (inst.total_work, [])
 
 
 def _coo_graph(inst, reverses=False):
@@ -597,25 +623,22 @@ def test_flow_network_csr_matches_coo_reference():
     for inst in _random_instances(31, 200):
         network = FlowNetwork.build(inst)
         # the layout: every arc beside its reverse, in scipy's CSR order,
-        # with the m-free capacities in base, and each position's reverse
-        # holding the opposite arc
+        # with the m-free capacities in base
         full = _coo_graph(inst, reverses=True)
-        indptr, indices = network.indptr, network.indices
-        assert indptr == full.indptr.tolist()
-        assert indices == full.indices.tolist()
-        tails = [u for u in range(len(indptr) - 1) for _ in range(indptr[u], indptr[u + 1])]
-        for p, q in enumerate(network.reverse):
-            assert (tails[q], indices[q]) == (indices[p], tails[p])
+        indptr, indices, base, drains = network.csr
+        assert indptr.dtype == indices.dtype == base.dtype == full.data.dtype
+        assert indptr.tolist() == full.indptr.tolist()
+        assert indices.tolist() == full.indices.tolist()
         # drains are the sink arcs, one per segment row, which base leaves
-        # to capacities
+        # to the solve
         sink = len(indptr) - 2
-        drains = network.drains.tolist()
+        drains = drains.tolist()
         assert drains == [indptr[v + 1] - 1 for v in range(1 + inst.n, sink)]
         assert all(indices[p] == sink for p in drains)
         expected = full.data.copy()
         expected[drains] = 0
-        assert network.base.dtype == expected.dtype
-        assert network.base.tolist() == expected.tolist()
+        assert base.tolist() == expected.tolist()
+        tails = [u for u in range(sink + 1) for _ in range(indptr[u], indptr[u + 1])]
         assert network.arcs == sum(1 <= u <= inst.n < v for u, v in zip(tails, indices))
 
 
@@ -627,13 +650,13 @@ def test_flow_network_fractional_capacities():
     net = FlowNetwork.build(Instance([Job(0, 0, 4, 1)]))
     assert net.solve(Fraction(1, 4))[0] == 4
     # at a fifth of a machine the segment drains 4 of the 5 scaled units
-    assert net.solve(Fraction(1, 5))[0] == 4
+    assert net.solve(Fraction(1, 5)) == (4, [0])
 
 
 @st.composite
 def straddling_instances(draw):
-    """A job set whose network has at most 190 job arcs, so the Python
-    kernel solves it, or more than ``PYTHON_FLOW_ARCS``, so scipy does."""
+    """A job set whose network has at most 190 job arcs, so the running
+    flow solves it, or more than ``PYTHON_FLOW_ARCS``, so scipy does."""
     from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
 
     large = draw(st.booleans())
@@ -655,7 +678,7 @@ def straddling_instances(draw):
 
 @st.composite
 def kernel_cases(draw):
-    """A network on either side of the kernel cutoff, at an integer or a
+    """A network on either side of the cutoff, at an integer or a
     fractional machine count."""
     instance, network = draw(straddling_instances())
     m = draw(
@@ -665,125 +688,60 @@ def kernel_cases(draw):
     return network, m
 
 
-@settings(max_examples=120, deadline=None)
-@given(case=kernel_cases())
-def test_python_kernel_flows_equal_scipy(case):
-    # scipy's maximum_flow on the forward arcs alone (head above tail), to
-    # which it adds the reverse arcs itself, is the reference: each kernel,
-    # forced whatever the size, returns its value and its flow matrix
-    # element by element, on the same layout
+def routed_flow(network, m, cutoff):
+    """``maximum_flow`` of ``network`` on ``m`` machines with the cutoff at
+    ``cutoff``: 0 sends a network below ``FLOW_WORK_LIMIT`` to scipy, and
+    one at its job-arc count to the running flow."""
     from unittest import mock
-
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
 
     from machmin import optimum
 
+    with mock.patch.object(optimum, "PYTHON_FLOW_ARCS", cutoff):
+        return optimum.maximum_flow(network, m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=kernel_cases(), offset=st.integers(-3, 2))
+def test_running_and_scipy_routes_agree(case, offset):
+    # on either side of the cutoff, each route forced: the running flow and
+    # scipy give the same value and the same reached segments, the source
+    # side of the minimum cut, which is the same for every maximum flow.
+    # Scaled by 2^k to a total work just short of FLOW_WORK_LIMIT or past
+    # it, the value scales by 2^k and the cut stays
+    from machmin.optimum import FlowNetwork
+
     network, m = case
-    caps = network.capacities(m)
-    indptr, indices = np.array(network.indptr), np.array(network.indices)
-    nodes = len(indptr) - 1
-    tails = np.repeat(np.arange(nodes), np.diff(indptr))
-    forward = indices > tails
-    reference = scipy_maximum_flow(
-        csr_matrix((caps[forward], (tails[forward], indices[forward])), shape=(nodes, nodes)),
-        0,
-        nodes - 1,
-    )
-    assert network.indptr == reference.flow.indptr.tolist()
-    assert network.indices == reference.flow.indices.tolist()
-    for cutoff in (network.arcs, network.arcs - 1):
-        with mock.patch.object(optimum, "PYTHON_FLOW_ARCS", cutoff):
-            value, flow = optimum.maximum_flow(network, caps)
-        assert value == reference.flow_value
-        assert list(flow) == reference.flow.data.tolist()
+    assert network.work * m.denominator < FLOW_WORK_LIMIT
+    assert "csr" not in vars(network)
+    expected = routed_flow(network, m, 0)
+    assert "csr" in vars(network)  # scipy solved it
+    assert routed_flow(network, m, network.arcs) == expected
+    value, reached = expected
+    assert (value == network.work * m.denominator) == (not reached)
+    instance = Instance(network.jobs)
+    scaled = _scaled_past_limit(instance, offset)
+    factor = scaled.total_work // instance.total_work
+    assert FlowNetwork.build(scaled).solve(m) == (factor * value, reached)
 
 
 def test_scipy_solves_share_one_index_copy():
     # a climb solves one network at several counts; every scipy solve reads
-    # the int32 copies made at the first, which no solve writes to
+    # the int32 layout made at the first, which no solve writes to
     from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
 
     generated = gen_random("general", 40, 3)
     network = FlowNetwork.build(generated.instance)
     assert network.arcs > PYTHON_FLOW_ARCS
-    assert "scipy_index" not in vars(network)
+    assert "csr" not in vars(network)
     m = generated.m_opt
     first = [network.solve(k) for k in (m, m - 1)]
-    held = network.scipy_index
+    held = network.csr
+    copies = [a.copy() for a in held]
     again = [network.solve(k) for k in (m, m - 1)]
-    assert network.scipy_index is held
-    assert [held[0].tolist(), held[1].tolist()] == [network.indices, network.indptr]
-    assert [(v, list(f)) for v, f in first] == [(v, list(f)) for v, f in again]
-    assert first[0][0] == network.work > first[1][0]
-
-
-def reference_dinic(indptr, indices, reverse, residual):
-    """The reference for ``_dinic``: Dinic's algorithm with every phase,
-    the first included, levelled by ``_levels`` and augmented one path at a
-    time by ``_augment``, as scipy runs it."""
-    from machmin.optimum import _augment, _levels
-
-    sink = len(indptr) - 2
-    bound = sum(residual[: indptr[1]])
-    while True:
-        levels = _levels(indptr, indices, residual)
-        if levels[sink] < 0:
-            return
-        progress = indptr[:-1]
-        while _augment(indptr, indices, reverse, residual, levels, progress, bound):
-            pass
-
-
-@st.composite
-def flow_layouts(draw):
-    """A network and its capacities: windows drawn freely, in two groups
-    with a segment no job covers between them, or all alike (one
-    segment); at an integer or fractional machine count, or at 0 (every
-    drain empty); on int32 or, scaled past ``FLOW_WORK_LIMIT``, on Python
-    int capacities."""
-    from machmin.optimum import FlowNetwork
-
-    shape = draw(st.sampled_from(["free", "gap", "one-segment"]))
-    n = draw(st.integers(1, 14))
-    jobs = []
-    for i in range(n):
-        if shape == "one-segment":
-            r, w = 4, 6
-        else:
-            r, w = draw(st.integers(0, 20)), draw(st.integers(1, 12))
-            if shape == "gap" and i % 2:
-                r += 33  # after every even job's deadline: a bare segment between
-        jobs.append(Job(i, r, r + w, draw(st.integers(1, w))))
-    instance = Instance(jobs)
-    if draw(st.booleans()):
-        instance = _scaled_past_limit(instance, draw(st.integers(0, 2)))
-    m = draw(
-        st.integers(0, n)
-        | st.builds(Fraction, st.integers(1, 3 * n), st.integers(2, 7))
-    )
-    network = FlowNetwork.build(instance)
-    return network, network.capacities(m)
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=flow_layouts())
-def test_dinic_first_phase_matches_the_reference(case):
-    # _dinic, whose first phase is the closed-form pass, ends on the
-    # reference's residual element by element; with every drain empty
-    # nothing leaves the source
-    from machmin.optimum import _dinic
-
-    network, caps = case
-    layout = network.indptr, network.indices, network.reverse
-    residual, expected = caps.tolist(), caps.tolist()
-    _dinic(*layout, residual)
-    reference_dinic(*layout, expected)
-    assert residual == expected
-    jobs = network.indptr[1]
-    if not caps[network.drains].any():
-        assert residual[:jobs] == caps[:jobs].tolist()
+    assert network.csr is held
+    assert all((a == b).all() for a, b in zip(held, copies))
+    assert first == again
+    assert first[0] == (network.work, []) and first[1][0] < network.work
 
 
 def _scaled_past_limit(instance, offset):
@@ -799,31 +757,52 @@ def _scaled_past_limit(instance, offset):
 @given(case=straddling_instances(), offset=st.integers(-3, 2), k=st.integers(0, 64))
 def test_scaling_keeps_verdicts_below_the_flow_limit(case, offset, k):
     # scaling every time by 2^k keeps the optimum and every feasibility
-    # verdict, on either kernel, below FLOW_WORK_LIMIT and past it: by a
+    # verdict, on either route, below FLOW_WORK_LIMIT and past it: by a
     # power that brings the total work just short of the limit or just
     # past it, and by any power up to 2^64.  Only feasible_preemptive
     # refuses from the limit on, since its witness lists every occupied
-    # slot.  The small side also keeps its strong density.
+    # slot.  The small side also keeps its strong density.  The unscaled
+    # optimum and density come from scipy.
+    from unittest import mock
+
+    from machmin import optimum
+
     instance, _ = case
-    m = optimum_preemptive(instance)
+    m = reference_min_machines(instance.jobs, 1)
     counts = sorted({1, max(1, m - 1), m})
+    if instance.n <= 10:
+        with mock.patch.object(optimum, "PYTHON_FLOW_ARCS", 0):
+            rho = strong_density_exact(instance)
     for scaled in (_scaled_past_limit(instance, offset), scale_instance(instance, 2**k)):
         assert optimum_preemptive(scaled) == m
         for count in counts:
             assert is_feasible_preemptive(scaled, count) == (count >= m)
         if instance.n <= 10:
-            assert strong_density_exact(scaled) == strong_density_exact(instance)
+            assert strong_density_exact(scaled) == rho
         if scaled.total_work >= FLOW_WORK_LIMIT:
             with pytest.raises(EnumerationCapExceeded, match="witness"):
                 feasible_preemptive(scaled, m)
 
 
+def scipy_fits(instance, m):
+    """Whether ``instance`` fits on ``m`` machines, by a cold scipy solve of
+    its network: the cutoff at 0 sends it to scipy below
+    ``FLOW_WORK_LIMIT``, the only place this reference is asked."""
+    from machmin.optimum import FlowNetwork
+
+    assert instance.total_work < FLOW_WORK_LIMIT
+    if instance.n == 0:
+        return True
+    network = FlowNetwork.build(instance)
+    return routed_flow(network, m, 0)[0] == network.work
+
+
 def reference_min_machines(jobs, lower):
     """The reference for ``min_machines``: from the larger of ``lower`` and
     the load bound, gallop upward (lo, lo+1, lo+3, lo+7, ...) until a count
-    fits, then bisect the last gap, with a cold solve at every count."""
-    from machmin.optimum import FlowNetwork
-
+    fits, then bisect the last gap, with a cold scipy solve at every count
+    (``scipy_fits``), so below ``FLOW_WORK_LIMIT`` only; past it the tests
+    ask it for the set before scaling."""
     instance = Instance(jobs)
     n, lo = instance.n, max(lower, 1)
     if lo < n:
@@ -831,10 +810,9 @@ def reference_min_machines(jobs, lower):
         lo = max(lo, -(-instance.total_work // span))
     if lo >= n:
         return lo
-    network = FlowNetwork.build(instance)
 
     def fits(m):
-        return m >= n or network.solve(m)[0] == network.work
+        return m >= n or scipy_fits(instance, m)
 
     bad, good = lo - 1, lo
     while not fits(good):
@@ -855,22 +833,23 @@ def reference_min_machines(jobs, lower):
     above=st.integers(1, 4),
 )
 def test_min_machines_matches_the_galloping_search(case, offset, above):
-    # on either side of the kernel cutoff, each kernel also forced, so that
-    # the climb reads its cuts from Python's flows and from scipy's; from
-    # below the optimum, from above it and from past n; and scaled to a
-    # total work just short of FLOW_WORK_LIMIT or past it, where the
-    # capacities are Python ints
+    # on either side of the cutoff, each route also forced, so that the
+    # climb reads its cuts from the running flow and from scipy; from below
+    # the optimum, from above it and from past n; and scaled to a total work
+    # just short of FLOW_WORK_LIMIT or past it, where the reference is the
+    # set's own before scaling
     from unittest import mock
 
     from machmin import optimum
 
     instance, _ = case
+    original = instance.jobs
     if offset is not None:
         instance = _scaled_past_limit(instance, offset)
     jobs = instance.jobs
-    m = reference_min_machines(jobs, 1)
+    m = reference_min_machines(original, 1)
     for lower in sorted({-1, 1, max(1, m - 1), m, m + above, instance.n + above}):
-        expected = reference_min_machines(jobs, lower)
+        expected = reference_min_machines(original, lower)
         assert expected == max(lower, m)
         assert min_machines(jobs, lower) == expected
         for cutoff in (0, 10**9):
@@ -899,10 +878,10 @@ def test_min_machines_builds_a_network_only_past_the_cutoff(monkeypatch, above, 
 
     instance = Instance(_jobs_with_arcs(PYTHON_FLOW_ARCS + above))
     assert FlowNetwork.build(instance).arcs == PYTHON_FLOW_ARCS + above
+    expected = reference_min_machines(instance.jobs, 1)
     if offset is not None:
         instance = _scaled_past_limit(instance, offset)
         assert instance.total_work >= FLOW_WORK_LIMIT
-    expected = reference_min_machines(instance.jobs, 1)
     assert expected < instance.n  # past the n and load-bound exits
     calls = {"build": 0, "add": 0}
     build, add = FlowNetwork.build.__func__, RunningOptimum.add
@@ -923,6 +902,12 @@ def test_min_machines_builds_a_network_only_past_the_cutoff(monkeypatch, above, 
 
 @pytest.mark.parametrize("jobs", [3, 30], ids=["python-kernel", "scipy-kernel"])
 def test_opt_scaled_past_the_flow_limit(tmp_path, jobs, capsys):
+    # the 3-job set is solved on the running flow and the 30-job one, below
+    # FLOW_WORK_LIMIT, on scipy; scaled, both on the running flow.  The
+    # expected values come from scipy, the cutoff forced to 0
+    from unittest import mock
+
+    from machmin import optimum
     from machmin.cli import main
     from machmin.model import serialize_instance
     from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
@@ -932,9 +917,45 @@ def test_opt_scaled_past_the_flow_limit(tmp_path, jobs, capsys):
     arcs = FlowNetwork.build(instance).arcs
     assert (arcs > PYTHON_FLOW_ARCS) == (jobs == 30)
     path = tmp_path / "inst.txt"
-    expected = f"{optimum_preemptive(instance)}\n{strong_density_exact(instance)}\n"
+    with mock.patch.object(optimum, "PYTHON_FLOW_ARCS", 0):
+        expected = f"{optimum_preemptive(instance)}\n{strong_density_exact(instance)}\n"
     for offset in (-1, 0, 33):
         path.write_text(serialize_instance(_scaled_past_limit(instance, offset)))
         assert main(["opt", "--preemptive", str(path)]) == 0
         assert main(["opt", "--strong-density", str(path)]) == 0
         assert capsys.readouterr().out == expected
+
+
+def test_numpy_and_scipy_are_imported_only_on_the_scipy_route():
+    # an AST scan of every module of the package: numpy and scipy are
+    # imported in the two functions of optimum.py's scipy route, and under
+    # TYPE_CHECKING, which never runs, and nowhere else
+    import ast
+    from pathlib import Path
+
+    import machmin
+
+    found = set()
+
+    def scan(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = (*scope, child.name)
+            elif isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+                inner = (*scope, "TYPE_CHECKING")
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in child.names] if isinstance(child, ast.Import) else [
+                    child.module or ""
+                ]
+                if any(name.split(".")[0] in ("numpy", "scipy") for name in names):
+                    found.add((module, ".".join(scope)))
+            scan(module, child, inner)
+
+    for path in sorted(Path(machmin.__file__).parent.glob("*.py")):
+        scan(path.name, ast.parse(path.read_text(encoding="utf-8")), ())
+    assert found == {
+        ("optimum.py", "TYPE_CHECKING"),
+        ("optimum.py", "FlowNetwork.csr"),
+        ("optimum.py", "_scipy_flow"),
+    }

@@ -1,34 +1,35 @@
-"""Time the two decisions ``optimum.PYTHON_FLOW_ARCS`` makes, each side
-forced, on random job sets binned by job arcs, and print their tables.
+"""Time the decision ``optimum.PYTHON_FLOW_ARCS`` makes, the running flow or
+scipy, each side forced, on random job sets binned by job arcs, and print
+one table.
 
     python3 tools/flow_crossover.py
 
 Run it from anywhere in a checkout: it imports machmin from the checkout's
 ``src``.  The job sets are ``gen_random`` instances drawn at fixed seeds
-over every profile, n in [2, 110] and windows of up to 40 slots, kept
-until each 64-arc bin up to ``TOP`` job arcs of their ``FlowNetwork``s
-holds ``PER_BIN`` of them.
+over every profile, n in [2, 110] and windows of up to 40 slots whose load
+bound is below n, so that ``min_machines(jobs, 1)`` reaches the decision.
+They are kept until each 64-arc bin up to ``TOP`` job arcs of their
+``FlowNetwork``s holds ``PER_BIN`` of them.
 
-The kernel table solves each network at its preemptive optimum and one
+The cutoff decides two things, timed side by side on each job set.  A
+solve is ``FlowNetwork.solve`` at the set's preemptive optimum and one
 machine below it, the feasible and the failing solve that a search for the
-optimum makes (only the first when the optimum is 1), on ``_dinic`` in
-Python and on scipy.  A row gives the median over its networks, per solve,
-with ``capacities`` and, for scipy, its sparse set-up included.
+optimum makes (only the first when the optimum is 1): with the cutoff at
+``TOP`` a fresh ``RunningOptimum`` at that count, with it at 0 scipy, its
+sparse set-up and the residual's reached segments included (the network's
+CSR layout, made at its first scipy solve, is made before the timing).  An
+optimum is one ``min_machines(jobs, 1)`` call: with the cutoff at ``TOP``
+the set is admitted into a fresh ``RunningOptimum``, with it at 0 it gets a
+network that scipy solves and a climb by min cuts, which is what a set past
+the cutoff gets, network build included.
 
-The route table calls ``min_machines(jobs, 1)`` on each job set whose load
-bound is below n, so that the call reaches the route: with the cutoff at
-``TOP`` every set is admitted into a fresh ``RunningOptimum``, with it at 0
-every set gets a network that scipy solves and a climb by min cuts, which
-is what a set past the cutoff gets.  A row gives the median over its job
-sets, per call, network build included.
-
-Per network (or job set) and side the time is the median of ``ROUNDS``
-timings of ``SOLVES`` rounds, the two sides alternating which goes first;
-each row also gives the median over its networks of the time ratio, Python
-(or running) over scipy (or network).  The absolute times move with the
-machine's speed between runs; the two sides of a ratio are timed in turn on
-one network, so the ratio does not.  Each table's last line names the
-largest bin bound up to which the ratio is below 1 in every bin.
+Per job set, side and column the time is the median of ``ROUNDS`` timings
+of ``SOLVES`` rounds, the two sides alternating which goes first.  A row
+gives, for each column, the median over its job sets of each side's time
+and of the time ratio, running over scipy.  The absolute times move with
+the machine's speed between runs; the two sides of a ratio are timed in
+turn on one set, so the ratio does not.  The last line names the largest
+bin bound up to which both ratios are below 1 in every bin.
 """
 
 from __future__ import annotations
@@ -52,12 +53,16 @@ TOP = 1024
 PER_BIN = 24
 ROUNDS = 7
 SOLVES = 5
-# the PYTHON_FLOW_ARCS that forces each side of a decision: Python or scipy
-# for a network's solve, a running optimum or a network for min_machines
-SIDES = {"python": TOP, "scipy": 0}
-ROUTES = {"running": TOP, "network": 0}
+# the PYTHON_FLOW_ARCS that forces each side
+SIDES = {"running": TOP, "scipy": 0}
 
 Held = tuple[Instance, optimum.FlowNetwork, list[int]]
+
+
+def reaches_the_decision(instance: Instance) -> bool:
+    """Whether ``min_machines(jobs, 1)`` passes its n and load-bound exits."""
+    span = instance.d_max - min(j.release for j in instance.jobs)
+    return -(-instance.total_work // span) < instance.n
 
 
 def job_sets() -> dict[int, list[Held]]:
@@ -73,18 +78,14 @@ def job_sets() -> dict[int, list[Held]]:
             rng.choice(PROFILES), n, attempt, horizon=rng.randint(n // 2 + 1, 2 * n),
             max_len=rng.randint(2, 40),
         )
+        if not reaches_the_decision(generated.instance):
+            continue
         network = optimum.FlowNetwork.build(generated.instance)
         held = bins.get(-(-network.arcs // WIDTH) * WIDTH)
         if held is not None and len(held) < PER_BIN:
             m = generated.m_opt
             held.append((generated.instance, network, [m, m - 1] if m > 1 else [m]))
     return bins
-
-
-def reaches_the_route(instance: Instance) -> bool:
-    """Whether ``min_machines(jobs, 1)`` passes its n and load-bound exits."""
-    span = instance.d_max - min(j.release for j in instance.jobs)
-    return -(-instance.total_work // span) < instance.n
 
 
 def per_call_ms(call: Callable[[], object], calls: int, cutoff: int) -> float:
@@ -100,55 +101,50 @@ def per_call_ms(call: Callable[[], object], calls: int, cutoff: int) -> float:
 
 def solves(held: Held) -> tuple[Callable[[], object], int]:
     _, network, counts = held
+    network.csr  # made once per network, at its first scipy solve
     return (lambda: [network.solve(m) for m in counts]), len(counts)
 
 
-def searches(held: Held) -> tuple[Callable[[], object], int]:
+def optima(held: Held) -> tuple[Callable[[], object], int]:
     jobs = held[0].jobs
     return (lambda: optimum.min_machines(jobs, 1)), 1
 
 
-def table(
-    title: str,
-    bins: dict[int, list[Held]],
-    sides: dict[str, int],
-    timed: Callable[[Held], tuple[Callable[[], object], int]],
-) -> None:
-    """Print one row per bin: its size, each side's median ms per call and
-    the median ratio of the first side over the second."""
-    first, second = sides
-    print(title)
-    print(f"{'job arcs':>10} {'sets':>5} {first + ' ms':>11} {second + ' ms':>11} {'ratio':>6}")
-    cutoff = None
-    for top, held in bins.items():
-        ms: dict[str, list[float]] = {name: [] for name in sides}
-        for i, one in enumerate(held):
-            call, calls = timed(one)
-            for name in list(sides) if i % 2 == 0 else list(sides)[::-1]:
-                ms[name].append(per_call_ms(call, calls, sides[name]))
-        a, b = (statistics.median(ms[name]) for name in sides)
-        ratio = statistics.median(x / y for x, y in zip(ms[first], ms[second]))
-        print(f"{top - WIDTH + 1:>4}-{top:<5} {len(held):>5} {a:>11.3f} {b:>11.3f} {ratio:>6.2f}")
-        if ratio >= 1 and cutoff is None:
-            cutoff = top - WIDTH
-    print(
-        f"{first}/{second} is below 1 in every bin up to "
-        f"{TOP if cutoff is None else cutoff} job arcs\n"
-    )
+COLUMNS = {"solve": solves, "optimum": optima}
 
 
 def main() -> None:
     saved = optimum.PYTHON_FLOW_ARCS
     bins = job_sets()
-    routed = {
-        top: [one for one in held if reaches_the_route(one[0])]
-        for top, held in bins.items()
-    }
+    print("running flow against scipy: ms per solve and per optimum")
+    header = "".join(
+        f" {column + ' running':>16} {column + ' scipy':>14} {'ratio':>6}" for column in COLUMNS
+    )
+    print(f"{'job arcs':>10} {'sets':>5}{header}")
+    cutoff = None
     try:
-        table("max-flow kernels, per solve", bins, SIDES, solves)
-        table("min_machines routes, per call", routed, ROUTES, searches)
+        for top, held in bins.items():
+            row = f"{top - WIDTH + 1:>4}-{top:<5} {len(held):>5}"
+            worst = 0.0
+            for timed in COLUMNS.values():
+                ms: dict[str, list[float]] = {name: [] for name in SIDES}
+                for i, one in enumerate(held):
+                    call, calls = timed(one)
+                    for name in list(SIDES) if i % 2 == 0 else list(SIDES)[::-1]:
+                        ms[name].append(per_call_ms(call, calls, SIDES[name]))
+                running, scipy = (statistics.median(ms[name]) for name in SIDES)
+                ratio = statistics.median(x / y for x, y in zip(ms["running"], ms["scipy"]))
+                worst = max(worst, ratio)
+                row += f" {running:>16.3f} {scipy:>14.3f} {ratio:>6.2f}"
+            print(row, flush=True)
+            if worst >= 1 and cutoff is None:
+                cutoff = top - WIDTH
     finally:
         optimum.PYTHON_FLOW_ARCS = saved
+    print(
+        f"running/scipy is below 1 in both columns in every bin up to "
+        f"{TOP if cutoff is None else cutoff} job arcs"
+    )
 
 
 if __name__ == "__main__":
