@@ -8,7 +8,6 @@ certification failure is a generator bug and raises immediately.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -279,9 +278,11 @@ class GeneratedInstance:
     profile: str
     seed: int
 
-    @functools.cached_property
+    @property
     def m_opt(self) -> int:
-        """The flow-oracle preemptive optimum, solved on first read."""
+        """The flow-oracle preemptive optimum: ``optimum_preemptive`` solves
+        it at the first read and keeps it on the instance, where every later
+        read, and every other caller on the same instance, finds it."""
         return optimum_preemptive(self.instance)
 
 

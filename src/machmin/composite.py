@@ -33,6 +33,7 @@ from .engine import (
 from .model import Instance, Job, JobState, NonpreemptiveSchedule, is_loose
 from .optimum import (
     RunningOptimum,
+    _keep_preemptive,
     ceil_frac,
     density_equal_p,
     optimum_nonpreemptive_exact,
@@ -435,16 +436,22 @@ def _build(pools: Pools, m: int) -> dict[Hashable, OnlinePolicy]:
 
 class _ExactPrefix:
     """Exact non-preemptive running optimum of a released prefix, searched
-    upward from ``lower`` on the whole prefix.  The solver is a module
-    global looked up at call time, so that a wrapper put on it after import
-    sees every solve."""
+    upward on the whole prefix from ``lower`` and the prefix's preemptive
+    optimum.  That bound comes from one ``RunningOptimum`` of the prefix,
+    which admits each release's jobs into its flow, and is kept on the
+    prefix's instance, so the search solves no flow of its own.  The solver
+    is a module global looked up at call time, so that a wrapper put on it
+    after import sees every solve."""
 
     def __init__(self) -> None:
         self._jobs: list[Job] = []
+        self._preemptive = RunningOptimum()
 
     def add(self, jobs: Sequence[Job], lower: int) -> int:
         self._jobs += jobs
-        return optimum_nonpreemptive_exact(Instance(self._jobs), lower=lower)
+        prefix = Instance(self._jobs)
+        _keep_preemptive(prefix, self._preemptive.add(jobs))
+        return optimum_nonpreemptive_exact(prefix, lower=lower)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,14 @@ denominator; feasibility logic never touches floating point.
 
 A schedule's size is its units of work, one trace row each.  Writing,
 reading and validating one does the per-unit work in builtins that loop in
-C (``str.join``, ``int`` over ``str.split``, ``set.update``, ``Counter``,
-``dict(zip(...))``); their Python loops run once per slot or per job.
+C (``str.join``, ``json.loads`` over the trace's fields, ``sorted``,
+``frozenset``, ``Counter``, ``dict(zip(...))``); their Python loops run once
+per slot or per job.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
@@ -405,9 +407,11 @@ _MAGIC = "machmin v1"
 _TRACE_HEADER = r"trace (preemptive|nonpreemptive)(?: scale ([1-9][0-9]*))?"
 # int() alone would also take "+1", "1_0", a tab or a non-ASCII digit.
 _ROW_CHARS = re.compile(r"[-0-9 \r\n]*")
-# One trace row with the line end before it: LF, CRLF or CR, as
-# str.splitlines splits them.
-_TRACE_ROW = re.compile(r"(?:\r\n?|\n)-?[0-9]+ -?[0-9]+")
+# A run of trace rows, each with the line end before it: LF, CRLF or CR, as
+# str.splitlines splits them.  One match takes up to 32 rows, which costs
+# less per row than a match each; the bound keeps the state that the engine
+# saves per repetition small on a trace of any length.
+_TRACE_ROWS = re.compile(r"(?:(?:\r\n?|\n)-?[0-9]+ -?[0-9]+){1,32}")
 
 
 # characters of a refused field that its error message repeats
@@ -520,15 +524,15 @@ def serialize_trace(
 
 def parse_trace(text: str) -> PreemptiveSchedule | NonpreemptiveSchedule:
     """Read a trace.  The rows after the header are checked by one pattern
-    substitution that cuts them all out, and converted by one ``int`` pass;
-    each run of rows of one preemptive slot is added to that slot's set in
-    one ``update``, wherever in the text the slot recurs.  A text refused in
-    bulk is read again row by row, only to raise the error of its first bad
-    row."""
-    lines = text.splitlines()
-    if not lines:
+    substitution that cuts them all out, and converted by one ``json.loads``
+    (``_integers``); a preemptive trace's rows are grouped by slot in C
+    (``_slot_sets``).  A text refused in bulk is read again row by row, only
+    to raise the error of its first bad row."""
+    if not text:
         raise ParseError(1, "empty input")
-    header = re.fullmatch(_TRACE_HEADER, lines[0])
+    # the first line as str.splitlines cuts it, without cutting the rest
+    first = (text.partition("\n")[0].splitlines() or [""])[0]
+    header = re.fullmatch(_TRACE_HEADER, first)
     if header is None:
         raise ParseError(1, "expected 'trace preemptive' or 'trace nonpreemptive'")
     try:
@@ -536,9 +540,9 @@ def parse_trace(text: str) -> PreemptiveSchedule | NonpreemptiveSchedule:
     except ValueError:
         raise _field_error(1, [header[2]]) from None
     preemptive = kind == "preemptive"
-    schedule = _read_rows(text[len(lines[0]) :], preemptive, scale)
+    schedule = _read_rows(text[len(first) :], preemptive, scale)
     if schedule is None:
-        _raise_row_error(text, lines, preemptive)
+        _raise_row_error(text, text.splitlines(), preemptive)
     return schedule
 
 
@@ -548,11 +552,11 @@ def _read_rows(
     """The schedule of a trace's text after its header line, or None when
     some row is bad."""
     # with every row cut out, at most the line end that closes the text is left
-    rest = _TRACE_ROW.sub("", body)
+    rest = _TRACE_ROWS.sub("", body)
     if rest not in ("", "\n", "\r", "\r\n") or not body.endswith(rest):
         return None
     try:
-        values = list(map(int, body.split()))
+        values = _integers(body)
     except ValueError:  # a field past int()'s digit limit
         return None
     firsts, seconds = values[0::2], values[1::2]
@@ -563,21 +567,41 @@ def _read_rows(
     return NonpreemptiveSchedule(starts, scale) if len(starts) == len(firsts) else None
 
 
-def _slot_sets(times: list[int], ids: list[int]) -> dict[int, set[int]] | None:
+def _integers(body: str) -> list[int]:
+    """The fields of checked trace rows as integers, in order.  JSON's
+    reader takes them once every space and LF is a comma (a CR left before
+    one is JSON whitespace).  JSON refuses a field with a leading zero, such
+    as ``00``, and rows cut by a lone CR; then ``int`` reads each field."""
+    rows = body.strip().replace(" ", ",").replace("\n", ",")
+    try:
+        return json.loads(f"[{rows}]")
+    except ValueError:
+        return list(map(int, body.split()))
+
+
+def _slot_sets(times: list[int], ids: list[int]) -> dict[int, frozenset[int]] | None:
     """Each slot's job set from the rows' times and ids, or None when a job
-    appears twice in one slot.  Each run of rows with equal times is added
-    to its slot's set in one ``update``, so a slot that recurs later in the
-    text costs only its new rows."""
-    cuts = list(compress(count(), map(ne, times, [None, *times])))
-    cuts.append(len(times))
-    slots: dict[int, set[int]] = {}
-    for a, b in zip(cuts, cuts[1:]):
-        slot = slots.setdefault(times[a], set())
-        held = len(slot)
-        slot.update(ids[a:b])
-        if len(slot) != held + b - a:
-            return None
-    return slots
+    appears twice in one slot.  Each run of rows with equal times becomes
+    one slot's set.  When some slot recurs after other rows, as in a trace
+    written job by job, the rows are first put in time order by one sort;
+    a trace written slot by slot, as ``serialize_trace`` writes, is
+    taken as it stands."""
+    cuts = _run_starts(times)
+    if len(set(map(times.__getitem__, cuts))) < len(cuts):
+        order = sorted(range(len(times)), key=times.__getitem__)
+        times = list(map(times.__getitem__, order))
+        ids = list(map(ids.__getitem__, order))
+        cuts = _run_starts(times)
+    runs = map(slice, cuts, [*cuts[1:], len(times)])
+    sets = list(map(frozenset, map(ids.__getitem__, runs)))
+    if sum(map(len, sets)) != len(ids):
+        return None
+    return dict(zip(map(times.__getitem__, cuts), sets))
+
+
+def _run_starts(times: list[int]) -> list[int]:
+    """The index of each row whose time differs from the row's before."""
+    return list(compress(count(), map(ne, times, [None, *times])))
 
 
 def _raise_row_error(text: str, lines: list[str], preemptive: bool) -> NoReturn:

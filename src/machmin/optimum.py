@@ -20,8 +20,9 @@ same solves: at a fractional machine count the min cut picks the set of
 time segments that most exceeds that count, and Dinkelbach's method raises
 the count to the best ratio.  The two searches must agree via ``ceil(strong
 density) == preemptive optimum``; the tests check both against
-enumerations.  The non-preemptive optimum is a search over machine
-assignments from the preemptive optimum upward, each machine's job set
+enumerations.  ``optimum_preemptive`` solves an instance's optimum once
+and keeps it on the instance.  The non-preemptive optimum is a search over
+machine assignments from that optimum upward, each machine's job set
 checked by a single-machine earliest-finish DP over subsets, so its cost
 follows the job count rather than the time magnitudes.
 """
@@ -749,11 +750,33 @@ class RunningOptimum:
         return -(-need // sum(l for l, level in zip(lengths, seg_level) if level))
 
 
+# The key under which an instance keeps its preemptive optimum.
+_PREEMPTIVE = "optimum_preemptive"
+
+
+def _keep_preemptive(instance: Instance, m: int) -> int:
+    """Keep ``m``, which must be ``min_machines(instance.jobs, 1)``, as the
+    instance's preemptive optimum, and return it."""
+    instance.__dict__[_PREEMPTIVE] = m
+    return m
+
+
 def optimum_preemptive(instance: Instance) -> int:
-    """Minimum machine count for a feasible preemptive schedule."""
-    if instance.n == 0:
-        raise ValueError("instance is empty")
-    return min_machines(instance.jobs, 1)
+    """Minimum machine count for a feasible preemptive schedule.
+
+    Solved by ``min_machines`` at the first call on an instance and kept in
+    its ``__dict__``, as ``functools.cached_property`` keeps
+    ``Instance.d_max``: an instance never changes, so every later call,
+    ``GeneratedInstance.m_opt`` and the bound of
+    ``optimum_nonpreemptive_exact`` among them, reads it with no solve.
+    ``_keep_preemptive`` stores an optimum that a running flow has solved.
+    """
+    known = instance.__dict__.get(_PREEMPTIVE)
+    if known is None:
+        if instance.n == 0:
+            raise ValueError("instance is empty")
+        known = _keep_preemptive(instance, min_machines(instance.jobs, 1))
+    return known
 
 
 def optimal_witness(instance: Instance) -> tuple[int, PreemptiveSchedule]:
@@ -821,7 +844,8 @@ def optimum_nonpreemptive_exact(instance: Instance, *, lower: int = 1) -> int:
 
     Intervals form a perfect graph, so a peak overlap of k is the same as a
     split of the jobs into k single-machine job sets.  Each k from the
-    larger of ``lower`` and the preemptive optimum up to the EarlyFit
+    larger of ``lower`` and the preemptive optimum, which
+    ``optimum_preemptive`` solves once per instance, up to the EarlyFit
     incumbent (every job started at its release) is decided by a depth-first
     search: jobs, in (deadline, release, id) order, go to an open machine
     or to the next new one, which opens machines in index order and so
@@ -840,7 +864,7 @@ def optimum_nonpreemptive_exact(instance: Instance, *, lower: int = 1) -> int:
             f"the cap of {DEFAULT_BNB_CAP}"
         )
     jobs = sorted(instance.jobs, key=lambda j: (j.deadline, j.release, j.id))
-    lower = min_machines(instance.jobs, lower)
+    lower = max(lower, optimum_preemptive(instance))
     incumbent = peak_overlap((j.release, j.release + j.processing) for j in jobs)
     finish: dict[int, int | None] = {0: 0}
 
@@ -878,7 +902,7 @@ def optimum_nonpreemptive_exact(instance: Instance, *, lower: int = 1) -> int:
             machines.pop()
         return False
 
-    for k in range(max(lower, 1), incumbent):
+    for k in range(lower, incumbent):
         if assign(0, [], k):
             return k
     return incumbent

@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_optimum import counting_solves
 
+from machmin import composite
 from machmin.adversary import gen_random
 from machmin.composite import (
     Double,
+    _ExactPrefix,
     SplitScheduler,
     agreeable_nonpreemptive,
     agreeable_nonpreemptive_online,
@@ -52,6 +57,52 @@ def zero_laxity_batches(sizes, width=4):
             jobs.append(Job(len(jobs), t, t + width, width))
         t += width
     return Instance(jobs)
+
+
+@st.composite
+def release_sequences(draw):
+    """Releases of at most 9 jobs in all, in release order, each a
+    non-empty batch released at one time: windows of up to 8 slots or
+    times up to about 2^62, some jobs of zero laxity."""
+    huge = draw(st.booleans())
+    batches, t, n = [], 0, 0
+    while n < 9 and (not batches or draw(st.booleans())):
+        batch = []
+        for _ in range(draw(st.integers(1, min(4, 9 - n)))):
+            w = draw(st.integers(1, 2**61 if huge else 8))
+            p = w if draw(st.integers(0, 3)) == 0 else draw(st.integers(1, w))
+            batch.append(Job(n, t, t + w, p))
+            n += 1
+        batches.append(batch)
+        t += draw(st.integers(1, 2**60 if huge else 3))
+    return batches
+
+
+@settings(max_examples=100, deadline=None)
+@given(batches=release_sequences())
+def test_exact_prefix_matches_a_fresh_search(batches):
+    # each release is one admission into the prefix's running flow, and the
+    # search that follows solves no flow of its own; the bound it reads is
+    # the prefix's preemptive optimum, and its answer is the one a fresh
+    # search of the prefix gives from the previous answer
+    searched = []
+
+    def search(instance, *, lower):
+        searched.append(instance)
+        return optimum_nonpreemptive_exact(instance, lower=lower)
+
+    oracle = _ExactPrefix()
+    prefix, previous = [], 0
+    with mock.patch.object(composite, "optimum_nonpreemptive_exact", search):
+        for batch in batches:
+            prefix += batch
+            with counting_solves() as calls:
+                m = oracle.add(batch, previous)
+                bound = optimum_preemptive(searched[-1])
+            assert calls == ["add"]
+            assert bound == optimum_preemptive(Instance(prefix))
+            assert m == optimum_nonpreemptive_exact(Instance(prefix), lower=previous)
+            previous = m
 
 
 # ---------------------------------------------------------------------------

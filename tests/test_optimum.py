@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -898,6 +899,54 @@ def test_min_machines_builds_a_network_only_past_the_cutoff(monkeypatch, above, 
     monkeypatch.setattr(RunningOptimum, "add", counting_add)
     assert min_machines(instance.jobs, 1) == expected
     assert calls == ({"build": 1, "add": 0} if above else {"build": 0, "add": 1})
+
+
+@contextlib.contextmanager
+def counting_solves():
+    """Count the flows solved inside the block: each ``RunningOptimum.add``
+    (an admission into a running flow, which every small optimum and
+    ``_ExactPrefix`` make) and each ``FlowNetwork.solve`` (a network's, past
+    the cutoff).  Yields the list of their names, in call order."""
+    from unittest import mock
+
+    from machmin.optimum import FlowNetwork
+
+    calls = []
+    add, solve = RunningOptimum.add, FlowNetwork.solve
+
+    def counting_add(self, jobs, lower=1):
+        calls.append("add")
+        return add(self, jobs, lower)
+
+    def counting_solve(self, m):
+        calls.append("solve")
+        return solve(self, m)
+
+    with mock.patch.object(RunningOptimum, "add", counting_add), mock.patch.object(
+        FlowNetwork, "solve", counting_solve
+    ):
+        yield calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=straddling_instances())
+def test_preemptive_optimum_is_solved_once_per_instance(case):
+    # on either side of the cutoff: the first call solves, and neither a
+    # second one nor the non-preemptive search's bound solves again; an
+    # equal instance built anew keeps its own optimum and solves its own
+    from machmin.optimum import DEFAULT_BNB_CAP
+
+    instance, _ = case
+    expected = reference_min_machines(instance.jobs, 1)
+    with counting_solves() as calls:
+        assert optimum_preemptive(instance) == expected
+        solved = len(calls)
+        assert optimum_preemptive(instance) == expected
+        if instance.n <= DEFAULT_BNB_CAP:
+            assert optimum_nonpreemptive_exact(instance) >= expected
+        assert len(calls) == solved
+        assert optimum_preemptive(Instance(instance.jobs)) == expected
+        assert len(calls) == 2 * solved
 
 
 @pytest.mark.parametrize("jobs", [3, 30], ids=["python-kernel", "scipy-kernel"])
