@@ -11,11 +11,11 @@ of more than ``PYTHON_FLOW_ARCS`` job arcs gets one ``FlowNetwork``, solved
 at the load bound, and a climb by minimum cuts: while the flow falls short,
 the machine count rises to the bound of the cut that the residual's source
 side forms, and the network is solved there.  A network's solve returns its
-value and that source side's segments: from scipy on a network past the
-cutoff whose flow bound fits int32, and otherwise from a fixed-count solve
-of a fresh ``RunningOptimum``.  numpy and scipy are imported only on the
-scipy route, at its first solve in a process, so a run that solves no
-network past the cutoff loads neither.  The strong density comes from the
+value and that source side's segments from a fixed-count ``RunningOptimum``
+solve; the network keeps the flow of its last integer count, and the
+climb's next, larger count augments it instead of starting over.  Every
+flow is exact on Python integers, and the package imports neither numpy nor
+scipy.  The strong density comes from the
 same solves: at a fractional machine count the min cut picks the set of
 time segments that most exceeds that count, and Dinkelbach's method raises
 the count to the best ratio.  The two searches must agree via ``ceil(strong
@@ -30,16 +30,11 @@ follows the job count rather than the time magnitudes.
 from __future__ import annotations
 
 import bisect
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .model import Instance, Job, PreemptiveSchedule, peak_overlap
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "EnumerationCapExceeded",
@@ -127,31 +122,22 @@ def contribution(job: Job, iset: IntervalSet) -> int:
 # Max-flow feasibility.
 # ---------------------------------------------------------------------------
 
-# The flow bound W·den below which a network may go to scipy, whose
-# maximum_flow takes int32 capacities: no arc carries more than that bound,
-# as ``_scipy_flow`` clamps each arc to it.  From it on the running flow
-# solves, exact on Python ints, whatever the network's size.  It also bounds
-# the total work of ``feasible_preemptive``, whose witness holds one entry
-# per unit.
+# The total work from which ``feasible_preemptive`` refuses to build a
+# witness, which holds one entry per unit of work.  No solve reads it: every
+# flow is computed on Python integers, exact at any magnitude.  It goes with
+# the per-unit witness (ROADMAP item 5).
 FLOW_WORK_LIMIT = 2**31
 
-# Job sets with at most this many job arcs are solved on the running flow,
-# larger ones by scipy, whose maximum_flow spends 0.2-0.3 ms on sparse-matrix
-# set-up per call whatever the size.  The cutoff routes both a network's
-# solve (``maximum_flow``) and ``min_machines``, which computes the optimum
-# of a set with at most this many on a ``RunningOptimum`` with no network.
-# Median time, running flow against scipy, on a 2-core Xeon VM (Python
-# 3.11.7, scipy 1.17.1), 24 random job sets per 64-arc bin
-# (tools/flow_crossover.py), per solve at a set's optimum and one machine
-# below it: 1-64 job arcs 0.03 against 0.20 ms; 257-320 0.21 against 0.25;
-# 449-512 0.26 against 0.30; 513-576 0.38 against 0.30; 641-704 0.55
-# against 0.37.  Per ``min_machines`` call: 1-64 0.04 against 0.26 ms;
-# 257-320 0.47 against 1.09; 961-1024 1.56 against 2.04.  The running flow
-# wins both up to 512 job arcs; the cutoff stays at 320, where the
-# benchmark's flow-solve counts were recorded.  These per-call times leave
-# out the one-time import of numpy, scipy.sparse and its csgraph, which the
-# first scipy solve in a process pays: 0.28-0.36 s on that machine (python
-# -X importtime, 5 runs).
+# Job sets with at most this many job arcs get their optimum from one
+# ``RunningOptimum`` admission in ``min_machines``; larger ones get a
+# ``FlowNetwork`` and a climb, whose solves continue one running flow.  The
+# two cost about the same: on random ``gen_random("general")`` sets from the
+# load bound, the admission took 0.92 of the climb's median time at 257-512
+# job arcs, 0.96 at 513-768 and 0.98-1.01 in each 256-arc bin up to 1792
+# (2-core Xeon VM, Python 3.11.7, best of 5 per set).  The cutoff stays
+# because the benchmark declares the network's spans (flow build, flow
+# solve, max flow) on workloads whose sets cross it; it goes when those
+# spans are redeclared (ROADMAP item 1).
 PYTHON_FLOW_ARCS = 320
 
 
@@ -175,24 +161,17 @@ class FlowNetwork:
     feeds it up to L units, it drains ``m * L`` to the sink.  Only those
     sink arcs depend on ``m``, which may be a fraction: at ``m = num / den``
     every capacity is scaled by ``den``, so the flow saturates at ``work *
-    den``.  ``solve`` goes through ``maximum_flow``, which picks the solver.
-
-    ``csr`` holds the residual CSR layout that scipy solves, made at the
-    network's first scipy solve: rows ``indptr``/``indices`` in ascending
-    column order, with a reverse arc of capacity 0 beside every arc.  Row by
-    row: the source, as its jobs; each job, as the source and then its
-    segments; each segment, as the jobs that cover it and then the sink;
-    the sink, as every segment.  scipy 1.17.1 was checked to add no arc to
-    it and to return its flows position for position; the package allows
-    scipy 1.10 on, and ``test_running_and_scipy_routes_agree`` guards it on
-    the installed one.
+    den``.  ``solve`` goes through ``maximum_flow``, which solves it on a
+    ``RunningOptimum``.  ``flow`` is the running flow of the last solve at
+    an integer count, which a solve at an equal or larger one continues.
     """
 
     jobs: tuple[Job, ...]
     spans: list[tuple[int, int]]
     segments: tuple[tuple[int, int], ...]
     work: int
-    arcs: int  # the job-arc count, which picks the solver
+    arcs: int  # the job-arc count
+    flow: RunningOptimum | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, instance: Instance) -> "FlowNetwork":
@@ -211,50 +190,6 @@ class FlowNetwork:
         ``maximum_flow``)."""
         return maximum_flow(self, m)
 
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The layout's ``indptr`` and ``indices``, the capacities at m = 1
-        of the arcs that do not depend on m, each clamped to W (0 on the
-        sink arcs and on every reverse arc), all int32, and the positions of
-        the sink arcs, one per segment."""
-        import numpy as np
-
-        jobs, spans, work = self.jobs, self.spans, self.work
-        n, k = len(jobs), len(self.segments)
-        first, sink = 1 + n, 1 + n + k
-        # the jobs covering each segment, summed from where spans open and close
-        opened = [0] * (k + 1)
-        for lo, hi in spans:
-            opened[lo] += 1
-            opened[hi] -= 1
-        covers = itertools.accumulate(opened[:k])
-        rows = [n, *(1 + hi - lo for lo, hi in spans), *(c + 1 for c in covers), k]
-        indptr = list(itertools.accumulate(rows, initial=0))
-        size = indptr[-1]
-        indices, base = [0] * size, [0] * size
-        indices[:n] = range(1, first)
-        base[:n] = [j.processing for j in jobs]
-        feeds = [min(b - a, work) for a, b in self.segments]
-        # the next free position in each segment's row: the jobs fill it in
-        # ascending order, which leaves it at the segment's sink arc
-        fill = indptr[first:sink]
-        for ji, (lo, hi) in enumerate(spans):
-            p = indptr[1 + ji] + 1
-            indices[p : p + hi - lo] = range(first + lo, first + hi)
-            base[p : p + hi - lo] = feeds[lo:hi]
-            for si in range(lo, hi):
-                indices[fill[si]] = 1 + ji
-                fill[si] += 1
-        indices[indptr[sink] :] = range(first, sink)
-        for q in fill:
-            indices[q] = sink
-        return (
-            np.array(indptr, dtype=np.int32),
-            np.array(indices, dtype=np.int32),
-            np.array(base, dtype=np.int32),
-            np.array(fill, dtype=np.intp),
-        )
-
 
 def maximum_flow(network: FlowNetwork, m: int | Fraction) -> tuple[int, list[int]]:
     """Maximum flow of ``network`` on ``m = num / den`` machines, scaled by
@@ -262,53 +197,21 @@ def maximum_flow(network: FlowNetwork, m: int | Fraction) -> tuple[int, list[int
     source: none at a flow of ``work * den``, and otherwise a minimum cut's
     source side, the same for every maximum flow.
 
-    A network of more than ``PYTHON_FLOW_ARCS`` job arcs whose flow bound
-    ``work * den`` is below ``FLOW_WORK_LIMIT`` goes to scipy
-    (``_scipy_flow``); any other is solved anew on a ``RunningOptimum``
-    (``RunningOptimum.max_flow``).
+    Solved on a running flow (``RunningOptimum.max_flow``).  The network
+    keeps the one of its last solve at an integer count, and a solve at an
+    equal or larger integer count, as ``min_machines``' climb asks for,
+    augments it at the new count instead of starting over: capacities only
+    grow, so the kept flow stays feasible, and the maximum flow's value and
+    reached segments are the same for every maximum flow.  A fractional or
+    a smaller count is solved anew.
     """
-    if network.arcs > PYTHON_FLOW_ARCS and network.work * m.denominator < FLOW_WORK_LIMIT:
-        return _scipy_flow(network, m)
-    return RunningOptimum.max_flow(network.jobs, m)
-
-
-def _scipy_flow(network: FlowNetwork, m: int | Fraction) -> tuple[int, list[int]]:
-    """``maximum_flow`` by scipy's, on the network's CSR layout; the reached
-    segments come from ``_levels`` on the residual, the capacities less the
-    flows position for position."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
-
-    indptr, indices, base, drains = network.csr
     num, den = m.numerator, m.denominator
-    limit = network.work * den
-    caps = base * den
-    caps[drains] = [min(num * (b - a), limit) for a, b in network.segments]
-    nodes = len(indptr) - 1
-    graph = csr_matrix((caps, indices, indptr), shape=(nodes, nodes))
-    result = scipy_maximum_flow(graph, 0, nodes - 1)
-    value = int(result.flow_value)
-    if value == limit:
-        return value, []
-    levels = _levels(indptr.tolist(), indices.tolist(), (caps - result.flow.data).tolist())
-    first = 1 + len(network.jobs)  # the node of segment 0
-    return value, [si for si, level in enumerate(levels[first:-1]) if level >= 0]
-
-
-def _levels(indptr: list[int], indices: list[int], residual: list[int]) -> list[int]:
-    """Breadth-first distances from the source (node 0) over the arcs of
-    positive residual capacity, -1 where unreached."""
-    levels = [-1] * (len(indptr) - 1)
-    levels[0] = 0
-    queue = [0]
-    for node in queue:
-        level = levels[node] + 1
-        for e in range(indptr[node], indptr[node + 1]):
-            v = indices[e]
-            if residual[e] > 0 and levels[v] < 0:
-                levels[v] = level
-                queue.append(v)
-    return levels
+    running = network.flow
+    if den > 1 or running is None or running.m > num:
+        running = RunningOptimum.fixed(network.jobs, m)
+        if den == 1:
+            object.__setattr__(network, "flow", running)
+    return running.max_flow(num)
 
 
 @dataclass(frozen=True)
@@ -386,13 +289,13 @@ def min_machines(jobs: Sequence[Job], lower: int) -> int:
     m, and a climb by minimum cuts.
     While the flow falls short of W, the jobs and segments that the
     residual reaches from the source form a minimum cut, whose capacity is
-    the flow; no arc it cuts is clamped to W, as it would then carry W.
-    Each job on the source side places its work there, less what its window
-    outside takes, one unit per slot, and these segments, of total length
-    L, take at most m' units per slot on m' machines.  So a count m' that
+    the flow.  Each job on the source side places its work there, less
+    what its window outside takes, one unit per slot, and these segments,
+    of total length L, take at most m' units per slot on m' machines.  So a count m' that
     fits has m'·L at least that work, which is m·L + W - flow: m' >= m +
     (W - flow) / L.  m climbs to the ceiling of that bound, which exceeds m
-    and does not exceed the optimum, and the network is solved there.
+    and does not exceed the optimum, and the network is solved there, its
+    flow at the last count continued (``maximum_flow``).
     """
     instance = Instance(jobs)
     n, m = instance.n, max(lower, 1)
@@ -463,11 +366,12 @@ class RunningOptimum:
     augmenting from it gives a maximum flow of the larger set, so ``m`` is
     always the exact optimum, as a network's climb computes it anew.
 
-    ``max_flow`` solves a fresh job set at one count ``num / den`` instead,
-    on the same fill and phases with every capacity scaled by ``den``: a
-    job needs ``den`` times its processing time and takes at most ``den``
-    times a segment's length there, and a segment holds at most ``num``
-    times its length.
+    ``fixed`` and ``max_flow`` solve a fixed job set at one count ``num /
+    den`` instead, on the same fill and phases with every capacity scaled by
+    ``den``: a job needs ``den`` times its processing time and takes at most
+    ``den`` times a segment's length there, and a segment holds at most
+    ``num`` times its length.  Such a flow keeps the work it has left, and
+    ``max_flow`` at a larger ``num`` augments it there.
     """
 
     def __init__(self) -> None:
@@ -477,10 +381,13 @@ class RunningOptimum:
         self._points: list[int] = []
         self._lengths: list[int] = []  # per segment: its length
         # per segment: the most units one job may hold there; the list
-        # ``_lengths`` itself, which ``_cut`` keeps, except in ``max_flow``
+        # ``_lengths`` itself, which ``_cut`` keeps, except in ``fixed``
         self._caps = self._lengths
         self._units: list[dict[int, int]] = []  # per segment: job -> units
         self._loads: list[int] = []  # per segment: the sum of its units
+        # a fixed-count flow's work left per job, and each job's segments
+        self._left: dict[int, int] = {}
+        self._windows: dict[int, range] = {}
 
     def add(self, jobs: Iterable[Job], lower: int = 1) -> int:
         """Admit ``jobs`` and return the least m >= max(lower, m, 1) on
@@ -498,17 +405,25 @@ class RunningOptimum:
         return m
 
     @classmethod
-    def max_flow(cls, jobs: Iterable[Job], count: int | Fraction) -> tuple[int, list[int]]:
-        """A maximum flow of ``jobs`` on ``count = num / den`` machines, with
-        every capacity scaled by ``den``: its value and the segments,
-        ascending, that the jobs with work left reach, which form a minimum
-        cut's source side (none when every job is placed)."""
-        num, den = count.numerator, count.denominator
+    def fixed(cls, jobs: Iterable[Job], count: int | Fraction) -> RunningOptimum:
+        """A flow of ``jobs`` on ``count = num / den`` machines, with every
+        capacity scaled by ``den``: each job filled into its earliest
+        segments with room.  ``max_flow`` makes it a maximum flow."""
         running = cls()
-        running._admit(jobs, den)
-        left = running._fill(0, num)
-        cut = running._augment(left, num, {})
-        value = sum(need for _, _, need in running._jobs) - sum(left.values())
+        running._admit(jobs, count.denominator)
+        running.m = count.numerator
+        running._left = running._fill(0, running.m)
+        return running
+
+    def max_flow(self, num: int) -> tuple[int, list[int]]:
+        """Raise the count of a ``fixed`` flow to ``num`` over its
+        denominator, which must not lower it, and augment the flow to a
+        maximum there: returns its value and the segments, ascending, that
+        the jobs with work left reach, which form a minimum cut's source
+        side (none when every job is placed)."""
+        self.m = num
+        cut = self._augment(self._left, num, self._windows)
+        value = sum(need for _, _, need in self._jobs) - sum(self._left.values())
         return value, [s for s, level in enumerate(cut[1]) if level] if cut else []
 
     def flow(self) -> list[tuple[int, int, dict[int, int]]]:
@@ -603,6 +518,10 @@ class RunningOptimum:
             # 0 marks a segment not reached
             job_level = dict.fromkeys(left, 0)
             seg_level = [0] * len(lengths)
+            # per segment, the first from it on that is not reached yet,
+            # found by path halving (Gabow and Tarjan): a reached segment
+            # points past itself, so later windows skip it
+            unreached = list(range(len(lengths) + 1))
             frontier = list(left)
             level = 1
             top = 0
@@ -616,12 +535,17 @@ class RunningOptimum:
                             bisect.bisect_left(points, release),
                             bisect.bisect_left(points, deadline),
                         )
-                    for s in [
-                        s for s in window
-                        if not seg_level[s] and units[s].get(job, 0) < caps[s]
-                    ]:
-                        seg_level[s] = level
-                        reached.append(s)
+                    s, end = window.start, window.stop
+                    while True:
+                        while unreached[s] != s:
+                            unreached[s] = s = unreached[unreached[s]]
+                        if s >= end:
+                            break
+                        if units[s].get(job, 0) < caps[s]:
+                            seg_level[s] = level
+                            reached.append(s)
+                            unreached[s] = s + 1
+                        s += 1
                 for s in reached:
                     if loads[s] < m * lengths[s]:
                         top = level

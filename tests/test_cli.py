@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_optimum import reference_min_machines, scipy_fits
+from test_optimum import reference_min_machines, reference_strong_density, scipy_fits
 
 from machmin import harness
 from machmin.cli import main
@@ -476,19 +476,23 @@ def test_small_runs_load_neither_numpy_nor_scipy(tmp_path):
     assert dord.n == 4 and scipy_fits(dord, 2)
 
 
-def test_opt_past_the_cutoff_loads_scipy(tmp_path):
+def test_opt_past_the_cutoff_loads_neither_numpy_nor_scipy(tmp_path):
+    # a set past the cutoff climbs on a network, solved on the running flow
     codes, loaded = fresh_cli(
         tmp_path,
         ["gen", "--family", "random", "--profile", "general", "--n", "40",
          "--seed", "3", "-o", "inst.txt"],
         ["opt", "--preemptive", "inst.txt"],
+        ["opt", "--strong-density", "inst.txt"],
     )
-    assert codes == [0, 0]
-    assert loaded == ["numpy", "scipy"]
+    assert codes == [0, 0, 0]
+    assert loaded == []
     instance = parse_instance((tmp_path / "inst.txt").read_text())
     assert FlowNetwork.build(instance).arcs > PYTHON_FLOW_ARCS
     expected = reference_min_machines(instance.jobs, 1)
     assert (tmp_path / "1.out").read_text() == f"{expected}\n" and expected < instance.n
+    density = reference_strong_density(instance)
+    assert (tmp_path / "2.out").read_text() == f"{density}\n"
 
 
 def test_python_dash_m_runs_the_cli(feasible_file):

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from test_optimum import reference_min_machines
 
-from machmin import optimum
 from machmin.adversary import gen_random
 from machmin.engine import Simulation
 from machmin.logn import (
@@ -23,7 +23,6 @@ from machmin.model import Instance, Job, JobState, scale_instance
 from machmin.optimum import (
     FlowNetwork,
     ceil_frac,
-    min_machines,
     optimum_preemptive,
 )
 
@@ -234,10 +233,9 @@ def test_laxity_drop_bound_smoke():
 def test_pool_optimum_is_exact_at_every_admission(monkeypatch, alpha):
     # m_L after each admission is the flow optimum of every residue admitted
     # so far, and the admission itself builds and solves no flow network;
-    # admissions that raise m_L and ones that keep it are both taken.  With
-    # the cutoff at 0, min_machines solves a network for every set, so the
-    # reference is not a running optimum like the pool's
-    monkeypatch.setattr(optimum, "PYTHON_FLOW_ARCS", 0)
+    # admissions that raise m_L and ones that keep it are both taken.  The
+    # reference solves each count by scipy, not on a running flow like the
+    # pool's
     admit = LogNPolicy._admit_safe
     build, solve = FlowNetwork.build.__func__, FlowNetwork.solve
     calls = 0
@@ -263,7 +261,7 @@ def test_pool_optimum_is_exact_at_every_admission(monkeypatch, alpha):
         raised += self._m_L > m_before
         pool = pools.setdefault(self, [])
         pool += residues
-        assert self._m_L == min_machines(pool, 1), (residues, self._m_L)
+        assert self._m_L == reference_min_machines(pool, 1), (residues, self._m_L)
 
     monkeypatch.setattr(FlowNetwork, "build", classmethod(counting_build))
     monkeypatch.setattr(FlowNetwork, "solve", counting_solve)

@@ -141,7 +141,8 @@ def test_optimum_examples():
 
 def test_witness_always_validates():
     # on sets on both sides of PYTHON_FLOW_ARCS: the witness at the optimum,
-    # which scipy gives, validates within m machines, and m - 1 is refused
+    # which the scipy reference gives, validates within m machines, and
+    # m - 1 is refused
     from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
 
     rng = random.Random(7)
@@ -190,7 +191,8 @@ def job_lists(draw):
 @given(jobs=job_lists(), lower=st.integers(-2, 12))
 def test_min_machines_is_first_feasible_count(jobs, lower):
     # the reference: scan upward one machine count at a time, each solved
-    # by scipy; the running flow's verdicts agree on both sides of the count
+    # by scipy (scipy_fits); the running flow's verdicts agree on both sides
+    # of the count
     instance = Instance(jobs)
     m = max(lower, 1)
     while not scipy_fits(instance, m):
@@ -203,7 +205,7 @@ def test_min_machines_is_first_feasible_count(jobs, lower):
 
 @pytest.mark.parametrize("bits", [30, 31, 40])
 def test_optimum_exact_at_large_windows(bits):
-    # an unclamped capacity of 2^bits does not fit scipy's int32 arithmetic
+    # capacities of 2^bits, past int32, are exact on Python integers
     inst = Instance([Job(i, 0, 2**bits, 5) for i in range(3)])
     assert is_feasible_preemptive(inst, 1)
     assert optimum_preemptive(inst) == 1
@@ -568,79 +570,71 @@ def test_flow_network_structure():
     # segments are the maximal runs between window breakpoints
     assert net.segments == ((0, 1), (1, 3), (3, 5))
     assert net.spans == [(0, 2), (1, 3)]
-    # a job feeds exactly the segments inside its window, one unit of
-    # capacity per covered slot: job ji's row is the source, then its arcs
-    indptr, indices, base, _ = (a.tolist() for a in net.csr)
-    first = 1 + inst.n
-    arcs = {
-        (ji, indices[p] - first): base[p]
-        for ji in range(inst.n)
-        for p in range(indptr[1 + ji] + 1, indptr[2 + ji])
-    }
-    assert arcs == {(0, 0): 1, (0, 1): 2, (1, 1): 2, (1, 2): 2}
+    # a job has one arc to each segment inside its window
     assert net.arcs == 4
     value, reached = net.solve(2)
     assert (value, reached) == (inst.total_work, [])
 
 
-def _coo_graph(inst, reverses=False):
-    """Reference: the network's arcs listed as (row, column, capacity)
-    triples and converted by scipy; with ``reverses``, each arc's reverse of
-    capacity 0 as well, which is the layout scipy's maximum_flow solves on."""
+def _coo_graph(inst, m):
+    """Reference: the network of ``inst`` on ``m = num / den`` machines, its
+    arcs listed as (row, column, capacity) triples and converted by scipy:
+    the source is node 0, job ji node 1 + ji, segment si node 1 + n + si,
+    the sink the last.  Every capacity is scaled by ``den`` and clamped to
+    the flow bound ``W * den``, which no arc can carry more of, and which
+    must be below 2^31 for scipy's int32 capacities."""
     import numpy as np
     from scipy.sparse import csr_matrix
 
+    num, den = Fraction(m).numerator, Fraction(m).denominator
     points = sorted({p for j in inst.jobs for p in (j.release, j.deadline)})
     segments = list(zip(points, points[1:]))
-    n, k, work = inst.n, len(segments), inst.total_work
+    n, k, limit = inst.n, len(segments), inst.total_work * den
+    assert limit < FLOW_WORK_LIMIT
     sink = 1 + n + k
-    triples = [(0, 1 + ji, job.processing) for ji, job in enumerate(inst.jobs)]
+    triples = [(0, 1 + ji, den * job.processing) for ji, job in enumerate(inst.jobs)]
     for ji, job in enumerate(inst.jobs):
         for si, (a, b) in enumerate(segments):
             if job.release <= a and b <= job.deadline:
-                triples.append((1 + ji, 1 + n + si, min(b - a, work)))
-    triples += [(1 + n + si, sink, b - a) for si, (a, b) in enumerate(segments)]
-    if reverses:
-        triples += [(v, u, 0) for u, v, _ in triples]
+                triples.append((1 + ji, 1 + n + si, min(den * (b - a), limit)))
+    triples += [
+        (1 + n + si, sink, min(num * (b - a), limit)) for si, (a, b) in enumerate(segments)
+    ]
     rows, cols, caps = zip(*triples)
     data = np.array(caps, dtype=np.int32)
     return csr_matrix((data, (rows, cols)), shape=(sink + 1, sink + 1))
 
 
-def _random_instances(seed, count, max_n=15):
-    rng = random.Random(seed)
-    for _ in range(count):
-        jobs = []
-        for i in range(rng.randint(1, max_n)):
-            r = rng.randrange(30)
-            w = rng.randint(1, 12)
-            jobs.append(Job(i, r, r + w, rng.randint(1, w)))
-        yield Instance(jobs)
+def _levels(indptr, indices, residual):
+    """Breadth-first distances from the source (node 0) over the arcs of
+    positive residual capacity, -1 where unreached."""
+    levels = [-1] * (len(indptr) - 1)
+    levels[0] = 0
+    queue = [0]
+    for node in queue:
+        level = levels[node] + 1
+        for e in range(indptr[node], indptr[node + 1]):
+            v = indices[e]
+            if residual[e] > 0 and levels[v] < 0:
+                levels[v] = level
+                queue.append(v)
+    return levels
 
 
-def test_flow_network_csr_matches_coo_reference():
-    from machmin.optimum import FlowNetwork
+def scipy_flow(instance, m):
+    """Reference for ``maximum_flow``: scipy's maximum flow of the test's
+    own graph (``_coo_graph``) on ``m`` machines, scaled by its denominator,
+    and the segments, ascending, that the residual reaches from the source
+    (``_levels``).  The residual is the capacities less scipy's flows, which
+    hold each arc's flow and, negated, its reverse's."""
+    from scipy.sparse.csgraph import maximum_flow
 
-    for inst in _random_instances(31, 200):
-        network = FlowNetwork.build(inst)
-        # the layout: every arc beside its reverse, in scipy's CSR order,
-        # with the m-free capacities in base
-        full = _coo_graph(inst, reverses=True)
-        indptr, indices, base, drains = network.csr
-        assert indptr.dtype == indices.dtype == base.dtype == full.data.dtype
-        assert indptr.tolist() == full.indptr.tolist()
-        assert indices.tolist() == full.indices.tolist()
-        # drains are the sink arcs, one per segment row, which base leaves
-        # to the solve
-        sink = len(indptr) - 2
-        drains = drains.tolist()
-        assert drains == [indptr[v + 1] - 1 for v in range(1 + inst.n, sink)]
-        assert all(indices[p] == sink for p in drains)
-        expected = full.data.copy()
-        expected[drains] = 0
-        assert base.tolist() == expected.tolist()
-        tails = [u for u in range(sink + 1) for _ in range(indptr[u], indptr[u + 1])]
-        assert network.arcs == sum(1 <= u <= inst.n < v for u, v in zip(tails, indices))
+    graph = _coo_graph(instance, m)
+    result = maximum_flow(graph, 0, graph.shape[0] - 1)
+    residual = (graph - result.flow).tocsr()
+    levels = _levels(residual.indptr.tolist(), residual.indices.tolist(), residual.data.tolist())
+    first = 1 + instance.n  # the node of segment 0
+    return int(result.flow_value), [si for si, level in enumerate(levels[first:-1]) if level >= 0]
 
 
 def test_flow_network_fractional_capacities():
@@ -656,8 +650,9 @@ def test_flow_network_fractional_capacities():
 
 @st.composite
 def straddling_instances(draw):
-    """A job set whose network has at most 190 job arcs, so the running
-    flow solves it, or more than ``PYTHON_FLOW_ARCS``, so scipy does."""
+    """A job set whose network has at most 190 job arcs, so that
+    ``min_machines`` admits it into a running optimum, or more than
+    ``PYTHON_FLOW_ARCS``, so that it climbs on a network."""
     from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
 
     large = draw(st.booleans())
@@ -680,69 +675,45 @@ def straddling_instances(draw):
 @st.composite
 def kernel_cases(draw):
     """A network on either side of the cutoff, at an integer or a
-    fractional machine count."""
+    fractional machine count, and an integer count from 1 up to it."""
     instance, network = draw(straddling_instances())
     m = draw(
         st.integers(1, instance.n)
         | st.builds(Fraction, st.integers(1, 3 * instance.n), st.integers(2, 7))
     )
-    return network, m
-
-
-def routed_flow(network, m, cutoff):
-    """``maximum_flow`` of ``network`` on ``m`` machines with the cutoff at
-    ``cutoff``: 0 sends a network below ``FLOW_WORK_LIMIT`` to scipy, and
-    one at its job-arc count to the running flow."""
-    from unittest import mock
-
-    from machmin import optimum
-
-    with mock.patch.object(optimum, "PYTHON_FLOW_ARCS", cutoff):
-        return optimum.maximum_flow(network, m)
+    return network, m, draw(st.integers(1, max(1, math.floor(m))))
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=kernel_cases(), offset=st.integers(-3, 2))
-def test_running_and_scipy_routes_agree(case, offset):
-    # on either side of the cutoff, each route forced: the running flow and
-    # scipy give the same value and the same reached segments, the source
-    # side of the minimum cut, which is the same for every maximum flow.
-    # Scaled by 2^k to a total work just short of FLOW_WORK_LIMIT or past
-    # it, the value scales by 2^k and the cut stays
+def test_running_flow_matches_the_scipy_reference(case, offset):
+    # on either side of the cutoff, at an integer or a fractional count: a
+    # network's solve gives scipy's value and reached segments, the source
+    # side of the minimum cut, which is the same for every maximum flow;
+    # solved fresh, and after a solve at a lower integer count, whose flow
+    # an integer count continues and a fractional one leaves; a solve at a
+    # lower count after a higher one solves anew.  Scaled by 2^k to a total
+    # work just short of FLOW_WORK_LIMIT or past it, the value scales by
+    # 2^k and the cut stays
     from machmin.optimum import FlowNetwork
 
-    network, m = case
-    assert network.work * m.denominator < FLOW_WORK_LIMIT
-    assert "csr" not in vars(network)
-    expected = routed_flow(network, m, 0)
-    assert "csr" in vars(network)  # scipy solved it
-    assert routed_flow(network, m, network.arcs) == expected
+    network, m, lower = case
+    instance = Instance(network.jobs)
+    expected = scipy_flow(instance, m)
     value, reached = expected
     assert (value == network.work * m.denominator) == (not reached)
-    instance = Instance(network.jobs)
+    assert network.solve(m) == expected
+    for solved in (network, FlowNetwork.build(instance)):
+        assert solved.solve(lower) == scipy_flow(instance, lower)
+        kept = solved.flow
+        assert solved.solve(m) == expected
+        assert solved.flow is kept and kept.m == (m if m.denominator == 1 else lower)
     scaled = _scaled_past_limit(instance, offset)
     factor = scaled.total_work // instance.total_work
-    assert FlowNetwork.build(scaled).solve(m) == (factor * value, reached)
-
-
-def test_scipy_solves_share_one_index_copy():
-    # a climb solves one network at several counts; every scipy solve reads
-    # the int32 layout made at the first, which no solve writes to
-    from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
-
-    generated = gen_random("general", 40, 3)
-    network = FlowNetwork.build(generated.instance)
-    assert network.arcs > PYTHON_FLOW_ARCS
-    assert "csr" not in vars(network)
-    m = generated.m_opt
-    first = [network.solve(k) for k in (m, m - 1)]
-    held = network.csr
-    copies = [a.copy() for a in held]
-    again = [network.solve(k) for k in (m, m - 1)]
-    assert network.csr is held
-    assert all((a == b).all() for a, b in zip(held, copies))
-    assert first == again
-    assert first[0] == (network.work, []) and first[1][0] < network.work
+    network = FlowNetwork.build(scaled)
+    assert network.solve(m) == (factor * value, reached)
+    network.solve(lower)
+    assert network.solve(m) == (factor * value, reached)
 
 
 def _scaled_past_limit(instance, offset):
@@ -758,22 +729,17 @@ def _scaled_past_limit(instance, offset):
 @given(case=straddling_instances(), offset=st.integers(-3, 2), k=st.integers(0, 64))
 def test_scaling_keeps_verdicts_below_the_flow_limit(case, offset, k):
     # scaling every time by 2^k keeps the optimum and every feasibility
-    # verdict, on either route, below FLOW_WORK_LIMIT and past it: by a
-    # power that brings the total work just short of the limit or just
-    # past it, and by any power up to 2^64.  Only feasible_preemptive
+    # verdict, on either side of the cutoff, below FLOW_WORK_LIMIT and past
+    # it: by a power that brings the total work just short of the limit or
+    # just past it, and by any power up to 2^64.  Only feasible_preemptive
     # refuses from the limit on, since its witness lists every occupied
     # slot.  The small side also keeps its strong density.  The unscaled
-    # optimum and density come from scipy.
-    from unittest import mock
-
-    from machmin import optimum
-
+    # optimum and density come from the scipy references.
     instance, _ = case
     m = reference_min_machines(instance.jobs, 1)
     counts = sorted({1, max(1, m - 1), m})
     if instance.n <= 10:
-        with mock.patch.object(optimum, "PYTHON_FLOW_ARCS", 0):
-            rho = strong_density_exact(instance)
+        rho = reference_strong_density(instance)
     for scaled in (_scaled_past_limit(instance, offset), scale_instance(instance, 2**k)):
         assert optimum_preemptive(scaled) == m
         for count in counts:
@@ -786,22 +752,32 @@ def test_scaling_keeps_verdicts_below_the_flow_limit(case, offset, k):
 
 
 def scipy_fits(instance, m):
-    """Whether ``instance`` fits on ``m`` machines, by a cold scipy solve of
-    its network: the cutoff at 0 sends it to scipy below
-    ``FLOW_WORK_LIMIT``, the only place this reference is asked."""
-    from machmin.optimum import FlowNetwork
+    """Whether ``instance`` fits on ``m`` machines, by scipy's maximum flow
+    (``scipy_flow``), so below ``FLOW_WORK_LIMIT`` only."""
+    return instance.n == 0 or scipy_flow(instance, m)[0] == instance.total_work
 
-    assert instance.total_work < FLOW_WORK_LIMIT
-    if instance.n == 0:
-        return True
-    network = FlowNetwork.build(instance)
-    return routed_flow(network, m, 0)[0] == network.work
+
+def reference_strong_density(instance):
+    """The reference for ``strong_density_exact``: Dinkelbach's method from
+    every covered segment, each round's minimum cut from ``scipy_flow``."""
+    points = sorted({p for j in instance.jobs for p in (j.release, j.deadline)})
+    segments = list(zip(points, points[1:]))
+    chosen = [
+        si for si, (a, b) in enumerate(segments)
+        if any(j.release <= a and b <= j.deadline for j in instance.jobs)
+    ]
+    while True:
+        iset = IntervalSet(segments[si] for si in chosen)
+        rho = Fraction(sum(contribution(j, iset) for j in instance.jobs), iset.length)
+        value, chosen = scipy_flow(instance, rho)
+        if value == instance.total_work * rho.denominator:
+            return rho
 
 
 def reference_min_machines(jobs, lower):
     """The reference for ``min_machines``: from the larger of ``lower`` and
     the load bound, gallop upward (lo, lo+1, lo+3, lo+7, ...) until a count
-    fits, then bisect the last gap, with a cold scipy solve at every count
+    fits, then bisect the last gap, with a scipy solve at every count
     (``scipy_fits``), so below ``FLOW_WORK_LIMIT`` only; past it the tests
     ask it for the set before scaling."""
     instance = Instance(jobs)
@@ -835,7 +811,8 @@ def reference_min_machines(jobs, lower):
 )
 def test_min_machines_matches_the_galloping_search(case, offset, above):
     # on either side of the cutoff, each route also forced, so that the
-    # climb reads its cuts from the running flow and from scipy; from below
+    # optimum comes from one running admission and from a network's climb,
+    # each count continuing the flow of the last; from below
     # the optimum, from above it and from past n; and scaled to a total work
     # just short of FLOW_WORK_LIMIT or past it, where the reference is the
     # set's own before scaling
@@ -951,12 +928,9 @@ def test_preemptive_optimum_is_solved_once_per_instance(case):
 
 @pytest.mark.parametrize("jobs", [3, 30], ids=["python-kernel", "scipy-kernel"])
 def test_opt_scaled_past_the_flow_limit(tmp_path, jobs, capsys):
-    # the 3-job set is solved on the running flow and the 30-job one, below
-    # FLOW_WORK_LIMIT, on scipy; scaled, both on the running flow.  The
-    # expected values come from scipy, the cutoff forced to 0
-    from unittest import mock
-
-    from machmin import optimum
+    # the 3-job set is below the cutoff and the 30-job one past it; scaled
+    # to a total work just short of FLOW_WORK_LIMIT or past it, both print
+    # the optimum and the strong density of the scipy references
     from machmin.cli import main
     from machmin.model import serialize_instance
     from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
@@ -966,8 +940,9 @@ def test_opt_scaled_past_the_flow_limit(tmp_path, jobs, capsys):
     arcs = FlowNetwork.build(instance).arcs
     assert (arcs > PYTHON_FLOW_ARCS) == (jobs == 30)
     path = tmp_path / "inst.txt"
-    with mock.patch.object(optimum, "PYTHON_FLOW_ARCS", 0):
-        expected = f"{optimum_preemptive(instance)}\n{strong_density_exact(instance)}\n"
+    expected = (
+        f"{reference_min_machines(instance.jobs, 1)}\n{reference_strong_density(instance)}\n"
+    )
     for offset in (-1, 0, 33):
         path.write_text(serialize_instance(_scaled_past_limit(instance, offset)))
         assert main(["opt", "--preemptive", str(path)]) == 0
@@ -975,36 +950,22 @@ def test_opt_scaled_past_the_flow_limit(tmp_path, jobs, capsys):
         assert capsys.readouterr().out == expected
 
 
-def test_numpy_and_scipy_are_imported_only_on_the_scipy_route():
-    # an AST scan of every module of the package: numpy and scipy are
-    # imported in the two functions of optimum.py's scipy route, and under
-    # TYPE_CHECKING, which never runs, and nowhere else
+def test_no_module_imports_numpy_or_scipy():
+    # an AST scan of every module of the package, TYPE_CHECKING blocks and
+    # function bodies included: neither numpy nor scipy is imported anywhere
     import ast
     from pathlib import Path
 
     import machmin
 
-    found = set()
-
-    def scan(module, node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                inner = (*scope, child.name)
-            elif isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
-                inner = (*scope, "TYPE_CHECKING")
-            elif isinstance(child, (ast.Import, ast.ImportFrom)):
-                names = [a.name for a in child.names] if isinstance(child, ast.Import) else [
-                    child.module or ""
-                ]
-                if any(name.split(".")[0] in ("numpy", "scipy") for name in names):
-                    found.add((module, ".".join(scope)))
-            scan(module, child, inner)
-
+    found = []
     for path in sorted(Path(machmin.__file__).parent.glob("*.py")):
-        scan(path.name, ast.parse(path.read_text(encoding="utf-8")), ())
-    assert found == {
-        ("optimum.py", "TYPE_CHECKING"),
-        ("optimum.py", "FlowNetwork.csr"),
-        ("optimum.py", "_scipy_flow"),
-    }
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] in ("numpy", "scipy")]
+    assert found == []

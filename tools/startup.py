@@ -38,6 +38,8 @@ COMMANDS = [
     ("verify (40 jobs)", ["verify", "large.txt", "trace.txt"], None),
     ("opt --preemptive (8 jobs, below the cutoff)", ["opt", "--preemptive", "small.txt"], None),
     ("opt --preemptive (40 jobs, past the cutoff)", ["opt", "--preemptive", "large.txt"], None),
+    ("opt --strong-density (40 jobs, past the cutoff)",
+     ["opt", "--strong-density", "large.txt"], None),
 ]
 # runs one command, then writes its peak RSS in KiB and the numeric
 # libraries loaded to stderr
@@ -84,10 +86,10 @@ def main() -> int:
                 peaks[label].append(rss)
                 loaded[label].add(libraries)
     print(f"machmin from {src}; python {sys.version.split()[0]}, {RUNS} runs per command")
-    print(f"{'command':<46} {'median s':>9} {'peak MB':>8}  loaded")
+    print(f"{'command':<50} {'median s':>9} {'peak MB':>8}  loaded")
     for label in times:
         print(
-            f"{label:<46} {statistics.median(times[label]):>9.3f} "
+            f"{label:<50} {statistics.median(times[label]):>9.3f} "
             f"{statistics.median(peaks[label]):>8.1f}  "
             f"{' / '.join(sorted(loaded[label]))}"
         )
