@@ -222,7 +222,10 @@ def _instance_m(config: CampaignConfig, generated: GeneratedInstance) -> int | N
 def bench(config: CampaignConfig) -> list[BenchRow]:
     """One row per (instance, policy); summary rows carry the max ratio per
     policy.  Rows where the oracle cap was exceeded are marked, never
-    dropped.  Every measured row carries its run's wall time."""
+    dropped.  Every measured row carries its run's wall time.  A negative
+    instance count raises ValueError."""
+    if config.count < 0:
+        raise ValueError(f"--count must be non-negative, got {config.count}")
     specs = [
         (spec, *_parse_policy_spec(spec, config.online)) for spec in config.policies
     ]

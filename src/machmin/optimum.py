@@ -2,29 +2,27 @@
 
 The preemptive optimum is computed by max-flow feasibility (jobs feed work
 into time segments, segments drain into the sink at the machine count),
-Horn's formulation.  The one max-flow code in Python is ``RunningOptimum``,
-which keeps one feasible flow of a job set that only grows and augments it
-at each addition in Dinic's phases, with no network and no search; logn's
-pool and Double's prefix keep theirs across additions, a small one-shot
-optimum and every feasibility verdict and witness take a fresh one.  A set
-of more than ``PYTHON_FLOW_ARCS`` job arcs gets one ``FlowNetwork``, solved
-at the load bound, and a climb by minimum cuts: while the flow falls short,
-the machine count rises to the bound of the cut that the residual's source
-side forms, and the network is solved there.  A network's solve returns its
-value and that source side's segments from a fixed-count ``RunningOptimum``
-solve; the network keeps the flow of its last integer count, and the
-climb's next, larger count augments it instead of starting over.  Every
-flow is exact on Python integers, and the package imports neither numpy nor
-scipy.  The strong density comes from the
-same solves: at a fractional machine count the min cut picks the set of
-time segments that most exceeds that count, and Dinkelbach's method raises
-the count to the best ratio.  The two searches must agree via ``ceil(strong
-density) == preemptive optimum``; the tests check both against
-enumerations.  ``optimum_preemptive`` solves an instance's optimum once
-and keeps it on the instance.  The non-preemptive optimum is a search over
-machine assignments from that optimum upward, each machine's job set
-checked by a single-machine earliest-finish DP over subsets, so its cost
-follows the job count rather than the time magnitudes.
+Horn's formulation.  The one max-flow code is ``RunningOptimum``, which
+keeps one feasible flow of a job set and augments it in Dinic's phases
+(``max_flow``), exact on Python integers; the package imports neither
+numpy nor scipy.  Every optimum comes from one climb (``_climb``): the flow
+is augmented to a maximum, and while work is left the machine count rises
+by the work left over the length of the segments that the residual
+reaches from the source, a minimum cut's bound, and the flow is augmented
+again.  logn's pool and Double's prefix run it at each addition to a
+running optimum that they keep, with no network, and so do every
+feasibility verdict and witness on a fresh one.  ``min_machines`` runs it
+on one ``FlowNetwork``, from the load bound, each count continuing the
+flow of the last.  The strong density comes from the same solves: at a
+fractional machine count the min cut picks the set of time segments that
+most exceeds that count, and Dinkelbach's method raises the count to the
+best ratio.  The two searches must agree via ``ceil(strong density) ==
+preemptive optimum``; the tests check both against enumerations.
+``optimum_preemptive`` solves an instance's optimum once and keeps it on
+the instance.  The non-preemptive optimum is a search over machine
+assignments from that optimum upward, each machine's job set checked by a
+single-machine earliest-finish DP over subsets, so its cost follows the
+job count rather than the time magnitudes.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .model import Instance, Job, PreemptiveSchedule, peak_overlap
 
@@ -128,27 +126,6 @@ def contribution(job: Job, iset: IntervalSet) -> int:
 # the per-unit witness (ROADMAP item 5).
 FLOW_WORK_LIMIT = 2**31
 
-# Job sets with at most this many job arcs get their optimum from one
-# ``RunningOptimum`` admission in ``min_machines``; larger ones get a
-# ``FlowNetwork`` and a climb, whose solves continue one running flow.  The
-# two cost about the same: on random ``gen_random("general")`` sets from the
-# load bound, the admission took 0.92 of the climb's median time at 257-512
-# job arcs, 0.96 at 513-768 and 0.98-1.01 in each 256-arc bin up to 1792
-# (2-core Xeon VM, Python 3.11.7, best of 5 per set).  The cutoff stays
-# because the benchmark declares the network's spans (flow build, flow
-# solve, max flow) on workloads whose sets cross it; it goes when those
-# spans are redeclared (ROADMAP item 1).
-PYTHON_FLOW_ARCS = 320
-
-
-def _breakpoints(jobs: Sequence[Job]) -> tuple[list[int], list[tuple[int, int]]]:
-    """The windows' breakpoints, ascending, and each job's window as the
-    indices ``(lo, hi)`` of its release and its deadline among them: it
-    covers segments ``lo`` to ``hi - 1``, with one job arc each."""
-    points = sorted({p for j in jobs for p in (j.release, j.deadline)})
-    index = {p: i for i, p in enumerate(points)}
-    return points, [(index[j.release], index[j.deadline]) for j in jobs]
-
 
 @dataclass(frozen=True, eq=False)
 class FlowNetwork:
@@ -164,24 +141,28 @@ class FlowNetwork:
     den``.  ``solve`` goes through ``maximum_flow``, which solves it on a
     ``RunningOptimum``.  ``flow`` is the running flow of the last solve at
     an integer count, which a solve at an equal or larger one continues.
+
+    A network holds no flow code of its own.  It stays for two callers:
+    Dinkelbach's rounds, which solve at fractional counts, and
+    ``min_machines``, whose solves the benchmark's tracer records as the
+    flow build, flow solve and max-flow spans.
     """
 
     jobs: tuple[Job, ...]
     spans: list[tuple[int, int]]
     segments: tuple[tuple[int, int], ...]
     work: int
-    arcs: int  # the job-arc count
     flow: RunningOptimum | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, instance: Instance) -> "FlowNetwork":
-        points, spans = _breakpoints(instance.jobs)
+        points = sorted({p for j in instance.jobs for p in (j.release, j.deadline)})
+        index = {p: i for i, p in enumerate(points)}
         return cls(
             instance.jobs,
-            spans,
+            [(index[j.release], index[j.deadline]) for j in instance.jobs],
             tuple(zip(points, points[1:])),
             instance.total_work,
-            sum(hi - lo for lo, hi in spans),
         )
 
     def solve(self, m: int | Fraction) -> tuple[int, list[int]]:
@@ -199,11 +180,11 @@ def maximum_flow(network: FlowNetwork, m: int | Fraction) -> tuple[int, list[int
 
     Solved on a running flow (``RunningOptimum.max_flow``).  The network
     keeps the one of its last solve at an integer count, and a solve at an
-    equal or larger integer count, as ``min_machines``' climb asks for,
-    augments it at the new count instead of starting over: capacities only
-    grow, so the kept flow stays feasible, and the maximum flow's value and
-    reached segments are the same for every maximum flow.  A fractional or
-    a smaller count is solved anew.
+    equal or larger integer count, as the climb of ``min_machines`` asks
+    for, augments it at the new count instead of starting over: capacities
+    only grow, so the kept flow stays feasible, and the maximum flow's value
+    and reached segments are the same for every maximum flow.  A fractional
+    or a smaller count is solved anew.
     """
     num, den = m.numerator, m.denominator
     running = network.flow
@@ -212,6 +193,38 @@ def maximum_flow(network: FlowNetwork, m: int | Fraction) -> tuple[int, list[int
         if den == 1:
             object.__setattr__(network, "flow", running)
     return running.max_flow(num)
+
+
+def _climb(
+    solve: Callable[[int], tuple[int, list[int]]],
+    work: int,
+    lengths: Sequence[int],
+    m: int,
+    ceiling: int | None = None,
+) -> int:
+    """Climb from the count ``m`` to the least one on which a maximum flow
+    places all ``work``, or to ``ceiling``, if one is given, once the count
+    reaches it.  ``solve(m)`` makes a flow a maximum on m machines and
+    returns its value and the segments, indices into ``lengths``, that its
+    residual reaches from the source.
+
+    While the flow falls short of the work, the jobs and segments that the
+    residual reaches from the source form a minimum cut, whose capacity is
+    the flow.  Each job on the source side places its work there, less
+    what its window outside takes, one unit per slot, and these segments,
+    of total length L, take at most m' units per slot on m' machines.  So
+    a count m' that fits has m'·L at least that work, which is m·L + work -
+    flow: m' >= m + (work - flow) / L.  The count rises to the ceiling of
+    that bound, which exceeds m and does not exceed the optimum, and the
+    flow is solved there.
+    """
+    value, reached = solve(m)
+    while value < work:
+        m += -(-(work - value) // sum(lengths[s] for s in reached))
+        if ceiling is not None and m >= ceiling:
+            return ceiling
+        value, reached = solve(m)
+    return m
 
 
 @dataclass(frozen=True)
@@ -280,22 +293,11 @@ def min_machines(jobs: Sequence[Job], lower: int) -> int:
     """Smallest m >= max(lower, 1) on which ``jobs`` are preemptively
     feasible.
 
-    Any m >= n fits, one job per machine, without a solve.  Below n, m
-    is raised to the load bound ``ceil(W / (d_max - r_min))``, and returned
-    if that reaches n.  Otherwise a set of at most ``PYTHON_FLOW_ARCS`` job
-    arcs (over the jobs, the segments between breakpoints that each window
-    covers) is admitted at m into a fresh ``RunningOptimum``, which returns
-    the optimum with no network.  A larger set gets one network, solved at
-    m, and a climb by minimum cuts.
-    While the flow falls short of W, the jobs and segments that the
-    residual reaches from the source form a minimum cut, whose capacity is
-    the flow.  Each job on the source side places its work there, less
-    what its window outside takes, one unit per slot, and these segments,
-    of total length L, take at most m' units per slot on m' machines.  So a count m' that
-    fits has m'·L at least that work, which is m·L + W - flow: m' >= m +
-    (W - flow) / L.  m climbs to the ceiling of that bound, which exceeds m
-    and does not exceed the optimum, and the network is solved there, its
-    flow at the last count continued (``maximum_flow``).
+    Any m >= n fits, one job per machine, without a solve.  Below n, m is
+    raised to the load bound ``ceil(W / (d_max - r_min))``, and returned if
+    that reaches n.  Otherwise the set gets one ``FlowNetwork``, solved at
+    m, and the climb of ``_climb`` to the optimum, each count continuing
+    the flow of the last (``maximum_flow``); it stops at n, which fits.
     """
     instance = Instance(jobs)
     n, m = instance.n, max(lower, 1)
@@ -304,18 +306,9 @@ def min_machines(jobs: Sequence[Job], lower: int) -> int:
         m = max(m, -(-instance.total_work // span))
     if m >= n:
         return m
-    if sum(hi - lo for lo, hi in _breakpoints(instance.jobs)[1]) <= PYTHON_FLOW_ARCS:
-        return RunningOptimum().add(instance.jobs, m)
     network = FlowNetwork.build(instance)
-    segments = network.segments
-    value, reached = network.solve(m)
-    while value < network.work:
-        length = sum(segments[si][1] - segments[si][0] for si in reached)
-        m += -(-(network.work - value) // length)
-        if m >= n:
-            return n
-        value, reached = network.solve(m)
-    return m
+    lengths = [b - a for a, b in network.segments]
+    return _climb(network.solve, network.work, lengths, m, n)
 
 
 def _cut_shares(
@@ -356,15 +349,15 @@ class RunningOptimum:
     ``add`` admits jobs and returns the new optimum.  A segment that a new
     breakpoint falls in is cut by ``_cut_shares``, which keeps the flow
     feasible.  Each new job, in (deadline, admission) order, then fills its
-    earliest segments that have room.  Any work left over is pushed along
-    augmenting paths, job, segment, (a job with units there, another of its
-    segments)*, a segment with room, in Dinic's phases from all jobs with
-    work left at once.  When no path is left, the reachable jobs and
-    segments form a minimum cut, whose capacity gives a lower bound on any
-    count that fits, above ``m``; ``m`` rises to it, which keeps the flow
-    feasible, since capacities only grow.  Adding to a maximum flow and
-    augmenting from it gives a maximum flow of the larger set, so ``m`` is
-    always the exact optimum, as a network's climb computes it anew.
+    earliest segments that have room.  Any work left over is pushed by
+    ``max_flow`` along augmenting paths, job, segment, (a job with units
+    there, another of its segments)*, a segment with room, in Dinic's
+    phases from all jobs with work left at once.  When no path is left, the
+    count climbs by the minimum cut's bound (``_climb``) and ``max_flow``
+    augments again, which keeps the flow feasible, since capacities only
+    grow.  Adding to a maximum flow and augmenting from it gives a maximum
+    flow of the larger set, so ``m`` is always the exact optimum, and the
+    flow is the one that a network's climb from the same count keeps.
 
     ``fixed`` and ``max_flow`` solve a fixed job set at one count ``num /
     den`` instead, on the same fill and phases with every capacity scaled by
@@ -377,6 +370,7 @@ class RunningOptimum:
     def __init__(self) -> None:
         self.m = 0
         self._jobs: list[tuple[int, int, int]] = []  # (release, deadline, units needed)
+        self._work = 0  # the units that the jobs need in all
         # breakpoints; segment s is [points[s], points[s + 1])
         self._points: list[int] = []
         self._lengths: list[int] = []  # per segment: its length
@@ -385,7 +379,8 @@ class RunningOptimum:
         self._caps = self._lengths
         self._units: list[dict[int, int]] = []  # per segment: job -> units
         self._loads: list[int] = []  # per segment: the sum of its units
-        # a fixed-count flow's work left per job, and each job's segments
+        # the work left per job, and each job's segments while no cut
+        # shifts them
         self._left: dict[int, int] = {}
         self._windows: dict[int, range] = {}
 
@@ -395,14 +390,8 @@ class RunningOptimum:
         m = max(lower, self.m, 1)
         first = len(self._jobs)
         self._admit(jobs, 1)
-        left = self._fill(first, m)
-        windows: dict[int, range] = {}
-        while left:
-            cut = self._augment(left, m, windows)
-            if cut:
-                m = self._cut_bound(*cut, windows)
-        self.m = m
-        return m
+        self._left = self._fill(first, m)
+        return _climb(self.max_flow, self._work, self._lengths, m)
 
     @classmethod
     def fixed(cls, jobs: Iterable[Job], count: int | Fraction) -> RunningOptimum:
@@ -416,14 +405,14 @@ class RunningOptimum:
         return running
 
     def max_flow(self, num: int) -> tuple[int, list[int]]:
-        """Raise the count of a ``fixed`` flow to ``num`` over its
-        denominator, which must not lower it, and augment the flow to a
+        """Raise the count to ``num`` (over a ``fixed`` flow's
+        denominator), which must not lower it, and augment the flow to a
         maximum there: returns its value and the segments, ascending, that
         the jobs with work left reach, which form a minimum cut's source
         side (none when every job is placed)."""
         self.m = num
-        cut = self._augment(self._left, num, self._windows)
-        value = sum(need for _, _, need in self._jobs) - sum(self._left.values())
+        cut = self._augment(num)
+        value = self._work - sum(self._left.values())
         return value, [s for s, level in enumerate(cut[1]) if level] if cut else []
 
     def flow(self) -> list[tuple[int, int, dict[int, int]]]:
@@ -442,6 +431,8 @@ class RunningOptimum:
         = 1``, cut the segments their breakpoints fall in."""
         first = len(self._jobs)
         self._jobs += [(j.release, j.deadline, den * j.processing) for j in jobs]
+        self._work += sum(need for _, _, need in self._jobs[first:])
+        self._windows = {}
         points = sorted({p for r, d, _ in self._jobs[first:] for p in (r, d)})
         if self._points:
             for point in points:
@@ -497,12 +488,10 @@ class RunningOptimum:
                 left[job] = rest
         return left
 
-    def _augment(
-        self, left: dict[int, int], m: int, windows: dict[int, range]
-    ) -> tuple[dict[int, int], list[int]] | None:
-        """Push the work ``left`` (job -> units, emptied as it is placed)
+    def _augment(self, m: int) -> tuple[dict[int, int], list[int]] | None:
+        """Push the work ``_left`` (job -> units, emptied as it is placed)
         along augmenting paths on ``m`` machines, in Dinic's phases;
-        ``windows`` caches each job's segments.
+        ``_windows`` caches each job's segments.
 
         Returns None when all of it is placed.  Otherwise it stops when no
         path is left and returns the levels of the last search, each job's
@@ -512,6 +501,7 @@ class RunningOptimum:
         """
         points, lengths, caps = self._points, self._lengths, self._caps
         units, loads, jobs = self._units, self._loads, self._jobs
+        left, windows = self._left, self._windows
         while left:
             # levels: the jobs with work left are 0, the segments they can
             # take more units in 1, the other jobs with units there 2, ...;
@@ -561,23 +551,18 @@ class RunningOptimum:
                 level += 2
             if not top:
                 return job_level, seg_level
-            self._blocking_flow(left, m, windows, job_level, seg_level, top)
+            self._blocking_flow(m, job_level, seg_level, top)
         return None
 
     def _blocking_flow(
-        self,
-        left: dict[int, int],
-        m: int,
-        windows: dict[int, range],
-        job_level: dict[int, int],
-        seg_level: list[int],
-        top: int,
+        self, m: int, job_level: dict[int, int], seg_level: list[int], top: int
     ) -> None:
         """Augment along the paths of one level graph until none is left:
         a depth-first search from each job with work left, each node
         resuming where it stopped, and a node with no way on dropped from
         its level."""
         lengths, caps, units, loads = self._lengths, self._caps, self._units, self._loads
+        left, windows = self._left, self._windows
         job_next: dict[int, int] = {}  # job -> the next segment to try
         seg_next: dict[int, list[int]] = {}  # segment -> jobs still to try
         for start in list(left):
@@ -603,7 +588,7 @@ class RunningOptimum:
                 if level == top:
                     room = m * lengths[s] - loads[s]
                     if room > 0:
-                        self._push(path, left, room)
+                        self._push(path, room)
                         if start not in left:
                             break
                         path = [start]
@@ -625,13 +610,11 @@ class RunningOptimum:
                 seg_level[s] = -1
                 path.pop()
 
-    def _push(
-        self, path: list[int], left: dict[int, int], room: int
-    ) -> None:
+    def _push(self, path: list[int], room: int) -> None:
         """Push the most the path allows: the start's work left, each job's
         room in the segment it moves into, the units it moves out of the
         segment before, and the last segment's ``room``."""
-        caps, units = self._caps, self._units
+        caps, units, left = self._caps, self._units, self._left
         start = path[0]
         f = min(left[start], room)
         for i in range(1, len(path), 2):
@@ -654,24 +637,6 @@ class RunningOptimum:
             del left[start]
         else:
             left[start] -= f
-
-    def _cut_bound(
-        self,
-        job_level: dict[int, int],
-        seg_level: list[int],
-        windows: dict[int, range],
-    ) -> int:
-        """The least count that the minimum cut of the reachable jobs and
-        segments allows: any count m' that fits has m'·|their segments| at
-        least the work of the jobs less what they place, one unit per slot,
-        in segments outside the cut, where none has room left."""
-        lengths = self._lengths
-        need = 0
-        for job in job_level:
-            release, deadline, p = self._jobs[job]
-            need += p - (deadline - release)
-            need += sum(lengths[s] for s in windows[job] if seg_level[s])
-        return -(-need // sum(l for l, level in zip(lengths, seg_level) if level))
 
 
 # The key under which an instance keeps its preemptive optimum.

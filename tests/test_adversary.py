@@ -203,8 +203,8 @@ def test_gen_random_deterministic():
 
 
 def test_gen_random_solves_no_flow_until_m_opt_is_read(monkeypatch):
-    # a flow is either a network's maximum flow or a running optimum's,
-    # which min_machines takes for small job sets: both are counted
+    # a flow is either a network's maximum flow, which min_machines
+    # climbs on, or a running optimum's: both are counted
     solves = []
 
     def counting(real):

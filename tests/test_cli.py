@@ -10,7 +10,7 @@ from test_optimum import reference_min_machines, reference_strong_density, scipy
 from machmin import harness
 from machmin.cli import main
 from machmin.model import parse_instance, parse_trace
-from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork, strong_density_exact
+from machmin.optimum import strong_density_exact
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -318,6 +318,19 @@ def test_bench_refuses_online_for_a_policy_without_one(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_bench_refuses_a_negative_count(monkeypatch, capsys):
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(harness, "gen_random", no_instance)
+    argv = ["bench", "--profile", "general", "--n", "8", "--count", "-1",
+            "--policy", "edf@2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --count must be non-negative, got -1\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("spec", ["agreeable-p@3", "earlyfit@2"])
 def test_bench_refuses_a_budget_factor_the_policy_does_not_take(spec, capsys):
     argv = ["bench", "--profile", "agreeable", "--n", "6", "--count", "2",
@@ -466,7 +479,6 @@ def test_small_runs_load_neither_numpy_nor_scipy(tmp_path):
     assert codes == [0, 0, 0, 0, 0, 1, 0]  # 1: the adversary forced a miss
     assert loaded == []
     instance = parse_instance((tmp_path / "inst.txt").read_text())
-    assert FlowNetwork.build(instance).arcs <= PYTHON_FLOW_ARCS
     # below n, so the optimum was computed, not read off the job count
     assert (tmp_path / "3.out").read_text() == "2\n" and instance.n == 8
     assert (tmp_path / "4.out").read_text() == f"{strong_density_exact(instance)}\n"
@@ -477,7 +489,7 @@ def test_small_runs_load_neither_numpy_nor_scipy(tmp_path):
 
 
 def test_opt_past_the_cutoff_loads_neither_numpy_nor_scipy(tmp_path):
-    # a set past the cutoff climbs on a network, solved on the running flow
+    # a 40-job set climbs on a network, solved on the running flow
     codes, loaded = fresh_cli(
         tmp_path,
         ["gen", "--family", "random", "--profile", "general", "--n", "40",
@@ -488,7 +500,6 @@ def test_opt_past_the_cutoff_loads_neither_numpy_nor_scipy(tmp_path):
     assert codes == [0, 0, 0]
     assert loaded == []
     instance = parse_instance((tmp_path / "inst.txt").read_text())
-    assert FlowNetwork.build(instance).arcs > PYTHON_FLOW_ARCS
     expected = reference_min_machines(instance.jobs, 1)
     assert (tmp_path / "1.out").read_text() == f"{expected}\n" and expected < instance.n
     density = reference_strong_density(instance)

@@ -140,18 +140,13 @@ def test_optimum_examples():
 
 
 def test_witness_always_validates():
-    # on sets on both sides of PYTHON_FLOW_ARCS: the witness at the optimum,
-    # which the scipy reference gives, validates within m machines, and
-    # m - 1 is refused
-    from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
-
+    # on small and large sets: the witness at the optimum, which the scipy
+    # reference gives, validates within m machines, and m - 1 is refused
     rng = random.Random(7)
     small = [
         random_instance(rng, rng.randint(1, 6), rng.randint(3, 10)) for _ in range(60)
     ]
     large = [gen_random("general", n, n).instance for n in range(36, 48)]
-    assert all(FlowNetwork.build(inst).arcs <= PYTHON_FLOW_ARCS for inst in small)
-    assert all(FlowNetwork.build(inst).arcs > PYTHON_FLOW_ARCS for inst in large)
     for inst in small + large:
         m, witness = optimal_witness(inst)
         assert m == reference_min_machines(inst.jobs, 1)
@@ -569,9 +564,8 @@ def test_flow_network_structure():
     net = FlowNetwork.build(inst)
     # segments are the maximal runs between window breakpoints
     assert net.segments == ((0, 1), (1, 3), (3, 5))
-    assert net.spans == [(0, 2), (1, 3)]
     # a job has one arc to each segment inside its window
-    assert net.arcs == 4
+    assert net.spans == [(0, 2), (1, 3)]
     value, reached = net.solve(2)
     assert (value, reached) == (inst.total_work, [])
 
@@ -650,32 +644,26 @@ def test_flow_network_fractional_capacities():
 
 @st.composite
 def straddling_instances(draw):
-    """A job set whose network has at most 190 job arcs, so that
-    ``min_machines`` admits it into a running optimum, or more than
-    ``PYTHON_FLOW_ARCS``, so that it climbs on a network."""
-    from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
+    """A small job set, of at most 10 jobs and 190 job arcs, or a large one,
+    of 31 to 46 jobs with long windows and some hundreds of job arcs, and
+    its network."""
+    from machmin.optimum import FlowNetwork
 
     large = draw(st.booleans())
-    # the large side's networks have about n^2 / 2 job arcs, so from
-    # n > sqrt(3 * PYTHON_FLOW_ARCS) on nearly every draw clears the cutoff
-    # (all of 2,000 draws at each cutoff from 192 to 512)
-    least = math.isqrt(3 * PYTHON_FLOW_ARCS) + 1
-    n = draw(st.integers(least, least + 15) if large else st.integers(1, 10))
+    n = draw(st.integers(31, 46) if large else st.integers(1, 10))
     jobs = []
     for i in range(n):
         r = draw(st.integers(0, 50))
         w = draw(st.integers(15, 40) if large else st.integers(1, 40))
         jobs.append(Job(i, r, r + w, draw(st.integers(1, w))))
     instance = Instance(jobs)
-    network = FlowNetwork.build(instance)
-    assume(large == (network.arcs > PYTHON_FLOW_ARCS))
-    return instance, network
+    return instance, FlowNetwork.build(instance)
 
 
 @st.composite
 def kernel_cases(draw):
-    """A network on either side of the cutoff, at an integer or a
-    fractional machine count, and an integer count from 1 up to it."""
+    """A small or a large network, at an integer or a fractional machine
+    count, and an integer count from 1 up to it."""
     instance, network = draw(straddling_instances())
     m = draw(
         st.integers(1, instance.n)
@@ -687,7 +675,7 @@ def kernel_cases(draw):
 @settings(max_examples=120, deadline=None)
 @given(case=kernel_cases(), offset=st.integers(-3, 2))
 def test_running_flow_matches_the_scipy_reference(case, offset):
-    # on either side of the cutoff, at an integer or a fractional count: a
+    # on small and large sets, at an integer or a fractional count: a
     # network's solve gives scipy's value and reached segments, the source
     # side of the minimum cut, which is the same for every maximum flow;
     # solved fresh, and after a solve at a lower integer count, whose flow
@@ -729,7 +717,7 @@ def _scaled_past_limit(instance, offset):
 @given(case=straddling_instances(), offset=st.integers(-3, 2), k=st.integers(0, 64))
 def test_scaling_keeps_verdicts_below_the_flow_limit(case, offset, k):
     # scaling every time by 2^k keeps the optimum and every feasibility
-    # verdict, on either side of the cutoff, below FLOW_WORK_LIMIT and past
+    # verdict, on small and large sets, below FLOW_WORK_LIMIT and past
     # it: by a power that brings the total work just short of the limit or
     # just past it, and by any power up to 2^64.  Only feasible_preemptive
     # refuses from the limit on, since its witness lists every occupied
@@ -810,16 +798,12 @@ def reference_min_machines(jobs, lower):
     above=st.integers(1, 4),
 )
 def test_min_machines_matches_the_galloping_search(case, offset, above):
-    # on either side of the cutoff, each route also forced, so that the
-    # optimum comes from one running admission and from a network's climb,
-    # each count continuing the flow of the last; from below
-    # the optimum, from above it and from past n; and scaled to a total work
+    # on small and large sets, the optimum from a network's climb, each
+    # count continuing the flow of the last, and from one admission into a
+    # running optimum, which climbs by the same rule; from below the
+    # optimum, from above it and from past n; and scaled to a total work
     # just short of FLOW_WORK_LIMIT or past it, where the reference is the
     # set's own before scaling
-    from unittest import mock
-
-    from machmin import optimum
-
     instance, _ = case
     original = instance.jobs
     if offset is not None:
@@ -830,9 +814,39 @@ def test_min_machines_matches_the_galloping_search(case, offset, above):
         expected = reference_min_machines(original, lower)
         assert expected == max(lower, m)
         assert min_machines(jobs, lower) == expected
-        for cutoff in (0, 10**9):
-            with mock.patch.object(optimum, "PYTHON_FLOW_ARCS", cutoff):
-                assert min_machines(jobs, lower) == expected
+        assert RunningOptimum().add(jobs, lower) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=straddling_instances(), offset=st.none() | st.integers(-1, 2))
+def test_network_climb_keeps_the_running_optimum_flow(case, offset):
+    # where the climb of min_machines ends below n, its network keeps the
+    # flow, segment by segment, that one admission into a running optimum
+    # at the load bound leaves: the two climb by one rule from one fill;
+    # also scaled to a total work just short of FLOW_WORK_LIMIT or past it
+    from unittest import mock
+
+    from machmin.optimum import FlowNetwork
+
+    instance, _ = case
+    if offset is not None:
+        instance = _scaled_past_limit(instance, offset)
+    built = []
+    build = FlowNetwork.build.__func__
+
+    def keeping_build(cls, instance):
+        built.append(build(cls, instance))
+        return built[-1]
+
+    with mock.patch.object(FlowNetwork, "build", classmethod(keeping_build)):
+        m = min_machines(instance.jobs, 1)
+    span = instance.d_max - min(j.release for j in instance.jobs)
+    load = max(1, -(-instance.total_work // span))
+    assume(m < instance.n and load < instance.n)
+    (network,) = built
+    running = RunningOptimum()
+    assert running.add(instance.jobs, load) == m == network.flow.m
+    assert network.flow.flow() == running.flow()
 
 
 def _jobs_with_arcs(arcs):
@@ -847,15 +861,16 @@ def _jobs_with_arcs(arcs):
 
 
 @pytest.mark.parametrize("offset", [None, 0, 33], ids=["small", "at-limit", "past-limit"])
-@pytest.mark.parametrize("above", [0, 1], ids=["at-cutoff", "past-cutoff"])
-def test_min_machines_builds_a_network_only_past_the_cutoff(monkeypatch, above, offset):
-    # up to PYTHON_FLOW_ARCS job arcs min_machines takes a running optimum
-    # and builds no network; past them it builds exactly one and no running
-    # optimum, whatever the total work: below FLOW_WORK_LIMIT and past it
-    from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
+@pytest.mark.parametrize("arcs", [320, 321], ids=["320-arcs", "321-arcs"])
+def test_min_machines_builds_one_network_and_no_admission(monkeypatch, arcs, offset):
+    # past the n and load-bound exits, min_machines builds exactly one
+    # network and admits nothing into a running optimum, whatever the
+    # set's size: at 320 job arcs and at 321, and whatever its total work:
+    # below FLOW_WORK_LIMIT and past it
+    from machmin.optimum import FlowNetwork
 
-    instance = Instance(_jobs_with_arcs(PYTHON_FLOW_ARCS + above))
-    assert FlowNetwork.build(instance).arcs == PYTHON_FLOW_ARCS + above
+    instance = Instance(_jobs_with_arcs(arcs))
+    assert sum(hi - lo for lo, hi in FlowNetwork.build(instance).spans) == arcs
     expected = reference_min_machines(instance.jobs, 1)
     if offset is not None:
         instance = _scaled_past_limit(instance, offset)
@@ -875,15 +890,16 @@ def test_min_machines_builds_a_network_only_past_the_cutoff(monkeypatch, above, 
     monkeypatch.setattr(FlowNetwork, "build", classmethod(counting_build))
     monkeypatch.setattr(RunningOptimum, "add", counting_add)
     assert min_machines(instance.jobs, 1) == expected
-    assert calls == ({"build": 1, "add": 0} if above else {"build": 0, "add": 1})
+    assert calls == {"build": 1, "add": 0}
 
 
 @contextlib.contextmanager
 def counting_solves():
     """Count the flows solved inside the block: each ``RunningOptimum.add``
-    (an admission into a running flow, which every small optimum and
-    ``_ExactPrefix`` make) and each ``FlowNetwork.solve`` (a network's, past
-    the cutoff).  Yields the list of their names, in call order."""
+    (an admission into a running flow, which ``_ExactPrefix`` and every
+    feasibility verdict make) and each ``FlowNetwork.solve`` (a step of the
+    climb of ``min_machines``).  Yields the list of their names, in call
+    order."""
     from unittest import mock
 
     from machmin.optimum import FlowNetwork
@@ -908,7 +924,7 @@ def counting_solves():
 @settings(max_examples=60, deadline=None)
 @given(case=straddling_instances())
 def test_preemptive_optimum_is_solved_once_per_instance(case):
-    # on either side of the cutoff: the first call solves, and neither a
+    # on small and large sets: the first call solves, and neither a
     # second one nor the non-preemptive search's bound solves again; an
     # equal instance built anew keeps its own optimum and solves its own
     from machmin.optimum import DEFAULT_BNB_CAP
@@ -928,17 +944,14 @@ def test_preemptive_optimum_is_solved_once_per_instance(case):
 
 @pytest.mark.parametrize("jobs", [3, 30], ids=["python-kernel", "scipy-kernel"])
 def test_opt_scaled_past_the_flow_limit(tmp_path, jobs, capsys):
-    # the 3-job set is below the cutoff and the 30-job one past it; scaled
-    # to a total work just short of FLOW_WORK_LIMIT or past it, both print
-    # the optimum and the strong density of the scipy references
+    # a 3-job set and a 30-job one, scaled to a total work just short of
+    # FLOW_WORK_LIMIT or past it: both print the optimum and the strong
+    # density of the scipy references
     from machmin.cli import main
     from machmin.model import serialize_instance
-    from machmin.optimum import PYTHON_FLOW_ARCS, FlowNetwork
 
     # nested windows: job i covers 2i + 1 segments
     instance = Instance(Job(i, jobs - i, jobs + i + 1, 1) for i in range(jobs))
-    arcs = FlowNetwork.build(instance).arcs
-    assert (arcs > PYTHON_FLOW_ARCS) == (jobs == 30)
     path = tmp_path / "inst.txt"
     expected = (
         f"{reference_min_machines(instance.jobs, 1)}\n{reference_strong_density(instance)}\n"

@@ -5,11 +5,10 @@ each loaded.
 
 ``SRC`` is the ``src`` directory of the checkout to time, by default this
 checkout's; pass another checkout's to compare the two.  The instances are
-``gen_random`` job sets at fixed seeds: a 40-job set, whose network has
-more than ``optimum.PYTHON_FLOW_ARCS`` job arcs, and an 8-job set with
-fewer.  Each command runs ``RUNS`` times, each in a fresh interpreter that
-calls ``machmin.cli.main`` and, once it returns, reports whether ``numpy``
-or ``scipy`` is in ``sys.modules``.  A row gives the command's median wall
+``gen_random`` job sets at fixed seeds, of 40 jobs and of 8.  Each command
+runs ``RUNS`` times, each in a fresh interpreter that calls
+``machmin.cli.main`` and, once it returns, reports whether ``numpy`` or
+``scipy`` is in ``sys.modules``.  A row gives the command's median wall
 time, start-up of the interpreter included, its median peak RSS, and the
 libraries it loaded.  The commands alternate round by round, so a drift in
 the machine's speed reaches them all alike.
@@ -36,10 +35,9 @@ COMMANDS = [
     ("run --policy edf (40 jobs)", ["run", "--policy", "edf", "--machines", "12", "large.txt"],
      "trace.txt"),
     ("verify (40 jobs)", ["verify", "large.txt", "trace.txt"], None),
-    ("opt --preemptive (8 jobs, below the cutoff)", ["opt", "--preemptive", "small.txt"], None),
-    ("opt --preemptive (40 jobs, past the cutoff)", ["opt", "--preemptive", "large.txt"], None),
-    ("opt --strong-density (40 jobs, past the cutoff)",
-     ["opt", "--strong-density", "large.txt"], None),
+    ("opt --preemptive (8 jobs)", ["opt", "--preemptive", "small.txt"], None),
+    ("opt --preemptive (40 jobs)", ["opt", "--preemptive", "large.txt"], None),
+    ("opt --strong-density (40 jobs)", ["opt", "--strong-density", "large.txt"], None),
 ]
 # runs one command, then writes its peak RSS in KiB and the numeric
 # libraries loaded to stderr
