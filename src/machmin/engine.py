@@ -163,7 +163,11 @@ class OnlinePolicy:
 
     def current_budget(self) -> int | None:
         """Machines the policy is holding open right now, where that is a
-        meaningful notion; None for unbudgeted policies."""
+        meaningful notion; None for unbudgeted policies.
+
+        A budget never falls during a run: machines a policy opens are
+        never closed.  So the budget read once, when ``Simulation.finish``
+        closes the run, is the run's peak."""
         return None
 
     def params(self) -> dict:
@@ -295,6 +299,9 @@ class SimulationRun:
     misses: tuple[tuple[int, int], ...]  # (job id, time laxity went negative)
     machines_used: int
     peak_concurrency: int
+    # the policy's budget, read once at the end of a run, since it never
+    # falls (see OnlinePolicy.current_budget); the peak concurrency for an
+    # unbudgeted policy, and 0 for a run of no slot
     peak_budget: int
     starts: Mapping[int, int] | None = None  # see OnlinePolicy
     extras: Mapping[str, object] = field(default_factory=dict)
@@ -334,7 +341,6 @@ class Simulation:
         self.misses: list[tuple[int, int]] = []
         self._missed: set[int] = set()
         self.peak_concurrency = 0
-        self.peak_budget = 0
 
     def add_jobs(self, jobs: Iterable[Job]) -> None:
         """Queue jobs for release; a batch with any bad job adds none."""
@@ -397,14 +403,8 @@ class Simulation:
                 del active[j]
             else:
                 _advance(state, remaining - 1)
-        used = len(selected)
-        if used > self.peak_concurrency:
-            self.peak_concurrency = used
-        budget = self.policy.current_budget()
-        if budget is None:
-            budget = used
-        if budget > self.peak_budget:
-            self.peak_budget = budget
+        if len(selected) > self.peak_concurrency:
+            self.peak_concurrency = len(selected)
         self.slots.append(selected)
         t += 1
         self.t = t
@@ -429,6 +429,7 @@ class Simulation:
 
     def finish(self, instance: Instance, scale: int = 1) -> SimulationRun:
         machines = self.policy.machines_used()
+        budget = self.policy.current_budget() if self.slots else 0
         starts = self.policy.starts()
         return SimulationRun(
             instance=instance,
@@ -438,7 +439,7 @@ class Simulation:
             misses=tuple(self.misses),
             machines_used=machines if machines is not None else self.peak_concurrency,
             peak_concurrency=self.peak_concurrency,
-            peak_budget=self.peak_budget,
+            peak_budget=budget if budget is not None else self.peak_concurrency,
             starts=dict(starts) if starts is not None else None,
             extras=self.policy.extras(),
             scale=scale,

@@ -33,6 +33,14 @@ machines and grows it at each admission: the segments are cut at the new
 breakpoints, the new residues fill the earliest segments with room, and
 what does not fit is pushed along augmenting paths, with m(L) raised when
 no path is left.  No network is built and no search is run for the pool.
+
+The pool is solved only when something reads its optimum.  New residues
+join the safe set at once but wait in a queue, and all the queued ones are
+admitted in one ``add`` when the safe jobs still active outnumber the pool
+budget as it stands, or when the machine count, the budget or the extras
+are read.  That is exact: m(L), and with it the budget, only grows, so a
+budget not yet brought up to date is at most the true one, and where the
+safe jobs do not outnumber it EDF selects every one of them under either.
 """
 
 from __future__ import annotations
@@ -183,6 +191,11 @@ class LogNPolicy(OnlinePolicy):
     ``h <= 1 + (2 + 2/alpha)·m_hat``, else their flow optimum;
     ``extras["monitor_solves"]`` counts the rebuilds that needed the
     latter.
+
+    Residues that turn safe are queued, and the pool solves its optimum for
+    all of them at once, only when a decision or a report reads it (see the
+    module docstring).  Both budget terms are running maxima, so the budget
+    never falls during a run.
     """
 
     name = "logn"
@@ -202,6 +215,8 @@ class LogNPolicy(OnlinePolicy):
         self._safe: set[int] = set()
         # every residue admitted, with a feasible flow of them on m_L machines
         self._pool = RunningOptimum()
+        # the residues that turned safe since the pool was last solved
+        self._queued: list[Job] = []
         self._m_L = 0
         self._safe_budget = 0
         # each subgroup in reverse EDF order, so that its head is last
@@ -229,10 +244,16 @@ class LogNPolicy(OnlinePolicy):
 
     def _admit_safe(self, residues: Sequence[Job]) -> None:
         self._safe.update(residue.id for residue in residues)
-        self._m_L = self._pool.add(residues)
-        self._safe_budget = max(
-            self._safe_budget, -(-self._m_L * self._grow // self._shrink)
-        )
+        self._queued += residues
+
+    def _flush_pool(self) -> None:
+        """Admit every queued residue to the pool in one ``add``, which
+        brings m_L and the pool budget up to date."""
+        if self._queued:
+            self._m_L = self._pool.add(self._queued)
+            self._queued = []
+            # m_L only grows, so the budget is a running maximum
+            self._safe_budget = -(-self._m_L * self._grow // self._shrink)
 
     def _update_partition(self, t: int, active: Mapping[int, JobState]) -> None:
         arrivals, self._arrivals = self._arrivals, []
@@ -307,7 +328,12 @@ class LogNPolicy(OnlinePolicy):
         self._monitor_laxity_floor(t, active)
         # once finished, never active again: drop finished safe jobs for good
         self._safe &= active.keys()
-        chosen = edf_select(map(active.__getitem__, self._safe), t, self._safe_budget)
+        safe = self._safe
+        # a budget not brought up to date is at most the true one: it takes
+        # every safe job exactly when the true one does
+        if len(safe) > self._safe_budget:
+            self._flush_pool()
+        chosen = edf_select(map(active.__getitem__, safe), t, self._safe_budget)
         # members only ever leave a subgroup, so its head is its last
         # member still critical
         critical, ran = self._critical, set()
@@ -320,16 +346,18 @@ class LogNPolicy(OnlinePolicy):
         chosen |= ran
         return chosen
 
-    def machines_used(self) -> int:
+    def current_budget(self) -> int:
+        self._flush_pool()
         return self._safe_budget + self._alloc_critical
 
-    def current_budget(self) -> int:
-        return self._safe_budget + self._alloc_critical
+    # machines opened are never closed: the run uses its final budget
+    machines_used = current_budget
 
     def params(self) -> dict:
         return {"m": self.m, "alpha": str(self.alpha)}
 
     def extras(self) -> dict:
+        self._flush_pool()
         return {
             "rebuilds": self._rebuilds,
             "monitor_solves": self._monitor_solves,

@@ -184,12 +184,13 @@ def maximum_flow(network: FlowNetwork, m: int | Fraction) -> tuple[int, list[int
     for, augments it at the new count instead of starting over: capacities
     only grow, so the kept flow stays feasible, and the maximum flow's value
     and reached segments are the same for every maximum flow.  A fractional
-    or a smaller count is solved anew.
+    or a smaller count is solved anew, on a running flow laid out on the
+    network's segments and spans (``RunningOptimum.fixed``).
     """
     num, den = m.numerator, m.denominator
     running = network.flow
     if den > 1 or running is None or running.m > num:
-        running = RunningOptimum.fixed(network.jobs, m)
+        running = RunningOptimum.fixed(network, m)
         if den == 1:
             object.__setattr__(network, "flow", running)
     return running.max_flow(num)
@@ -359,12 +360,13 @@ class RunningOptimum:
     flow of the larger set, so ``m`` is always the exact optimum, and the
     flow is the one that a network's climb from the same count keeps.
 
-    ``fixed`` and ``max_flow`` solve a fixed job set at one count ``num /
-    den`` instead, on the same fill and phases with every capacity scaled by
-    ``den``: a job needs ``den`` times its processing time and takes at most
-    ``den`` times a segment's length there, and a segment holds at most
-    ``num`` times its length.  Such a flow keeps the work it has left, and
-    ``max_flow`` at a larger ``num`` augments it there.
+    ``fixed`` and ``max_flow`` solve a network's job set, on its segments,
+    at one count ``num / den`` instead, on the same fill and phases with
+    every capacity scaled by ``den``: a job needs ``den`` times its
+    processing time and takes at most ``den`` times a segment's length
+    there, and a segment holds at most ``num`` times its length.  Such a
+    flow keeps the work it has left, and ``max_flow`` at a larger ``num``
+    augments it there.
     """
 
     def __init__(self) -> None:
@@ -394,12 +396,19 @@ class RunningOptimum:
         return _climb(self.max_flow, self._work, self._lengths, m)
 
     @classmethod
-    def fixed(cls, jobs: Iterable[Job], count: int | Fraction) -> RunningOptimum:
-        """A flow of ``jobs`` on ``count = num / den`` machines, with every
-        capacity scaled by ``den``: each job filled into its earliest
-        segments with room.  ``max_flow`` makes it a maximum flow."""
+    def fixed(cls, network: FlowNetwork, count: int | Fraction) -> RunningOptimum:
+        """A flow of ``network``'s jobs on ``count = num / den`` machines,
+        with every capacity scaled by ``den``: each job filled into its
+        earliest segments with room.  The segments and each job's window
+        are the network's, neither sorted nor searched again.  ``max_flow``
+        makes it a maximum flow."""
+        den = count.denominator
         running = cls()
-        running._admit(jobs, count.denominator)
+        running._jobs = [(j.release, j.deadline, den * j.processing) for j in network.jobs]
+        running._work = den * network.work
+        segments = network.segments
+        running._lay_out([a for a, _ in segments] + [b for _, b in segments[-1:]], den)
+        running._windows = {job: range(*span) for job, span in enumerate(network.spans)}
         running.m = count.numerator
         running._left = running._fill(0, running.m)
         return running
@@ -426,9 +435,8 @@ class RunningOptimum:
 
     def _admit(self, jobs: Iterable[Job], den: int) -> None:
         """Append ``jobs``, each needing ``den`` units per unit of work.
-        The first jobs lay out their breakpoints in one sorted pass, with
-        job capacities ``den`` times the lengths; later ones, only at ``den
-        = 1``, cut the segments their breakpoints fall in."""
+        The first jobs lay out their breakpoints in one sorted pass; later
+        ones cut the segments their breakpoints fall in."""
         first = len(self._jobs)
         self._jobs += [(j.release, j.deadline, den * j.processing) for j in jobs]
         self._work += sum(need for _, _, need in self._jobs[first:])
@@ -438,11 +446,17 @@ class RunningOptimum:
             for point in points:
                 self._cut(point)
         else:
-            self._points = points
-            self._lengths = [b - a for a, b in zip(points, points[1:])]
-            self._caps = self._lengths if den == 1 else [den * l for l in self._lengths]
-            self._units = [{} for _ in self._lengths]
-            self._loads = [0] * len(self._lengths)
+            self._lay_out(points, den)
+
+    def _lay_out(self, points: list[int], den: int) -> None:
+        """Make ``points`` the breakpoints of empty segments, with job
+        capacities ``den`` times the lengths; only ``den = 1`` admits more
+        jobs later."""
+        self._points = points
+        self._lengths = [b - a for a, b in zip(points, points[1:])]
+        self._caps = self._lengths if den == 1 else [den * l for l in self._lengths]
+        self._units = [{} for _ in self._lengths]
+        self._loads = [0] * len(self._lengths)
 
     def _cut(self, point: int) -> None:
         """Make ``point`` a breakpoint, cutting the segment it falls in."""
@@ -467,15 +481,22 @@ class RunningOptimum:
 
     def _fill(self, first: int, m: int) -> dict[int, int]:
         """Fill the jobs from admission index ``first`` on into their
-        earliest segments with room; returns the work each has left, if any."""
+        earliest segments with room; returns the work each has left, if any.
+        A job's window is read from ``_windows`` where ``fixed`` laid it
+        out, and searched for otherwise."""
         points, lengths, caps = self._points, self._lengths, self._caps
         units, loads, jobs = self._units, self._loads, self._jobs
+        windows = self._windows
         left: dict[int, int] = {}
         for job in sorted(range(first, len(jobs)), key=lambda i: (jobs[i][1], i)):
             release, deadline, rest = jobs[job]
-            for s in range(
-                bisect.bisect_left(points, release), bisect.bisect_left(points, deadline)
-            ):
+            window = windows.get(job)
+            if window is None:
+                window = range(
+                    bisect.bisect_left(points, release),
+                    bisect.bisect_left(points, deadline),
+                )
+            for s in window:
                 room = m * lengths[s] - loads[s]
                 if room > 0:
                     f = min(caps[s], room, rest)

@@ -24,6 +24,7 @@ from machmin.engine import (
     simulate,
     work_remaining_trace,
 )
+from machmin.logn import LogNPolicy
 from machmin.model import (
     Instance,
     Job,
@@ -397,3 +398,19 @@ def test_peak_budget_tracking():
     assert run.peak_concurrency == 2
     run = simulate(inst, EarlyFit())
     assert run.peak_budget == 2  # unbudgeted: falls back to concurrency
+    assert simulate(Instance([]), EDF(3)).peak_budget == 0  # no slot, no budget
+    # logn's budget grows mid-run: one loose job gives m(L) = 1 and a pool
+    # of 4 machines at alpha = 1/2, and five loose unit jobs in [1, 3) raise
+    # m(L) to 3 and the pool to 12.  The budget read once, at the close, is
+    # the peak
+    inst = Instance([Job(0, 0, 4, 1)] + [Job(i, 1, 3, 1) for i in range(1, 6)])
+    policy = LogNPolicy(3)
+    sim = Simulation(policy)
+    sim.add_jobs(inst.jobs)
+    sim.step()
+    assert policy.current_budget() == 4
+    sim.run_until(inst.d_max)
+    run = sim.finish(inst)
+    assert run.peak_budget == policy.current_budget() == 12
+    assert run.peak_concurrency == 5
+    assert run.first_miss is None

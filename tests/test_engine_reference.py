@@ -3,13 +3,16 @@
 ``reference_step`` is the slot loop written the plain way: it hands the
 policy a copy of the active table, sorts the whole table after every slot,
 rebuilds a state for every selected job (a finished one too) and looks
-every job up twice.  The reference selections sort their candidates even
-when the budget takes all of them.  Every run must match the current engine
-in every field a ``SimulationRun`` carries.  Budgets at the EarlyFit peak
-``b`` and at ``ceil(b/2)`` make misses and doomed-job drops, where a slot
-loop that touches only the jobs a slot changes is easiest to get wrong.
+every job up twice, and it reads the policy's budget after every slot,
+where the engine reads it once, when the run closes.  The reference
+selections sort their candidates even when the budget takes all of them.
+Every run must match the current engine in every field a ``SimulationRun``
+carries.  Budgets at the EarlyFit peak ``b`` and at ``ceil(b/2)`` make
+misses and doomed-job drops, where a slot loop that touches only the jobs
+a slot changes is easiest to get wrong.
 """
 
+import dataclasses
 import random
 from contextlib import contextmanager
 
@@ -61,7 +64,7 @@ def reference_step(self) -> frozenset[int]:
     self.peak_concurrency = max(self.peak_concurrency, len(selected))
     budget = self.policy.current_budget()
     self.peak_budget = max(
-        self.peak_budget, len(selected) if budget is None else budget
+        getattr(self, "peak_budget", 0), len(selected) if budget is None else budget
     )
     self.slots.append(frozenset(selected))
     self.t = t + 1
@@ -76,6 +79,17 @@ def reference_step(self) -> frozenset[int]:
         if job.deadline <= self.t:
             del active[j]  # doomed job dropped at its deadline
     return self.slots[-1]
+
+
+engine_finish = Simulation.finish
+
+
+def reference_finish(self, instance, scale=1):
+    """The reference close: the peak budget is the largest of the budgets
+    that ``reference_step`` read after each slot, where the engine reads the
+    budget once, at the close."""
+    run = engine_finish(self, instance, scale)
+    return dataclasses.replace(run, peak_budget=getattr(self, "peak_budget", 0))
 
 
 def reference_edf_select(states, t, budget):
@@ -116,6 +130,7 @@ def reference_engine():
     module that calls them."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Simulation, "step", reference_step)
+        mp.setattr(Simulation, "finish", reference_finish)
         for module in (engine, composite, logn):
             for name, fn in REFERENCE_SELECTIONS.items():
                 if hasattr(module, name):
@@ -246,6 +261,49 @@ def test_every_policy_matches_the_reference_engine(name):
                         )
                     )
                     assert got == expected, (profile, n, seed, online)
+
+
+@pytest.mark.parametrize("name", POLICIES)
+def test_every_policy_budget_never_falls(name, monkeypatch):
+    """The engine reads a run's budget once, when the run closes: that is
+    the peak only because the budget read after each slot never falls.
+    Checked on every simulation a run makes, nested ones too."""
+    step, finish = Simulation.step, Simulation.finish
+    closed = 0
+
+    def recording_step(self):
+        selected = step(self)
+        self.__dict__.setdefault("budgets", []).append(self.policy.current_budget())
+        return selected
+
+    def checked_finish(self, instance, scale=1):
+        nonlocal closed
+        run = finish(self, instance, scale)
+        budgets = self.__dict__.get("budgets", [])
+        if budgets and budgets[0] is not None:
+            assert budgets == sorted(budgets), budgets
+            assert run.peak_budget == budgets[-1]
+        else:
+            assert all(budget is None for budget in budgets), budgets
+            assert run.peak_budget == run.peak_concurrency
+        closed += 1
+        return run
+
+    monkeypatch.setattr(Simulation, "step", recording_step)
+    monkeypatch.setattr(Simulation, "finish", checked_finish)
+    spec = POLICIES[name]
+    forms = [False, True] if spec.online is not None else [False]
+    for profile in SERVES.get(name, PROFILES):
+        for n in (6, 12):
+            for seed in range(3):
+                generated = gen_random(profile, n, seed)
+                machines = generated.m_opt if spec.needs == "machines" else None
+                for online in forms:
+                    m = generated.m_opt if spec.needs == "m" and not online else None
+                    run_policy(
+                        name, generated.instance, m=m, machines=machines, online=online
+                    )
+    assert closed > 0
 
 
 def test_selections_match_the_reference_selections():

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from test_optimum import reference_min_machines
 
 from machmin.adversary import gen_random
-from machmin.engine import Simulation
+from machmin.engine import Simulation, simulate
 from machmin.logn import (
     LAXITY_FLOOR,
     LaxityTransformSpec,
@@ -231,15 +231,16 @@ def test_laxity_drop_bound_smoke():
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 4)], ids=str)
 def test_pool_optimum_is_exact_at_every_admission(monkeypatch, alpha):
-    # m_L after each admission is the flow optimum of every residue admitted
-    # so far, and the admission itself builds and solves no flow network;
-    # admissions that raise m_L and ones that keep it are both taken.  The
-    # reference solves each count by scipy, not on a running flow like the
-    # pool's
-    admit = LogNPolicy._admit_safe
+    # residues are queued as they turn safe, and each pool solve admits all
+    # the queued ones: m_L after each solve, and at the end of the run, is
+    # the flow optimum of every residue queued so far, and the solve itself
+    # builds and solves no flow network; solves that raise m_L and ones
+    # that keep it are both taken.  The reference solves each count by
+    # scipy, not on a running flow like the pool's
+    queue, flush = LogNPolicy._admit_safe, LogNPolicy._flush_pool
     build, solve = FlowNetwork.build.__func__, FlowNetwork.solve
     calls = 0
-    admissions = raised = 0
+    solves = raised = 0
     pools: dict[LogNPolicy, list[Job]] = {}  # each policy's residues so far
 
     def counting_build(cls, instance):
@@ -252,29 +253,35 @@ def test_pool_optimum_is_exact_at_every_admission(monkeypatch, alpha):
         calls += 1
         return solve(network, m)
 
-    def checked(self, residues):
-        nonlocal admissions, raised
-        admissions += 1
+    def queued(self, residues):
+        pools.setdefault(self, []).extend(residues)
+        queue(self, residues)
+
+    def checked(self):
+        nonlocal solves, raised
+        solves += bool(self._queued)
         before, m_before = calls, self._m_L
-        admit(self, residues)
-        assert calls == before, residues
+        flush(self)
+        assert calls == before
         raised += self._m_L > m_before
-        pool = pools.setdefault(self, [])
-        pool += residues
-        assert self._m_L == reference_min_machines(pool, 1), (residues, self._m_L)
+        pool = pools.get(self, [])
+        assert self._m_L == (reference_min_machines(pool, 1) if pool else 0)
 
     monkeypatch.setattr(FlowNetwork, "build", classmethod(counting_build))
     monkeypatch.setattr(FlowNetwork, "solve", counting_solve)
-    monkeypatch.setattr(LogNPolicy, "_admit_safe", checked)
+    monkeypatch.setattr(LogNPolicy, "_admit_safe", queued)
+    monkeypatch.setattr(LogNPolicy, "_flush_pool", checked)
     for seed, n in enumerate((20, 45, 70, 120)):
         for profile, kw in (
             ("general", {"horizon": n, "max_len": max(6, n // 3)}),
             ("alpha-loose", {"alpha": alpha}),
         ):
             g = gen_random(profile, n, seed, **kw)
-            run = logn_schedule(g.instance, g.m_opt, alpha)
+            policy = LogNPolicy(g.m_opt, alpha)
+            run = simulate(g.instance, policy)
             assert run.first_miss is None
-    assert 0 < raised < admissions
+            assert run.extras["m_L"] == reference_min_machines(pools[policy], 1)
+    assert 0 < raised < solves
 
 
 def test_one_residue_is_admitted_without_a_network(monkeypatch):
@@ -314,15 +321,16 @@ def test_monitor_records_the_load_bound_when_it_certifies():
 
 @pytest.mark.parametrize("second_release", [0, 1])
 def test_pool_at_the_flow_limit_admits(second_release):
-    # two loose jobs whose pool work reaches 2^31, admitted together or
-    # apart: the admission that reaches it keeps m(L) = 1 and a flow of the
-    # whole pool work, no segment holding more than its length; only the
-    # slots up to that admission run, since the simulator steps every slot
-    # up to the horizon
+    # two loose jobs whose pool work reaches 2^31, queued together or
+    # apart: the pool solve that admits them keeps m(L) = 1 and a flow of
+    # the whole pool work, no segment holding more than its length; only
+    # the slots up to the second release run, since the simulator steps
+    # every slot up to the horizon
     policy = LogNPolicy(1)
     sim = Simulation(policy)
     sim.add_jobs([Job(0, 0, 2**32, 2**30), Job(1, second_release, 2**32, 2**30)])
     sim.run_until(second_release + 1)
+    policy._flush_pool()
     assert policy._m_L == 1
     assert policy._safe_budget == 4
     flow = policy._pool.flow()
@@ -337,14 +345,17 @@ def test_certificate_caps_each_share_at_the_segment_length():
     def two_machine_pool():
         policy = LogNPolicy(2)
         policy._admit_safe([Job(0, 1, 4, 3), Job(1, 1, 4, 3)])
+        policy._flush_pool()
         assert policy._m_L == 2
         return policy
 
     policy = two_machine_pool()
     policy._admit_safe([Job(9, 0, 4, 2)])
+    policy._flush_pool()
     assert policy._m_L == 3
     policy = two_machine_pool()
     policy._admit_safe([Job(8, 0, 4, 1), Job(9, 0, 4, 1)])
+    policy._flush_pool()
     assert policy._m_L == 2
     assert policy._pool.flow()[0] == (0, 1, {2: 1, 3: 1})
 

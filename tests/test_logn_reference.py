@@ -4,7 +4,9 @@
 it tests every critical job for looseness, filters every subgroup, takes
 each subgroup's head as the minimum over its live members, and tracks the
 laxity floor over every critical job; each rebuild sorts every group
-again to split it, and builds the residues for the load bound.  Every run
+again to split it, and builds the residues for the load bound.  Its pool
+admits the residues as they turn safe, where the policy queues them until
+a decision or a report reads the pool's optimum.  Every run
 must match the current policy in every field a ``SimulationRun`` carries.
 """
 
@@ -18,6 +20,7 @@ from machmin.adversary import PROFILES, gen_random
 from machmin.engine import edf_key, edf_select, simulate
 from machmin.logn import LogNPolicy, build_groups
 from machmin.model import Instance, Job, JobState
+from machmin.optimum import RunningOptimum
 
 
 def reference_build_groups(states, t):
@@ -46,6 +49,14 @@ def reference_split_group(group, states, mu):
 
 
 class ReferenceLogN(LogNPolicy):
+    def _admit_safe(self, residues):
+        # eager: the pool admits each batch of residues as it turns safe
+        self._safe.update(residue.id for residue in residues)
+        self._m_L = self._pool.add(residues)
+        self._safe_budget = max(
+            self._safe_budget, -(-self._m_L * self._grow // self._shrink)
+        )
+
     def _update_partition(self, t, active):
         arrivals, self._arrivals = self._arrivals, []
         self._critical &= active.keys()
@@ -147,6 +158,35 @@ def test_critical_jobs_turn_loose_after_running_beside_an_idle_one():
     assert 0 not in got["slots"][0] | got["slots"][1]
     assert got["extras"]["min_safe_entry_ratio"] == Fraction(97, 99)
     assert not got["misses"]
+
+
+def test_pool_is_solved_only_when_a_decision_reads_it(monkeypatch):
+    # on all-loose jobs every job turns safe at its release: the policy
+    # solves its pool at fewer slots than those with new residues, and its
+    # runs equal those of the eager reference
+    add, queue = RunningOptimum.add, LogNPolicy._admit_safe
+    adds = admissions = 0
+
+    def counting_add(self, jobs, lower=1):
+        nonlocal adds
+        adds += 1
+        return add(self, jobs, lower)
+
+    def counting_queue(self, residues):
+        nonlocal admissions
+        admissions += 1
+        queue(self, residues)
+
+    for seed in range(4):
+        instance = gen_random("alpha-loose", 40, seed).instance
+        expected = outcome(simulate(instance, ReferenceLogN(1)))
+        adds = admissions = 0
+        with monkeypatch.context() as mp:
+            mp.setattr(RunningOptimum, "add", counting_add)
+            mp.setattr(LogNPolicy, "_admit_safe", counting_queue)
+            got = outcome(simulate(instance, LogNPolicy(1)))
+        assert got == expected
+        assert 0 < adds < admissions, (seed, adds, admissions)
 
 
 @given(
