@@ -102,16 +102,6 @@ class SplitScheduler(OnlinePolicy):
         self.routing: dict[int, Hashable] = {}
         self._peaks = {key: 0 for key in self.pools}
 
-    @classmethod
-    def by_tightness(
-        cls,
-        alpha: Fraction,
-        loose: OnlinePolicy,
-        tight: OnlinePolicy,
-        name: str | None = None,
-    ) -> "SplitScheduler":
-        return cls(_tightness(alpha), {"loose": loose, "tight": tight}, name=name)
-
     def on_release(self, jobs: Sequence[Job], t: int) -> None:
         batches: dict[Hashable, list[Job]] = {}
         for job in jobs:

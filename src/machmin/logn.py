@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .engine import OnlinePolicy, SimulationRun, edf_key, edf_select, simulate
+from .engine import OnlinePolicy, SimulationRun, edf_select, simulate
 from .model import Instance, Job, JobState, is_loose
 from .optimum import RunningOptimum, min_machines
 
@@ -61,7 +61,6 @@ __all__ = [
     "choose_mu",
     "reclassify",
     "build_groups",
-    "split_group",
     "LogNPolicy",
     "logn_schedule",
     "TransformKind",
@@ -153,20 +152,6 @@ def build_groups(states: Sequence[JobState], t: int) -> list[list[int]]:
             anchors.append((deadline, job.release, job.id))
             starts.append(deadline - state.remaining)
     return groups
-
-
-def split_group(
-    group: Sequence[int], states: Mapping[int, JobState], mu: int
-) -> list[list[int]]:
-    """Round-robin a group over mu subgroups by increasing deadline rank;
-    each subgroup is then served by EDF on one dedicated machine."""
-    if mu < 1:
-        raise ValueError("mu must be >= 1")
-    ordered = sorted(group, key=lambda j: edf_key(states[j]))
-    subgroups: list[list[int]] = [[] for _ in range(min(mu, max(len(ordered), 1)))]
-    for rank, job_id in enumerate(ordered):
-        subgroups[rank % mu].append(job_id)
-    return [s for s in subgroups if s]
 
 
 def _lower_ratio(best: Fraction | None, left: int, laxity: int) -> Fraction | None:
@@ -289,8 +274,10 @@ class LogNPolicy(OnlinePolicy):
         # an active job has work left, so a job that joins a group has its
         # deadline before the latest start of the member that joined last,
         # and takes over as the anchor: each group's deadlines fall strictly
-        # in joining order.  The group reversed is in EDF order, and each of
-        # split_group's subgroups is one slice of it, with its EDF head last
+        # in joining order.  Each group is dealt round-robin by deadline
+        # rank over mu subgroups, each served by EDF on a machine of its
+        # own: the group reversed is in EDF order, so a subgroup, the jobs
+        # whose ranks agree mod mu, is one slice of it, with its EDF head last
         self._subgroups = [
             group[i::mu] for group in groups for i in range(min(mu, len(group)))
         ]

@@ -12,12 +12,14 @@ reaches from the source, a minimum cut's bound, and the flow is augmented
 again.  logn's pool and Double's prefix run it at each addition to a
 running optimum that they keep, with no network, and so do every
 feasibility verdict and witness on a fresh one.  ``min_machines`` runs it
-on one ``FlowNetwork``, from the load bound, each count continuing the
-flow of the last.  The strong density comes from the same solves: at a
-fractional machine count the min cut picks the set of time segments that
-most exceeds that count, and Dinkelbach's method raises the count to the
-best ratio.  The two searches must agree via ``ceil(strong density) ==
-preemptive optimum``; the tests check both against enumerations.
+on a ``FlowNetwork``, the running optimum of one job set laid out once,
+from the load bound, each count continuing the flow of the last.  The
+strong density comes from the same network: at a fractional machine
+count, solved on a copy with every capacity scaled by its denominator,
+the min cut picks the set of time segments that most exceeds that count,
+and Dinkelbach's method raises the count to the best ratio.  The two
+searches must agree via ``ceil(strong density) == preemptive optimum``; the
+tests check both against enumerations.
 ``optimum_preemptive`` solves an instance's optimum once and keeps it on
 the instance.  The non-preemptive optimum is a search over machine
 assignments from that optimum upward, each machine's job set checked by a
@@ -28,7 +30,7 @@ job count rather than the time magnitudes.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -125,75 +127,6 @@ def contribution(job: Job, iset: IntervalSet) -> int:
 # flow is computed on Python integers, exact at any magnitude.  It goes with
 # the per-unit witness (ROADMAP item 5).
 FLOW_WORK_LIMIT = 2**31
-
-
-@dataclass(frozen=True, eq=False)
-class FlowNetwork:
-    """Job → time-segment network of one job set, solvable at any machine count.
-
-    Segments are the maximal runs between window breakpoints, so only slots
-    intersecting some job window get a node (coordinate compression), and
-    job ``ji`` covers segments ``spans[ji][0]`` to ``spans[ji][1] - 1``, with
-    one job arc each.  A segment of length L stands for L unit slots: a job
-    feeds it up to L units, it drains ``m * L`` to the sink.  Only those
-    sink arcs depend on ``m``, which may be a fraction: at ``m = num / den``
-    every capacity is scaled by ``den``, so the flow saturates at ``work *
-    den``.  ``solve`` goes through ``maximum_flow``, which solves it on a
-    ``RunningOptimum``.  ``flow`` is the running flow of the last solve at
-    an integer count, which a solve at an equal or larger one continues.
-
-    A network holds no flow code of its own.  It stays for two callers:
-    Dinkelbach's rounds, which solve at fractional counts, and
-    ``min_machines``, whose solves the benchmark's tracer records as the
-    flow build, flow solve and max-flow spans.
-    """
-
-    jobs: tuple[Job, ...]
-    spans: list[tuple[int, int]]
-    segments: tuple[tuple[int, int], ...]
-    work: int
-    flow: RunningOptimum | None = field(default=None, init=False, repr=False)
-
-    @classmethod
-    def build(cls, instance: Instance) -> "FlowNetwork":
-        points = sorted({p for j in instance.jobs for p in (j.release, j.deadline)})
-        index = {p: i for i, p in enumerate(points)}
-        return cls(
-            instance.jobs,
-            [(index[j.release], index[j.deadline]) for j in instance.jobs],
-            tuple(zip(points, points[1:])),
-            instance.total_work,
-        )
-
-    def solve(self, m: int | Fraction) -> tuple[int, list[int]]:
-        """Max flow value on ``m`` machines, scaled by its denominator, and
-        the segments on the source side of the minimum cut (see
-        ``maximum_flow``)."""
-        return maximum_flow(self, m)
-
-
-def maximum_flow(network: FlowNetwork, m: int | Fraction) -> tuple[int, list[int]]:
-    """Maximum flow of ``network`` on ``m = num / den`` machines, scaled by
-    ``den``, and the segments, ascending, that the residual reaches from the
-    source: none at a flow of ``work * den``, and otherwise a minimum cut's
-    source side, the same for every maximum flow.
-
-    Solved on a running flow (``RunningOptimum.max_flow``).  The network
-    keeps the one of its last solve at an integer count, and a solve at an
-    equal or larger integer count, as the climb of ``min_machines`` asks
-    for, augments it at the new count instead of starting over: capacities
-    only grow, so the kept flow stays feasible, and the maximum flow's value
-    and reached segments are the same for every maximum flow.  A fractional
-    or a smaller count is solved anew, on a running flow laid out on the
-    network's segments and spans (``RunningOptimum.fixed``).
-    """
-    num, den = m.numerator, m.denominator
-    running = network.flow
-    if den > 1 or running is None or running.m > num:
-        running = RunningOptimum.fixed(network, m)
-        if den == 1:
-            object.__setattr__(network, "flow", running)
-    return running.max_flow(num)
 
 
 def _climb(
@@ -308,8 +241,7 @@ def min_machines(jobs: Sequence[Job], lower: int) -> int:
     if m >= n:
         return m
     network = FlowNetwork.build(instance)
-    lengths = [b - a for a, b in network.segments]
-    return _climb(network.solve, network.work, lengths, m, n)
+    return _climb(network.solve, network._work, network._lengths, m, n)
 
 
 def _cut_shares(
@@ -360,13 +292,10 @@ class RunningOptimum:
     flow of the larger set, so ``m`` is always the exact optimum, and the
     flow is the one that a network's climb from the same count keeps.
 
-    ``fixed`` and ``max_flow`` solve a network's job set, on its segments,
-    at one count ``num / den`` instead, on the same fill and phases with
-    every capacity scaled by ``den``: a job needs ``den`` times its
-    processing time and takes at most ``den`` times a segment's length
-    there, and a segment holds at most ``num`` times its length.  Such a
-    flow keeps the work it has left, and ``max_flow`` at a larger ``num``
-    augments it there.
+    ``max_flow`` also solves at one given count, with no climb: a
+    ``FlowNetwork`` is a running optimum of one job set, filled once and
+    augmented count by count, and solved at a fractional count ``num /
+    den`` on a copy with every capacity scaled by ``den`` (``_scaled``).
     """
 
     def __init__(self) -> None:
@@ -377,7 +306,7 @@ class RunningOptimum:
         self._points: list[int] = []
         self._lengths: list[int] = []  # per segment: its length
         # per segment: the most units one job may hold there; the list
-        # ``_lengths`` itself, which ``_cut`` keeps, except in ``fixed``
+        # ``_lengths`` itself, which ``_cut`` keeps, except in ``_scaled``
         self._caps = self._lengths
         self._units: list[dict[int, int]] = []  # per segment: job -> units
         self._loads: list[int] = []  # per segment: the sum of its units
@@ -391,34 +320,16 @@ class RunningOptimum:
         which every job admitted so far fits."""
         m = max(lower, self.m, 1)
         first = len(self._jobs)
-        self._admit(jobs, 1)
+        self._admit(jobs)
         self._left = self._fill(first, m)
         return _climb(self.max_flow, self._work, self._lengths, m)
 
-    @classmethod
-    def fixed(cls, network: FlowNetwork, count: int | Fraction) -> RunningOptimum:
-        """A flow of ``network``'s jobs on ``count = num / den`` machines,
-        with every capacity scaled by ``den``: each job filled into its
-        earliest segments with room.  The segments and each job's window
-        are the network's, neither sorted nor searched again.  ``max_flow``
-        makes it a maximum flow."""
-        den = count.denominator
-        running = cls()
-        running._jobs = [(j.release, j.deadline, den * j.processing) for j in network.jobs]
-        running._work = den * network.work
-        segments = network.segments
-        running._lay_out([a for a, _ in segments] + [b for _, b in segments[-1:]], den)
-        running._windows = {job: range(*span) for job, span in enumerate(network.spans)}
-        running.m = count.numerator
-        running._left = running._fill(0, running.m)
-        return running
-
     def max_flow(self, num: int) -> tuple[int, list[int]]:
-        """Raise the count to ``num`` (over a ``fixed`` flow's
-        denominator), which must not lower it, and augment the flow to a
-        maximum there: returns its value and the segments, ascending, that
-        the jobs with work left reach, which form a minimum cut's source
-        side (none when every job is placed)."""
+        """Raise the count to ``num`` (over ``_scaled``'s denominator),
+        which must not lower it, and augment the flow to a maximum there:
+        returns its value and the segments, ascending, that the jobs with
+        work left reach, which form a minimum cut's source side (none when
+        every job is placed)."""
         self.m = num
         cut = self._augment(num)
         value = self._work - sum(self._left.values())
@@ -433,28 +344,21 @@ class RunningOptimum:
             for s, units in enumerate(self._units)
         ]
 
-    def _admit(self, jobs: Iterable[Job], den: int) -> None:
-        """Append ``jobs``, each needing ``den`` units per unit of work.
-        The first jobs lay out their breakpoints in one sorted pass; later
-        ones cut the segments their breakpoints fall in."""
+    def _admit(self, jobs: Iterable[Job]) -> None:
+        """Append ``jobs``.  The first jobs lay out their breakpoints, and
+        empty segments between them, in one sorted pass; later ones cut the
+        segments their breakpoints fall in."""
         first = len(self._jobs)
-        self._jobs += [(j.release, j.deadline, den * j.processing) for j in jobs]
+        self._jobs += [(j.release, j.deadline, j.processing) for j in jobs]
         self._work += sum(need for _, _, need in self._jobs[first:])
         self._windows = {}
         points = sorted({p for r, d, _ in self._jobs[first:] for p in (r, d)})
         if self._points:
             for point in points:
                 self._cut(point)
-        else:
-            self._lay_out(points, den)
-
-    def _lay_out(self, points: list[int], den: int) -> None:
-        """Make ``points`` the breakpoints of empty segments, with job
-        capacities ``den`` times the lengths; only ``den = 1`` admits more
-        jobs later."""
+            return
         self._points = points
-        self._lengths = [b - a for a, b in zip(points, points[1:])]
-        self._caps = self._lengths if den == 1 else [den * l for l in self._lengths]
+        self._lengths = self._caps = [b - a for a, b in zip(points, points[1:])]
         self._units = [{} for _ in self._lengths]
         self._loads = [0] * len(self._lengths)
 
@@ -482,7 +386,7 @@ class RunningOptimum:
     def _fill(self, first: int, m: int) -> dict[int, int]:
         """Fill the jobs from admission index ``first`` on into their
         earliest segments with room; returns the work each has left, if any.
-        A job's window is read from ``_windows`` where ``fixed`` laid it
+        A job's window is read from ``_windows`` where a network laid it
         out, and searched for otherwise."""
         points, lengths, caps = self._points, self._lengths, self._caps
         units, loads, jobs = self._units, self._loads, self._jobs
@@ -660,6 +564,69 @@ class RunningOptimum:
             left[start] -= f
 
 
+class FlowNetwork(RunningOptimum):
+    """The running optimum of one job set, solvable at any machine count.
+
+    ``build`` lays the jobs out once, with each job's window of segments.
+    ``solve`` goes through ``maximum_flow``, which fills the network at its
+    first integer count and augments its own flow at each equal or larger
+    one, as the climb of ``min_machines`` asks for, and solves any other
+    count, fractional as in Dinkelbach's rounds or smaller, on a copy.  The
+    benchmark's tracer records ``build``, ``solve`` and ``maximum_flow`` as
+    the flow build, flow solve and max-flow spans.
+    """
+
+    @classmethod
+    def build(cls, instance: Instance) -> "FlowNetwork":
+        network = cls()
+        network._admit(instance.jobs)
+        index = {p: s for s, p in enumerate(network._points)}
+        network._windows = {
+            job: range(index[r], index[d]) for job, (r, d, _) in enumerate(network._jobs)
+        }
+        return network
+
+    def solve(self, m: int | Fraction) -> tuple[int, list[int]]:
+        """Max flow value on ``m`` machines, scaled by its denominator, and
+        the segments on the source side of the minimum cut (see
+        ``maximum_flow``)."""
+        return maximum_flow(self, m)
+
+    def _scaled(self, den: int) -> RunningOptimum:
+        """An empty flow of the network's jobs with every capacity scaled by
+        ``den``, on the network's breakpoints and windows: a job needs
+        ``den`` times its processing time and takes at most ``den`` times a
+        segment's length there."""
+        scaled = RunningOptimum()
+        scaled._jobs = [(r, d, den * need) for r, d, need in self._jobs]
+        scaled._work = den * self._work
+        scaled._points, scaled._windows = self._points, self._windows
+        scaled._lengths = lengths = self._lengths
+        scaled._caps = [den * length for length in lengths]
+        scaled._units = [{} for _ in lengths]
+        scaled._loads = [0] * len(lengths)
+        return scaled
+
+
+def maximum_flow(network: FlowNetwork, m: int | Fraction) -> tuple[int, list[int]]:
+    """Maximum flow of ``network`` on ``m = num / den`` machines, scaled by
+    ``den``, and the segments, ascending, that the residual reaches from the
+    source: none at a flow of ``work * den``, and otherwise a minimum cut's
+    source side, the same for every maximum flow.
+
+    At an integer count no smaller than the network's last one, the network
+    is filled at its first and its own flow is augmented at each: capacities
+    only grow, so the flow stays feasible.  Any other count is solved on a
+    copy, ``_scaled(den)``, filled and augmented there, and the network
+    keeps its flow.
+    """
+    num, den = m.numerator, m.denominator
+    running = network._scaled(den) if den > 1 or num < network.m else network
+    if not running.m:
+        running._left = running._fill(0, num)
+    return running.max_flow(num)
+
+
 # The key under which an instance keeps its preemptive optimum.
 _PREEMPTIVE = "optimum_preemptive"
 
@@ -718,14 +685,14 @@ def strong_density_witness(instance: Instance) -> tuple[Fraction, IntervalSet]:
     if instance.n == 0:
         raise ValueError("instance is empty")
     network = FlowNetwork.build(instance)
-    segments = network.segments
+    points = network._points
     # every segment that some job's window covers
-    chosen = {si for lo, hi in network.spans for si in range(lo, hi)}
+    chosen = {s for window in network._windows.values() for s in window}
     while True:
-        iset = IntervalSet(segments[si] for si in chosen)
+        iset = IntervalSet((points[s], points[s + 1]) for s in chosen)
         rho = Fraction(sum(contribution(j, iset) for j in instance.jobs), iset.length)
         value, chosen = network.solve(rho)
-        if value == network.work * rho.denominator:
+        if value == network._work * rho.denominator:
             return rho, iset
 
 

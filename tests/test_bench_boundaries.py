@@ -4,14 +4,18 @@
 class attribute must sit in the class's own ``__dict__`` (a subclass that
 inherits it would be wrapped on its base instead), and a module attribute
 must exist.  ``perfbench/workloads.py`` reads ``<module>.<name>`` off the
-machmin modules it imports.  A refactor that renames, moves or deletes one
-fails here, not first in a benchmark run.
+machmin modules it imports.  And the first cycle of each workload, traced,
+records a span at every boundary the workload declares.  A refactor that
+renames, moves or deletes one, or stops calling it, fails here, not first in
+a benchmark run.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,10 +24,25 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
 
+@contextlib.contextmanager
+def perfbench_imports():
+    """perfbench's modules import one another by bare name: put perfbench on
+    the path for the block, and write no bytecode under it."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = saved
+
+
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    with perfbench_imports():
+        spec.loader.exec_module(module)
     return module
 
 
@@ -78,3 +97,21 @@ def test_workloads_read_machmin_modules():
 )
 def test_workload_name_resolves(module, attr):
     assert hasattr(importlib.import_module(module), attr), f"{module} has no {attr}"
+
+
+with perfbench_imports():
+    import worker
+    import workloads
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_first_cycle_records_every_declared_span(name):
+    # the first cycle at seed 7, traced as a benchmark run traces its guard
+    # set (worker.traced_items): no item fails, and every boundary in the
+    # workload's spans is recorded
+    workload = workloads.WORKLOADS[name]
+    with perfbench_imports():
+        (_, _, failures, _), per_item, _ = worker.traced_items(workload, 7, workload.cycle)
+    assert failures == []
+    seen = set().union(*(values["spans"] for values in per_item.values()))
+    assert sorted(set(workload.spans) - seen) == []

@@ -35,6 +35,7 @@ from machmin.model import (
     Instance,
     Job,
     JobState,
+    is_loose,
     scale_instance,
     validate_nonpreemptive,
     validate_preemptive,
@@ -463,12 +464,14 @@ def test_uniform_rejects_non_uniform():
 
 
 def test_split_pools_are_disjoint():
+    def router(job):
+        loose = is_loose(job.processing, job.window_length, Fraction(1, 2))
+        return "loose" if loose else "tight"
+
     for seed in range(15):
         g = gen_random("agreeable", 8, seed)
-        policy = SplitScheduler.by_tightness(
-            Fraction(1, 2),
-            EDF(4 * g.m_opt),
-            EDF(14 * g.m_opt),
+        policy = SplitScheduler(
+            router, {"loose": EDF(4 * g.m_opt), "tight": EDF(14 * g.m_opt)}
         )
         run = simulate(g.instance, policy)
         # routing is total and single-valued, so no job can sit in two pools

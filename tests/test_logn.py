@@ -16,7 +16,6 @@ from machmin.logn import (
     logn_schedule,
     reclassify,
     required_scale,
-    split_group,
     transform,
 )
 from machmin.model import Instance, Job, JobState, scale_instance
@@ -61,14 +60,6 @@ def test_build_groups_zero_laxity():
     b = JobState(Job(1, 0, 3, 3), 3)
     groups = build_groups([a, b], 0)
     assert groups == [[0], [1]]  # zero laxity admits nothing
-
-
-def test_split_group_examples():
-    jobs = {i: JobState(Job(i, 0, 10 + i, 2), 2) for i in range(5)}
-    subgroups = split_group(list(range(5)), jobs, 2)
-    assert subgroups == [[0, 2, 4], [1, 3]]
-    assert split_group(list(range(5)), jobs, 1) == [[0, 1, 2, 3, 4]]
-    assert split_group(list(range(3)), jobs, 7) == [[0], [1], [2]]
 
 
 def test_logn_alpha_validation():

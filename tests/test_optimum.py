@@ -563,9 +563,10 @@ def test_flow_network_structure():
     inst = Instance([Job(0, 0, 3, 2), Job(1, 1, 5, 1)])
     net = FlowNetwork.build(inst)
     # segments are the maximal runs between window breakpoints
-    assert net.segments == ((0, 1), (1, 3), (3, 5))
+    assert [(a, b) for a, b, _ in net.flow()] == [(0, 1), (1, 3), (3, 5)]
     # a job has one arc to each segment inside its window
-    assert net.spans == [(0, 2), (1, 3)]
+    assert net._windows == {0: range(0, 2), 1: range(1, 3)}
+    assert net._work == inst.total_work
     value, reached = net.solve(2)
     assert (value, reached) == (inst.total_work, [])
 
@@ -642,6 +643,26 @@ def test_flow_network_fractional_capacities():
     assert net.solve(Fraction(1, 5)) == (4, [0])
 
 
+def test_fractional_solve_leaves_the_network_flow():
+    # a fractional count is solved on a scaled copy: between solves at 2
+    # and 3, one at 5/2 leaves the network's flow as it was, though it
+    # places more work than the flow at 2 holds, and the flow at 3 is the
+    # one that a network solved only at 2 and then 3 keeps
+    from machmin.optimum import FlowNetwork
+
+    instance = Instance(
+        [Job(i, 0, 2, 2) for i in range(3)] + [Job(3 + i, 1, 4, 2) for i in range(3)]
+    )
+    network, plain = FlowNetwork.build(instance), FlowNetwork.build(instance)
+    assert network.solve(2) == plain.solve(2) == scipy_flow(instance, 2) == (8, [0, 1, 2])
+    kept = network.flow()
+    value, reached = network.solve(Fraction(5, 2))
+    assert (value, reached) == scipy_flow(instance, Fraction(5, 2)) and value > 2 * 8
+    assert network.flow() == kept and network.m == 2
+    assert network.solve(3) == plain.solve(3) == scipy_flow(instance, 3)
+    assert network.flow() == plain.flow()
+
+
 @st.composite
 def straddling_instances(draw):
     """A small job set, of at most 10 jobs and 190 job arcs, or a large one,
@@ -669,7 +690,7 @@ def kernel_cases(draw):
         st.integers(1, instance.n)
         | st.builds(Fraction, st.integers(1, 3 * instance.n), st.integers(2, 7))
     )
-    return network, m, draw(st.integers(1, max(1, math.floor(m))))
+    return instance, network, m, draw(st.integers(1, max(1, math.floor(m))))
 
 
 @settings(max_examples=120, deadline=None)
@@ -680,22 +701,26 @@ def test_running_flow_matches_the_scipy_reference(case, offset):
     # side of the minimum cut, which is the same for every maximum flow;
     # solved fresh, and after a solve at a lower integer count, whose flow
     # an integer count continues and a fractional one leaves; a solve at a
-    # lower count after a higher one solves anew.  Scaled by 2^k to a total
-    # work just short of FLOW_WORK_LIMIT or past it, the value scales by
-    # 2^k and the cut stays
+    # lower count after a higher one solves anew and leaves the network's
+    # flow.  Scaled by 2^k to a total work just short of FLOW_WORK_LIMIT or
+    # past it, the value scales by 2^k and the cut stays
     from machmin.optimum import FlowNetwork
 
-    network, m, lower = case
-    instance = Instance(network.jobs)
+    instance, network, m, lower = case
     expected = scipy_flow(instance, m)
     value, reached = expected
-    assert (value == network.work * m.denominator) == (not reached)
+    assert (value == instance.total_work * m.denominator) == (not reached)
     assert network.solve(m) == expected
     for solved in (network, FlowNetwork.build(instance)):
+        count, before = solved.m, solved.flow()
         assert solved.solve(lower) == scipy_flow(instance, lower)
-        kept = solved.flow
+        if lower < count:
+            assert solved.flow() == before and solved.m == count
+        kept = solved.flow()
         assert solved.solve(m) == expected
-        assert solved.flow is kept and kept.m == (m if m.denominator == 1 else lower)
+        if m.denominator > 1:
+            assert solved.flow() == kept
+        assert solved.m == (m if m.denominator == 1 else lower)
     scaled = _scaled_past_limit(instance, offset)
     factor = scaled.total_work // instance.total_work
     network = FlowNetwork.build(scaled)
@@ -845,8 +870,8 @@ def test_network_climb_keeps_the_running_optimum_flow(case, offset):
     assume(m < instance.n and load < instance.n)
     (network,) = built
     running = RunningOptimum()
-    assert running.add(instance.jobs, load) == m == network.flow.m
-    assert network.flow.flow() == running.flow()
+    assert running.add(instance.jobs, load) == m == network.m
+    assert network.flow() == running.flow()
 
 
 def _jobs_with_arcs(arcs):
@@ -870,7 +895,7 @@ def test_min_machines_builds_one_network_and_no_admission(monkeypatch, arcs, off
     from machmin.optimum import FlowNetwork
 
     instance = Instance(_jobs_with_arcs(arcs))
-    assert sum(hi - lo for lo, hi in FlowNetwork.build(instance).spans) == arcs
+    assert sum(map(len, FlowNetwork.build(instance)._windows.values())) == arcs
     expected = reference_min_machines(instance.jobs, 1)
     if offset is not None:
         instance = _scaled_past_limit(instance, offset)
