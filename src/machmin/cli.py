@@ -49,6 +49,9 @@ EXIT_MISS = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
+# The policies that ``adversary --policy`` plays against, by name.
+_ADVERSARY_POLICIES = {"edf": EDF, "llf": LLF}
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -134,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("-o", "--out")
 
     adv = sub.add_parser("adversary", help="play the adaptive equal-p game")
-    adv.add_argument("--policy", required=True, choices=["edf", "llf"])
+    adv.add_argument("--policy", required=True, choices=_ADVERSARY_POLICIES)
     adv.add_argument("--m", type=int, required=True)
     adv.add_argument("--c", type=_fraction, default=Fraction(9, 8))
 
@@ -259,8 +262,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
-    factory = {"edf": EDF, "llf": LLF}[args.policy]
-    outcome = play_eight_sevenths(factory, args.m, args.c)
+    outcome = play_eight_sevenths(_ADVERSARY_POLICIES[args.policy], args.m, args.c)
     print(
         f"policy={args.policy} budget={outcome.budget} "
         f"(floor of c*m, c={outcome.c}) phases={outcome.phases_played}/"

@@ -1,25 +1,18 @@
 """Exact offline optima and the strong-density characterization.
 
-The preemptive optimum is computed by max-flow feasibility (jobs feed work
-into time segments, segments drain into the sink at the machine count),
-Horn's formulation.  The one max-flow code is ``RunningOptimum``, which
-keeps one feasible flow of a job set and augments it in Dinic's phases
-(``max_flow``), exact on Python integers; the package imports neither
-numpy nor scipy.  Every optimum comes from one climb (``_climb``): the flow
-is augmented to a maximum, and while work is left the machine count rises
-by the work left over the length of the segments that the residual
-reaches from the source, a minimum cut's bound, and the flow is augmented
-again.  logn's pool and Double's prefix run it at each addition to a
-running optimum that they keep, with no network, and so do every
-feasibility verdict and witness on a fresh one.  ``min_machines`` runs it
-on a ``FlowNetwork``, the running optimum of one job set laid out once,
-from the load bound, each count continuing the flow of the last.  The
-strong density comes from the same network: at a fractional machine
-count, solved on a copy with every capacity scaled by its denominator,
-the min cut picks the set of time segments that most exceeds that count,
-and Dinkelbach's method raises the count to the best ratio.  The two
-searches must agree via ``ceil(strong density) == preemptive optimum``; the
-tests check both against enumerations.
+The preemptive optimum is decided by max-flow feasibility in Horn's
+formulation: jobs feed work into the time segments between their windows'
+breakpoints, and each segment drains into the sink at the machine count.
+One class, ``RunningOptimum``, holds the flow code, exact on Python
+integers: one feasible flow of a growing job set, augmented in Dinic's
+phases.  Every optimum comes from one climb (``_climb``): the flow is made
+a maximum, and while work is left the count rises by a minimum cut's bound.
+The strong density is Dinkelbach's method over the same flow's minimum
+cuts at fractional counts; the tests check ``ceil(strong density) ==
+preemptive optimum`` and both against enumerations.  ``FlowNetwork`` (the
+same class) and ``maximum_flow`` stay only as names that the benchmark's
+tracer wraps for its declared flow spans (``BOUNDARIES`` in
+perfbench/tracer.py; ROADMAP items 1 and 3).
 ``optimum_preemptive`` solves an instance's optimum once and keeps it on
 the instance.  The non-preemptive optimum is a search over machine
 assignments from that optimum upward, each machine's job set checked by a
@@ -229,9 +222,9 @@ def min_machines(jobs: Sequence[Job], lower: int) -> int:
 
     Any m >= n fits, one job per machine, without a solve.  Below n, m is
     raised to the load bound ``ceil(W / (d_max - r_min))``, and returned if
-    that reaches n.  Otherwise the set gets one ``FlowNetwork``, solved at
-    m, and the climb of ``_climb`` to the optimum, each count continuing
-    the flow of the last (``maximum_flow``); it stops at n, which fits.
+    that reaches n.  Otherwise the set is laid out once (``build``) and
+    climbs from m, each count continuing the flow of the last; the climb
+    stops at n, which fits.
     """
     instance = Instance(jobs)
     n, m = instance.n, max(lower, 1)
@@ -240,7 +233,7 @@ def min_machines(jobs: Sequence[Job], lower: int) -> int:
         m = max(m, -(-instance.total_work // span))
     if m >= n:
         return m
-    network = FlowNetwork.build(instance)
+    network = RunningOptimum.build(instance)
     return _climb(network.solve, network._work, network._lengths, m, n)
 
 
@@ -282,20 +275,16 @@ class RunningOptimum:
     ``add`` admits jobs and returns the new optimum.  A segment that a new
     breakpoint falls in is cut by ``_cut_shares``, which keeps the flow
     feasible.  Each new job, in (deadline, admission) order, then fills its
-    earliest segments that have room.  Any work left over is pushed by
-    ``max_flow`` along augmenting paths, job, segment, (a job with units
-    there, another of its segments)*, a segment with room, in Dinic's
-    phases from all jobs with work left at once.  When no path is left, the
-    count climbs by the minimum cut's bound (``_climb``) and ``max_flow``
-    augments again, which keeps the flow feasible, since capacities only
-    grow.  Adding to a maximum flow and augmenting from it gives a maximum
-    flow of the larger set, so ``m`` is always the exact optimum, and the
-    flow is the one that a network's climb from the same count keeps.
+    earliest segments that have room.  ``max_flow`` pushes the rest along
+    augmenting paths, job, segment, (a job with units there, another of its
+    segments)*, a segment with room, in Dinic's phases; while work is left
+    the count climbs (``_climb``) and ``max_flow`` augments again, which
+    keeps the flow feasible, since capacities only grow.  Adding to a
+    maximum flow and augmenting from it gives a maximum flow of the larger
+    set, so ``m`` is always the exact optimum.
 
-    ``max_flow`` also solves at one given count, with no climb: a
-    ``FlowNetwork`` is a running optimum of one job set, filled once and
-    augmented count by count, and solved at a fractional count ``num /
-    den`` on a copy with every capacity scaled by ``den`` (``_scaled``).
+    ``build`` lays out one job set with no flow, and ``solve`` solves it at
+    one count (``maximum_flow``).
     """
 
     def __init__(self) -> None:
@@ -310,8 +299,7 @@ class RunningOptimum:
         self._caps = self._lengths
         self._units: list[dict[int, int]] = []  # per segment: job -> units
         self._loads: list[int] = []  # per segment: the sum of its units
-        # the work left per job, and each job's segments while no cut
-        # shifts them
+        # the work left per job, and the windows that ``_window`` has found
         self._left: dict[int, int] = {}
         self._windows: dict[int, range] = {}
 
@@ -331,9 +319,9 @@ class RunningOptimum:
         work left reach, which form a minimum cut's source side (none when
         every job is placed)."""
         self.m = num
-        cut = self._augment(num)
+        levels = self._augment(num)
         value = self._work - sum(self._left.values())
-        return value, [s for s, level in enumerate(cut[1]) if level] if cut else []
+        return value, [s for s, level in enumerate(levels or ()) if level]
 
     def flow(self) -> list[tuple[int, int, dict[int, int]]]:
         """The flow as ``(a, b, units)`` per segment ``[a, b)``, ``units``
@@ -348,11 +336,11 @@ class RunningOptimum:
         """Append ``jobs``.  The first jobs lay out their breakpoints, and
         empty segments between them, in one sorted pass; later ones cut the
         segments their breakpoints fall in."""
-        first = len(self._jobs)
-        self._jobs += [(j.release, j.deadline, j.processing) for j in jobs]
-        self._work += sum(need for _, _, need in self._jobs[first:])
+        new = [(j.release, j.deadline, j.processing) for j in jobs]
+        self._jobs += new
+        self._work += sum(need for _, _, need in new)
         self._windows = {}
-        points = sorted({p for r, d, _ in self._jobs[first:] for p in (r, d)})
+        points = sorted({p for r, d, _ in new for p in (r, d)})
         if self._points:
             for point in points:
                 self._cut(point)
@@ -361,6 +349,19 @@ class RunningOptimum:
         self._lengths = self._caps = [b - a for a, b in zip(points, points[1:])]
         self._units = [{} for _ in self._lengths]
         self._loads = [0] * len(self._lengths)
+
+    def _window(self, job: int) -> range:
+        """The segments of job ``job``'s window, never empty since p >= 1;
+        searched for once after each admission, whose cuts shift them."""
+        window = self._windows.get(job)
+        if window is None:
+            release, deadline, _ = self._jobs[job]
+            points = self._points
+            window = self._windows[job] = range(
+                bisect.bisect_left(points, release),
+                bisect.bisect_left(points, deadline),
+            )
+        return window
 
     def _cut(self, point: int) -> None:
         """Make ``point`` a breakpoint, cutting the segment it falls in."""
@@ -385,22 +386,13 @@ class RunningOptimum:
 
     def _fill(self, first: int, m: int) -> dict[int, int]:
         """Fill the jobs from admission index ``first`` on into their
-        earliest segments with room; returns the work each has left, if any.
-        A job's window is read from ``_windows`` where a network laid it
-        out, and searched for otherwise."""
-        points, lengths, caps = self._points, self._lengths, self._caps
+        earliest segments with room; returns the work each has left, if any."""
+        lengths, caps = self._lengths, self._caps
         units, loads, jobs = self._units, self._loads, self._jobs
-        windows = self._windows
         left: dict[int, int] = {}
         for job in sorted(range(first, len(jobs)), key=lambda i: (jobs[i][1], i)):
-            release, deadline, rest = jobs[job]
-            window = windows.get(job)
-            if window is None:
-                window = range(
-                    bisect.bisect_left(points, release),
-                    bisect.bisect_left(points, deadline),
-                )
-            for s in window:
+            rest = jobs[job][2]
+            for s in self._window(job):
                 room = m * lengths[s] - loads[s]
                 if room > 0:
                     f = min(caps[s], room, rest)
@@ -413,20 +405,18 @@ class RunningOptimum:
                 left[job] = rest
         return left
 
-    def _augment(self, m: int) -> tuple[dict[int, int], list[int]] | None:
+    def _augment(self, m: int) -> list[int] | None:
         """Push the work ``_left`` (job -> units, emptied as it is placed)
-        along augmenting paths on ``m`` machines, in Dinic's phases;
-        ``_windows`` caches each job's segments.
+        along augmenting paths on ``m`` machines, in Dinic's phases.
 
         Returns None when all of it is placed.  Otherwise it stops when no
-        path is left and returns the levels of the last search, each job's
-        and each segment's (0 for a segment not reached): the jobs and
-        segments reachable from the jobs with work left, a minimum cut's
-        source side.
+        path is left and returns each segment's level in the last search (0
+        for one not reached): the segments reachable from the jobs with work
+        left, a minimum cut's source side.
         """
-        points, lengths, caps = self._points, self._lengths, self._caps
-        units, loads, jobs = self._units, self._loads, self._jobs
-        left, windows = self._left, self._windows
+        lengths, caps = self._lengths, self._caps
+        units, loads, left = self._units, self._loads, self._left
+        window_of = self._window
         while left:
             # levels: the jobs with work left are 0, the segments they can
             # take more units in 1, the other jobs with units there 2, ...;
@@ -443,13 +433,7 @@ class RunningOptimum:
             while frontier:
                 reached = []
                 for job in frontier:
-                    window = windows.get(job)
-                    if window is None:
-                        release, deadline, _ = jobs[job]
-                        window = windows[job] = range(
-                            bisect.bisect_left(points, release),
-                            bisect.bisect_left(points, deadline),
-                        )
+                    window = window_of(job)
                     s, end = window.start, window.stop
                     while True:
                         while unreached[s] != s:
@@ -475,7 +459,7 @@ class RunningOptimum:
                             frontier.append(job)
                 level += 2
             if not top:
-                return job_level, seg_level
+                return seg_level
             self._blocking_flow(m, job_level, seg_level, top)
         return None
 
@@ -485,7 +469,8 @@ class RunningOptimum:
         """Augment along the paths of one level graph until none is left:
         a depth-first search from each job with work left, each node
         resuming where it stopped, and a node with no way on dropped from
-        its level."""
+        its level.  Every job with a level had its window found by the
+        search of ``_augment``."""
         lengths, caps, units, loads = self._lengths, self._caps, self._units, self._loads
         left, windows = self._left, self._windows
         job_next: dict[int, int] = {}  # job -> the next segment to try
@@ -563,27 +548,11 @@ class RunningOptimum:
         else:
             left[start] -= f
 
-
-class FlowNetwork(RunningOptimum):
-    """The running optimum of one job set, solvable at any machine count.
-
-    ``build`` lays the jobs out once, with each job's window of segments.
-    ``solve`` goes through ``maximum_flow``, which fills the network at its
-    first integer count and augments its own flow at each equal or larger
-    one, as the climb of ``min_machines`` asks for, and solves any other
-    count, fractional as in Dinkelbach's rounds or smaller, on a copy.  The
-    benchmark's tracer records ``build``, ``solve`` and ``maximum_flow`` as
-    the flow build, flow solve and max-flow spans.
-    """
-
     @classmethod
-    def build(cls, instance: Instance) -> "FlowNetwork":
+    def build(cls, instance: Instance) -> RunningOptimum:
+        """The jobs of ``instance`` laid out with no flow, for ``solve``."""
         network = cls()
         network._admit(instance.jobs)
-        index = {p: s for s, p in enumerate(network._points)}
-        network._windows = {
-            job: range(index[r], index[d]) for job, (r, d, _) in enumerate(network._jobs)
-        }
         return network
 
     def solve(self, m: int | Fraction) -> tuple[int, list[int]]:
@@ -608,17 +577,19 @@ class FlowNetwork(RunningOptimum):
         return scaled
 
 
-def maximum_flow(network: FlowNetwork, m: int | Fraction) -> tuple[int, list[int]]:
-    """Maximum flow of ``network`` on ``m = num / den`` machines, scaled by
-    ``den``, and the segments, ascending, that the residual reaches from the
-    source: none at a flow of ``work * den``, and otherwise a minimum cut's
-    source side, the same for every maximum flow.
+FlowNetwork = RunningOptimum  # the name that perfbench/tracer.py's BOUNDARIES wrap
 
-    At an integer count no smaller than the network's last one, the network
-    is filled at its first and its own flow is augmented at each: capacities
-    only grow, so the flow stays feasible.  Any other count is solved on a
-    copy, ``_scaled(den)``, filled and augmented there, and the network
-    keeps its flow.
+
+def maximum_flow(network: RunningOptimum, m: int | Fraction) -> tuple[int, list[int]]:
+    """Maximum flow of a ``build`` network on ``m = num / den`` machines,
+    scaled by ``den``, and the segments, ascending, that the residual reaches
+    from the source: none at a flow of ``work * den``, and otherwise a
+    minimum cut's source side, the same for every maximum flow.
+
+    At an integer count no smaller than the network's last, the network's
+    own flow is filled at its first and augmented; any other count is
+    solved on a ``_scaled(den)`` copy, and the network keeps its flow.  It
+    is apart from ``solve`` only as the tracer's max-flow span.
     """
     num, den = m.numerator, m.denominator
     running = network._scaled(den) if den > 1 or num < network.m else network
@@ -665,35 +636,37 @@ def optimal_witness(instance: Instance) -> tuple[int, PreemptiveSchedule]:
 
 
 # ---------------------------------------------------------------------------
-# Strong density: Dinkelbach's method over the flow network's min cuts.
+# Strong density: Dinkelbach's method over the running flow's min cuts.
 # ---------------------------------------------------------------------------
 
 
 def strong_density_witness(instance: Instance) -> tuple[Fraction, IntervalSet]:
     """Strong density plus one maximizing interval set.
 
-    At a fractional machine count ``λ`` the network's min cut is
-    ``W - max over segment sets S of [contribution(S) - λ |S|]`` (scaled by
-    ``λ``'s denominator), and the segments reachable from the source in the
-    residual graph form a maximizing ``S``.  Whole segments suffice: within
-    a segment that bracket is convex in the number of slots taken.
-    Dinkelbach's method starts from every occupied segment, sets ``λ`` to
-    the ratio of ``S`` and takes the min cut's ``S`` until the flow
-    saturates, that is, until no set beats ``λ``.  Each round raises ``λ``,
-    so the loop ends.
+    At a machine count ``λ = num / den`` the scaled min cut is the least
+    ``den (W - contribution(S)) + num |S|`` over segment sets S, and the
+    segments that the residual reaches from the source form such an S, so
+    the cut's value gives S's ratio with no sum over the jobs.  Whole
+    segments suffice: within a segment that bracket is convex in the number
+    of slots taken.  Dinkelbach's method starts from every covered segment,
+    where each job contributes its processing time, moves ``λ`` to the
+    ratio of the cut's S, and stops when the flow saturates, that is, when
+    no set beats ``λ``.  Each round raises ``λ``, so the loop ends.
     """
     if instance.n == 0:
         raise ValueError("instance is empty")
-    network = FlowNetwork.build(instance)
-    points = network._points
-    # every segment that some job's window covers
-    chosen = {s for window in network._windows.values() for s in window}
+    network = RunningOptimum.build(instance)
+    points, lengths, work = network._points, network._lengths, network._work
+    chosen = {s for job in range(instance.n) for s in network._window(job)}
+    rho = Fraction(work, sum(lengths[s] for s in chosen))
     while True:
-        iset = IntervalSet((points[s], points[s + 1]) for s in chosen)
-        rho = Fraction(sum(contribution(j, iset) for j in instance.jobs), iset.length)
-        value, chosen = network.solve(rho)
-        if value == network._work * rho.denominator:
-            return rho, iset
+        num, den = rho.numerator, rho.denominator
+        value, reached = network.solve(rho)
+        if value == work * den:
+            return rho, IntervalSet((points[s], points[s + 1]) for s in chosen)
+        chosen = reached
+        length = sum(lengths[s] for s in chosen)
+        rho = Fraction(den * work - value + num * length, den * length)
 
 
 def strong_density_exact(instance: Instance) -> Fraction:

@@ -1,4 +1,6 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion and prints what it printed when
+pinned: its stdout is compared byte for byte with
+``tests/data/demo_<name>.txt``."""
 
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -22,3 +25,4 @@ def test_demo_exits_zero(demo):
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout == (DATA / f"demo_{demo.stem}.txt").read_text()

@@ -560,12 +560,16 @@ def test_density_is_lower_bound_on_optimum():
 def test_flow_network_structure():
     from machmin.optimum import FlowNetwork
 
+    # one flow class: the benchmark's name for it, and build and solve its own
+    assert FlowNetwork is RunningOptimum
+    assert {"build", "solve"} <= RunningOptimum.__dict__.keys()
     inst = Instance([Job(0, 0, 3, 2), Job(1, 1, 5, 1)])
     net = FlowNetwork.build(inst)
+    assert not net._windows  # found on demand by _window, none by build
     # segments are the maximal runs between window breakpoints
     assert [(a, b) for a, b, _ in net.flow()] == [(0, 1), (1, 3), (3, 5)]
     # a job has one arc to each segment inside its window
-    assert net._windows == {0: range(0, 2), 1: range(1, 3)}
+    assert [net._window(job) for job in range(inst.n)] == [range(0, 2), range(1, 3)]
     assert net._work == inst.total_work
     value, reached = net.solve(2)
     assert (value, reached) == (inst.total_work, [])
@@ -787,6 +791,67 @@ def reference_strong_density(instance):
             return rho
 
 
+def contribution_dinkelbach(instance):
+    """The reference for the density loop of ``strong_density_witness``:
+    Dinkelbach's method on the package's flow from every covered segment,
+    each round's ratio summed from every job's contribution to an interval
+    set of the round's segments, and that set returned with the density."""
+    from machmin.optimum import FlowNetwork
+
+    points = sorted({p for j in instance.jobs for p in (j.release, j.deadline)})
+    chosen = [
+        si for si, (a, b) in enumerate(zip(points, points[1:]))
+        if any(j.release <= a and b <= j.deadline for j in instance.jobs)
+    ]
+    network = FlowNetwork.build(instance)
+    while True:
+        iset = IntervalSet((points[si], points[si + 1]) for si in chosen)
+        rho = Fraction(sum(contribution(j, iset) for j in instance.jobs), iset.length)
+        value, chosen = network.solve(rho)
+        if value == instance.total_work * rho.denominator:
+            return rho, iset
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=straddling_instances(), offset=st.none() | st.integers(-1, 2))
+def test_density_from_the_cut_matches_the_contribution_loop(case, offset):
+    # each round's ratio read off the min cut's value gives the density and
+    # the interval set that summing contributions gives, on small and large
+    # sets, and scaled to a total work just short of FLOW_WORK_LIMIT or past it
+    instance, _ = case
+    if offset is not None:
+        instance = _scaled_past_limit(instance, offset)
+    assert strong_density_witness(instance) == contribution_dinkelbach(instance)
+
+
+def test_density_loop_sums_no_contribution(monkeypatch):
+    # the loop takes several rounds, yet builds one interval set, the one
+    # it returns, and calls contribution not at all
+    from machmin import optimum
+
+    instance = gen_random("general", 30, 3).instance
+    rounds, built = [], []
+    solve, interval_set = optimum.RunningOptimum.solve, optimum.IntervalSet
+
+    def counting_solve(self, m):
+        rounds.append(m)
+        return solve(self, m)
+
+    def counting_set(intervals):
+        built.append(interval_set(intervals))
+        return built[-1]
+
+    def refuse(job, iset):
+        raise AssertionError("contribution called")
+
+    expected = contribution_dinkelbach(instance)
+    monkeypatch.setattr(optimum.RunningOptimum, "solve", counting_solve)
+    monkeypatch.setattr(optimum, "IntervalSet", counting_set)
+    monkeypatch.setattr(optimum, "contribution", refuse)
+    assert optimum.strong_density_witness(instance) == expected
+    assert len(rounds) > 1 and len(built) == 1
+
+
 def reference_min_machines(jobs, lower):
     """The reference for ``min_machines``: from the larger of ``lower`` and
     the load bound, gallop upward (lo, lo+1, lo+3, lo+7, ...) until a count
@@ -895,7 +960,8 @@ def test_min_machines_builds_one_network_and_no_admission(monkeypatch, arcs, off
     from machmin.optimum import FlowNetwork
 
     instance = Instance(_jobs_with_arcs(arcs))
-    assert sum(map(len, FlowNetwork.build(instance)._windows.values())) == arcs
+    network = FlowNetwork.build(instance)
+    assert sum(len(network._window(job)) for job in range(instance.n)) == arcs
     expected = reference_min_machines(instance.jobs, 1)
     if offset is not None:
         instance = _scaled_past_limit(instance, offset)
